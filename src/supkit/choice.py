@@ -49,10 +49,6 @@ class NotBasicError(SupkitError):
     pass
 
 
-class NotRestrictedError(SupkitError):
-    pass
-
-
 class OracleRequiredError(SupkitError):
     pass
 

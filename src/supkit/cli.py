@@ -18,24 +18,26 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import constructions
 from .choice import (
+    CLASS_NAMES,
     BoundedModelOracle,
     ChoiceTable,
     ClassSpec,
-    TruthTableOracle,
     collapse,
     enumerate_tables,
 )
-from .models import Structure, Valuation, vocabulary_of
+from .models import Structure, Valuation
 from .proofs import check_proof, proof_from_json
 from .semantics import (
+    DEFAULT_BUDGET,
     DEFAULT_DOMAIN_BOUND,
     DEFAULT_ORACLE_BOUND,
-    Countermodel,
     SearchSpace,
-    Verdict,
     check_consequence,
+    class_spec_for,
     eval_fcs,
     eval_scs,
+    scan_models,
+    verdict_of_scans,
 )
 from .syntax import (
     And,
@@ -57,9 +59,6 @@ from .syntax import (
     substitute,
     to_text,
 )
-
-CLASS_CHOICES = ("all", "reg", "asso", "regstar", "dec")
-
 
 def _positive(value, name):
     if value < 1:
@@ -85,14 +84,6 @@ def _signature(args):
     if getattr(args, "sig", None):
         return Signature.from_json(_load_json(args.sig))
     return None  # parser falls back to the default signature
-
-
-def _class_spec(name, formulas, bound):
-    if name in ("all", "asso"):
-        return ClassSpec(name)
-    vocab = vocabulary_of(formulas)
-    oracle = BoundedModelOracle(bound) if vocab.first_order else TruthTableOracle()
-    return ClassSpec(name, oracle)
 
 
 def _load_model(path, sig):
@@ -169,7 +160,10 @@ def _verdict_output(args, verdict):
     return 0 if verdict.valid else 1
 
 
-def _search(premises, conclusion, spec, space, jobs, budget=2_000_000):
+def _search(premises, conclusion, spec, space, jobs, budget=DEFAULT_BUDGET):
+    """The verdict of check_consequence, with the models split into ``jobs``
+    consecutive chunks that worker processes scan; the verdict, its counts
+    and the budget are exactly those of the serial search."""
     if jobs <= 1:
         return check_consequence(premises, conclusion, spec, space=space,
                                  budget=budget)
@@ -177,38 +171,16 @@ def _search(premises, conclusion, spec, space, jobs, budget=2_000_000):
         if free_vars(phi) or classify(phi) > SyntaxClass.RESTRICTED:
             raise SupkitError(f"not a restricted sentence: {to_text(phi)}")
     models = list(space.models())
-    description = dict(space.describe())
-    description.update(spec.describe())
-    chunks = []
     step = max(1, (len(models) + jobs - 1) // jobs)
-    for start in range(0, len(models), step):
-        chunks.append((start, models[start:start + step], premises, conclusion, spec))
-    hits = []
+    chunks = [(models[start:start + step], premises, conclusion, spec, budget)
+              for start in range(0, len(models), step)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for hit in pool.map(_search_chunk, chunks):
-            if hit is not None:
-                hits.append(hit)
-    if not hits:
-        return Verdict(valid=True, premises=tuple(premises), conclusion=conclusion,
-                       space=description, models_checked=len(models))
-    index, model, table = min(hits, key=lambda h: h[0])
-    return Verdict(valid=False, premises=tuple(premises), conclusion=conclusion,
-                   space=description, countermodel=Countermodel(model, table),
-                   models_checked=len(models))
+        return verdict_of_scans(premises, conclusion, spec, space,
+                                pool.map(_search_chunk, chunks), budget)
 
 
 def _search_chunk(chunk):
-    start, models, premises, conclusion, spec = chunk
-    for offset, model in enumerate(models):
-        def task(table):
-            for sigma in premises:
-                if not eval_scs(model, table, sigma):
-                    return False
-            return not eval_scs(model, table, conclusion)
-        for table, refuted in enumerate_tables(task, spec):
-            if refuted:
-                return (start + offset, model, table)
-    return None
+    return scan_models(*chunk)
 
 
 def cmd_consequence(args):
@@ -217,7 +189,7 @@ def cmd_consequence(args):
                 for text in (args.premises or "").split(";") if text.strip()]
     conclusion = parse(args.conclusion, sig)
     formulas = premises + [conclusion]
-    spec = _class_spec(args.table_class, formulas, _oracle_bound(args))
+    spec = class_spec_for(args.table_class, formulas, _oracle_bound(args))
     space = SearchSpace.for_task(
         formulas, max_domain=_positive(args.max_domain, "--max-domain"))
     verdict = _search(premises, conclusion, spec, space,
@@ -228,7 +200,7 @@ def cmd_consequence(args):
 def cmd_taut(args):
     sig = _signature(args)
     conclusion = parse(args.formula, sig)
-    spec = _class_spec(args.table_class, [conclusion], _oracle_bound(args))
+    spec = class_spec_for(args.table_class, [conclusion], _oracle_bound(args))
     space = SearchSpace.for_task(
         [conclusion], max_domain=_positive(args.max_domain, "--max-domain"))
     verdict = _search([], conclusion, spec, space, _positive(args.jobs, "--jobs"))
@@ -346,9 +318,7 @@ def demo_build_model(args):
         return 1
     oracle = None
     if args.table_class == "reg":
-        vocab = vocabulary_of(fragment.sentences)
-        oracle = (BoundedModelOracle(_oracle_bound(args))
-                  if vocab.first_order else TruthTableOracle())
+        oracle = class_spec_for("reg", fragment.sentences, _oracle_bound(args)).oracle
     result = constructions.build_choice_from_theory(
         fragment, args.table_class, oracle, max_domain=args.max_domain)
     payload = {"ok": True} | result.report
@@ -467,7 +437,7 @@ def build_parser():
 
     for name, func in (("consequence", cmd_consequence), ("taut", cmd_taut)):
         cmd = sub.add_parser(name, help=f"{name} over an enumerated space")
-        cmd.add_argument("--class", dest="table_class", choices=CLASS_CHOICES,
+        cmd.add_argument("--class", dest="table_class", choices=CLASS_NAMES,
                          default="all")
         if name == "consequence":
             cmd.add_argument("--premises", default="",

@@ -39,6 +39,7 @@ from .syntax import (
     Variable,
     classify,
     free_vars,
+    is_classical,
     parse,
     primitive_form,
     substitute,
@@ -202,6 +203,8 @@ def _match_ui(prim):
     if not isinstance(prim, Implies) or not isinstance(prim.left, Forall):
         return None
     var, body = prim.left.var, prim.left.body
+    if _free_in_sup_operand(body, var):
+        return None  # each instance of an open sup is a pair a table decides alone
     try:
         terms = _infer_instantiation(body, var, prim.right)
     except _Mismatch:
@@ -214,6 +217,20 @@ def _match_ui(prim):
     if term_vars(term):
         return None  # instantiating term must be closed
     return {"phi": body, "var": var, "t": term}
+
+
+def _free_in_sup_operand(phi, var):
+    """Whether ``var`` occurs free in ``phi`` inside an operand of a sup."""
+    if var not in free_vars(phi) or is_classical(phi):
+        return False
+    if isinstance(phi, Sup):
+        return True
+    if isinstance(phi, Not):
+        return _free_in_sup_operand(phi.body, var)
+    if isinstance(phi, (And, Or, Implies, Iff)):
+        return (_free_in_sup_operand(phi.left, var)
+                or _free_in_sup_operand(phi.right, var))
+    return _free_in_sup_operand(phi.body, var)
 
 
 def _match_d(prim):

@@ -42,14 +42,13 @@ from .syntax import (
     Implies,
     Not,
     Or,
-    Parameter,
     Sup,
     SupkitError,
     SyntaxClass,
     classify,
     free_vars,
+    instantiate,
     is_classical,
-    substitute,
     to_text,
 )
 
@@ -94,10 +93,7 @@ def _scs(model, table, phi):
         if not isinstance(model, Structure):
             raise EvalError("quantified sentence requires a structure")
         tester = all if isinstance(phi, Forall) else any
-        return tester(
-            _scs(model, table, substitute(phi.body, phi.var, Parameter(x)))
-            for x in model.domain
-        )
+        return tester(_scs(model, table, instantiate(phi, x)) for x in model.domain)
     raise EvalError(f"not a formula: {phi!r}")
 
 
@@ -207,36 +203,51 @@ def check_consequence(premises, conclusion, spec, space=None, budget=DEFAULT_BUD
             raise EvalError(f"not a sentence: {to_text(phi)}")
     if space is None:
         space = SearchSpace.for_task(formulas)
-    description = dict(space.describe())
-    description.update(spec.describe())
+    scan = scan_models(space.models(), premises, conclusion, spec, budget)
+    return verdict_of_scans(premises, conclusion, spec, space, [scan], budget)
 
+
+def scan_models(models, premises, conclusion, spec, budget=DEFAULT_BUDGET):
+    """Search the models in order, each under every admissible table, for a
+    countermodel.  Returns ``(countermodel or None, models checked, tables
+    checked)``; it stops at the first countermodel, or as soon as more than
+    ``budget`` tables have been checked."""
     models_checked = 0
     tables_checked = 0
-    work = 0
-    for model in space.models():
+    for model in models:
         models_checked += 1
         task = _model_task(model, premises, conclusion)
         for table, refuted in enumerate_tables(task, spec):
             tables_checked += 1
-            work += 1
-            if work > budget:
-                raise SearchBudgetError(
-                    f"search budget of {budget} evaluations exceeded")
+            if tables_checked > budget:
+                return None, models_checked, tables_checked
             if refuted:
-                return Verdict(
-                    valid=False,
-                    premises=premises,
-                    conclusion=conclusion,
-                    space=description,
-                    countermodel=Countermodel(model, table),
-                    models_checked=models_checked,
-                    tables_checked=tables_checked,
-                )
+                return Countermodel(model, table), models_checked, tables_checked
+    return None, models_checked, tables_checked
+
+
+def verdict_of_scans(premises, conclusion, spec, space, scans, budget=DEFAULT_BUDGET):
+    """The verdict of scans over consecutive runs of the space's models,
+    given in model order.  Its counts, and whether it raises
+    SearchBudgetError, are those of one scan over all the models."""
+    countermodel = None
+    models_checked = 0
+    tables_checked = 0
+    for countermodel, models, tables in scans:
+        models_checked += models
+        tables_checked += tables
+        if tables_checked > budget:
+            raise SearchBudgetError(f"search budget of {budget} evaluations exceeded")
+        if countermodel is not None:
+            break
+    description = dict(space.describe())
+    description.update(spec.describe())
     return Verdict(
-        valid=True,
-        premises=premises,
+        valid=countermodel is None,
+        premises=tuple(premises),
         conclusion=conclusion,
         space=description,
+        countermodel=countermodel,
         models_checked=models_checked,
         tables_checked=tables_checked,
     )

@@ -1,8 +1,14 @@
 """AST, parser, printer and well-formedness classes for superposition logic.
 
-Terms and formulas are immutable dataclasses compared structurally (no
-alpha-equivalence, no normalization).  The superposition connective is
-written ``sup`` infix in text form; ``|`` is accepted as an input alias.
+Terms and formulas are slotted classes that are never changed once built,
+and they are compared structurally (no alpha-equivalence, no
+normalization).  Each formula node also carries its own facts: free
+variables, syntax class, canonical text, primitive form and, on a
+quantifier, its instances by domain element.  Each fact is computed the
+first time it is asked for, from the children's facts, and read afterwards.
+Equality, hashing and pickling look at the fields only.  The superposition
+connective is written ``sup`` infix in text form; ``|`` is accepted as an
+input alias.
 
 Formulas fall into four nested well-formedness classes:
 
@@ -44,33 +50,82 @@ class CaptureError(SupkitError):
 
 
 # ---------------------------------------------------------------------------
+# Nodes
+
+
+class Node:
+    """Shared behaviour of terms and formulas.
+
+    ``__match_args__`` names a node's fields.  Equality compares the class
+    and the fields, the hash is the hash of the field tuple, the repr
+    prints the fields, and a pickle rebuilds the node from its fields, so
+    no cached fact travels with it.
+    """
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def _astuple(self):
+        return ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__match_args__, self._astuple()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 PARAM_PREFIX = "@"
 
 
-@dataclass(frozen=True)
-class Term:
-    pass
+class Term(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Variable(Term):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def _astuple(self):
+        return (self.name,)
 
 
-@dataclass(frozen=True)
 class Constant(Term):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def _astuple(self):
+        return (self.name,)
 
 
-@dataclass(frozen=True)
 class FuncApp(Term):
-    name: str
-    args: tuple
+    __slots__ = __match_args__ = ("name", "args")
+
+    def __init__(self, name, args):
+        self.name = name
+        self.args = args
+
+    def _astuple(self):
+        return (self.name, self.args)
 
 
-@dataclass(frozen=True)
 class Parameter(Term):
     """A domain element used as a name of itself, printed with an ``@``.
 
@@ -78,87 +133,132 @@ class Parameter(Term):
     base language: no declared symbol may start with ``@``.
     """
 
-    element: str
+    __slots__ = __match_args__ = ("element",)
+
+    def __init__(self, element):
+        self.element = element
+
+    def _astuple(self):
+        return (self.element,)
 
 
 # ---------------------------------------------------------------------------
 # Formulas
+#
+# Besides its fields, every formula node has four fact slots, and a
+# quantifier node a fifth: free variables, syntax class, canonical text,
+# primitive form and instances by domain element.  Each starts as None and
+# is filled by its accessor below (free_vars, classify, to_text,
+# primitive_form, instantiate) the first time it is asked for.  A node is
+# never changed after it is built, so a fact once computed stays true.
 
 
-@dataclass(frozen=True)
-class Formula:
-    pass
+class Formula(Node):
+    __slots__ = ("_free", "_class", "_text", "_prim")
 
 
-@dataclass(frozen=True)
 class PropAtom(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+        self._free = self._class = self._text = self._prim = None
+
+    def _astuple(self):
+        return (self.name,)
 
 
-@dataclass(frozen=True)
 class PredAtom(Formula):
-    name: str
-    args: tuple
+    __slots__ = __match_args__ = ("name", "args")
+
+    def __init__(self, name, args):
+        self.name = name
+        self.args = args
+        self._free = self._class = self._text = self._prim = None
+
+    def _astuple(self):
+        return (self.name, self.args)
 
 
-@dataclass(frozen=True)
 class Equality(Formula):
-    lhs: Term
-    rhs: Term
+    __slots__ = __match_args__ = ("lhs", "rhs")
+
+    def __init__(self, lhs, rhs):
+        self.lhs = lhs
+        self.rhs = rhs
+        self._free = self._class = self._text = self._prim = None
+
+    def _astuple(self):
+        return (self.lhs, self.rhs)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    body: Formula
+    __slots__ = __match_args__ = ("body",)
+
+    def __init__(self, body):
+        self.body = body
+        self._free = self._class = self._text = self._prim = None
+
+    def _astuple(self):
+        return (self.body,)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class BinaryFormula(Formula):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+        self._free = self._class = self._text = self._prim = None
+
+    def _astuple(self):
+        return (self.left, self.right)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(BinaryFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(BinaryFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Implies(BinaryFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sup(Formula):
+class Iff(BinaryFormula):
+    __slots__ = ()
+
+
+class Sup(BinaryFormula):
     """The superposition connective.  Commutativity is a property of choice
     tables, never applied to the AST itself."""
 
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Forall(Formula):
-    var: str
-    body: Formula
+class QuantifiedFormula(Formula):
+    __slots__ = ("var", "body", "_inst")
+    __match_args__ = ("var", "body")
+
+    def __init__(self, var, body):
+        self.var = var
+        self.body = body
+        self._free = self._class = self._text = self._prim = self._inst = None
+
+    def _astuple(self):
+        return (self.var, self.body)
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
-    var: str
-    body: Formula
+class Forall(QuantifiedFormula):
+    __slots__ = ()
 
 
-BINARY_NODES = (And, Or, Implies, Iff, Sup)
-QUANTIFIER_NODES = (Forall, Exists)
+class Exists(QuantifiedFormula):
+    __slots__ = ()
+
+
 ATOM_NODES = (PropAtom, PredAtom, Equality)
 
 
@@ -255,6 +355,12 @@ DEFAULT_SIGNATURE = Signature(
 # ---------------------------------------------------------------------------
 # Free variables and substitution
 
+_NO_VARS = frozenset()
+
+
+def _not_a_formula(phi):
+    return SupkitError(f"not a formula: {phi!r}")
+
 
 def term_vars(t):
     if isinstance(t, Variable):
@@ -270,30 +376,37 @@ def term_vars(t):
 def free_vars(phi):
     """Free variable names of a formula; sentences are exactly the formulas
     with an empty result."""
+    try:
+        names = phi._free
+    except AttributeError:
+        raise _not_a_formula(phi) from None
+    if names is None:
+        names = phi._free = _free_vars_of(phi)
+    return names
+
+
+def _free_vars_of(phi):
+    """A node's free variables, from its terms or its children's facts."""
     if isinstance(phi, PropAtom):
-        return frozenset()
+        return _NO_VARS
     if isinstance(phi, PredAtom):
-        out = frozenset()
-        for a in phi.args:
-            out |= term_vars(a)
-        return out
+        return _NO_VARS.union(*map(term_vars, phi.args))
     if isinstance(phi, Equality):
         return term_vars(phi.lhs) | term_vars(phi.rhs)
     if isinstance(phi, Not):
         return free_vars(phi.body)
-    if isinstance(phi, BINARY_NODES):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if isinstance(phi, QUANTIFIER_NODES):
-        return free_vars(phi.body) - {phi.var}
-    raise SupkitError(f"not a formula: {phi!r}")
+    if isinstance(phi, BinaryFormula):
+        left, right = free_vars(phi.left), free_vars(phi.right)
+        # share an operand's set when it holds both, as most nodes allow
+        if right <= left:
+            return left
+        return right if left <= right else left | right
+    body = free_vars(phi.body)
+    return body - {phi.var} if phi.var in body else body
 
 
 def is_sentence(phi):
     return not free_vars(phi)
-
-
-def is_closed_term(t):
-    return not term_vars(t)
 
 
 def substitute_term(t, mapping):
@@ -316,9 +429,8 @@ def substitute(phi, var, term):
 
 
 def _subst(phi, mapping):
-    if not mapping:
-        return phi
-    if isinstance(phi, PropAtom):
+    # A subformula in which no mapped variable is free is shared, not copied.
+    if mapping.keys().isdisjoint(free_vars(phi)):
         return phi
     if isinstance(phi, PredAtom):
         return PredAtom(phi.name, tuple(substitute_term(a, mapping) for a in phi.args))
@@ -326,86 +438,87 @@ def _subst(phi, mapping):
         return Equality(substitute_term(phi.lhs, mapping), substitute_term(phi.rhs, mapping))
     if isinstance(phi, Not):
         return Not(_subst(phi.body, mapping))
-    if isinstance(phi, BINARY_NODES):
+    if isinstance(phi, BinaryFormula):
         return type(phi)(_subst(phi.left, mapping), _subst(phi.right, mapping))
-    if isinstance(phi, QUANTIFIER_NODES):
-        inner = {v: t for v, t in mapping.items() if v != phi.var}
-        if inner:
-            body_free = free_vars(phi.body)
-            for v, t in inner.items():
-                if v in body_free and phi.var in term_vars(t):
-                    raise CaptureError(
-                        f"substituting {to_text_term(t)} for {v} would capture "
-                        f"{phi.var} in {to_text(phi)}"
-                    )
-        return type(phi)(phi.var, _subst(phi.body, inner))
-    raise SupkitError(f"not a formula: {phi!r}")
+    inner = {v: t for v, t in mapping.items() if v != phi.var}
+    body_free = free_vars(phi.body)
+    for v, t in inner.items():
+        if v in body_free and phi.var in term_vars(t):
+            raise CaptureError(
+                f"substituting {to_text_term(t)} for {v} would capture "
+                f"{phi.var} in {to_text(phi)}"
+            )
+    return type(phi)(phi.var, _subst(phi.body, inner))
 
 
-def is_substitutable(phi, var, term):
-    try:
-        substitute(phi, var, term)
-    except CaptureError:
-        return False
-    return True
+def instantiate(phi, element):
+    """The instance ``body[var := @element]`` of a quantified formula, built
+    once per node and element, so that its facts are computed once too."""
+    instances = phi._inst
+    if instances is None:
+        instances = phi._inst = {}
+    inst = instances.get(element)
+    if inst is None:
+        inst = instances[element] = substitute(phi.body, phi.var, Parameter(element))
+    return inst
 
 
 # ---------------------------------------------------------------------------
 # Well-formedness classes (basic / restricted hierarchy)
 
+_CLASSICAL = SyntaxClass.CLASSICAL
+
+
+def classify(phi):
+    """The tightest syntax class containing ``phi``."""
+    try:
+        cls = phi._class
+    except AttributeError:
+        raise _not_a_formula(phi) from None
+    if cls is None:
+        cls = phi._class = _class_of(phi)
+    return cls
+
+
+def _class_of(phi):
+    """A node's class, from its children's: atoms are classical, ``~`` keeps
+    its body's class and the other connectives take the larger class of
+    their operands, except that ``sup`` is basic over operands that are at
+    most basic and unrestricted otherwise.  A quantifier keeps a classical
+    body classical and makes any other body at least restricted."""
+    if isinstance(phi, ATOM_NODES):
+        return _CLASSICAL
+    if isinstance(phi, Not):
+        return classify(phi.body)
+    if isinstance(phi, BinaryFormula):
+        cls = max(classify(phi.left), classify(phi.right))
+        if not isinstance(phi, Sup):
+            return cls
+        return SyntaxClass.BASIC if cls <= SyntaxClass.BASIC else SyntaxClass.UNRESTRICTED
+    cls = classify(phi.body)
+    return cls if cls is _CLASSICAL else max(cls, SyntaxClass.RESTRICTED)
+
 
 def is_classical(phi):
     """True when the formula contains no superposition node."""
-    if isinstance(phi, ATOM_NODES):
-        return True
-    if isinstance(phi, Not):
-        return is_classical(phi.body)
-    if isinstance(phi, Sup):
-        return False
-    if isinstance(phi, BINARY_NODES):
-        return is_classical(phi.left) and is_classical(phi.right)
-    if isinstance(phi, QUANTIFIER_NODES):
-        return is_classical(phi.body)
-    raise SupkitError(f"not a formula: {phi!r}")
+    # reads the slot itself: this is the most frequent question of a search
+    try:
+        cls = phi._class
+    except AttributeError:
+        raise _not_a_formula(phi) from None
+    return (cls if cls is not None else classify(phi)) is _CLASSICAL
 
 
 def is_basic(phi):
     """Connective combinations of classical formulas; quantifiers only
     inside classical subformulas."""
-    if is_classical(phi):
-        return True
-    if isinstance(phi, Not):
-        return is_basic(phi.body)
-    if isinstance(phi, BINARY_NODES):
-        return is_basic(phi.left) and is_basic(phi.right)
-    return False
+    return classify(phi) <= SyntaxClass.BASIC
 
 
 def is_restricted(phi):
     """Connective and quantifier combinations of basic formulas; every sup
     node must have basic operands."""
-    if is_basic(phi):
-        return True
-    if isinstance(phi, Not):
-        return is_restricted(phi.body)
-    if isinstance(phi, Sup):
-        return False
-    if isinstance(phi, BINARY_NODES):
-        return is_restricted(phi.left) and is_restricted(phi.right)
-    if isinstance(phi, QUANTIFIER_NODES):
-        return is_restricted(phi.body)
-    return False
-
-
-def classify(phi):
-    """The tightest syntax class containing ``phi``."""
-    if is_classical(phi):
-        return SyntaxClass.CLASSICAL
-    if is_basic(phi):
-        return SyntaxClass.BASIC
-    if is_restricted(phi):
-        return SyntaxClass.RESTRICTED
-    return SyntaxClass.UNRESTRICTED
+    return classify(phi) <= SyntaxClass.RESTRICTED
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +532,24 @@ _LEVEL_AND = 4
 _LEVEL_SUP = 5
 _LEVEL_NOT = 6
 _LEVEL_ATOM = 7
+
+_LEVELS = {
+    PropAtom: _LEVEL_ATOM, PredAtom: _LEVEL_ATOM, Equality: _LEVEL_ATOM,
+    Not: _LEVEL_NOT, Sup: _LEVEL_SUP, And: _LEVEL_AND, Or: _LEVEL_OR,
+    Implies: _LEVEL_IMPLIES, Iff: _LEVEL_IFF,
+    Forall: _LEVEL_QUANT, Exists: _LEVEL_QUANT,
+}
+
+# infix text, least level of the left operand, least level of the right one
+_INFIX = {
+    Sup: (" sup ", _LEVEL_SUP, _LEVEL_SUP + 1),
+    And: (" /\\ ", _LEVEL_AND, _LEVEL_AND + 1),
+    Or: (" \\/ ", _LEVEL_OR, _LEVEL_OR + 1),
+    Implies: (" -> ", _LEVEL_IMPLIES + 1, _LEVEL_IMPLIES),
+    Iff: (" <-> ", _LEVEL_IFF + 1, _LEVEL_IFF),
+}
+
+_QUANTIFIER_WORDS = {Forall: "forall", Exists: "exists"}
 
 
 def to_text_term(t):
@@ -435,49 +566,40 @@ def to_text_term(t):
 
 def to_text(phi):
     """Canonical text form; ``parse(to_text(phi))`` returns ``phi``."""
-    return _pp(phi, 0)
-
-
-def _pp(phi, min_level):
-    if isinstance(phi, PropAtom):
-        text, level = phi.name, _LEVEL_ATOM
-    elif isinstance(phi, PredAtom):
-        text = f"{phi.name}({','.join(to_text_term(a) for a in phi.args)})"
-        level = _LEVEL_ATOM
-    elif isinstance(phi, Equality):
-        text = f"{to_text_term(phi.lhs)} = {to_text_term(phi.rhs)}"
-        level = _LEVEL_ATOM
-    elif isinstance(phi, Not):
-        text, level = "~" + _pp(phi.body, _LEVEL_NOT), _LEVEL_NOT
-    elif isinstance(phi, Sup):
-        text = _pp(phi.left, _LEVEL_SUP) + " sup " + _pp(phi.right, _LEVEL_SUP + 1)
-        level = _LEVEL_SUP
-    elif isinstance(phi, And):
-        text = _pp(phi.left, _LEVEL_AND) + " /\\ " + _pp(phi.right, _LEVEL_AND + 1)
-        level = _LEVEL_AND
-    elif isinstance(phi, Or):
-        text = _pp(phi.left, _LEVEL_OR) + " \\/ " + _pp(phi.right, _LEVEL_OR + 1)
-        level = _LEVEL_OR
-    elif isinstance(phi, Implies):
-        text = _pp(phi.left, _LEVEL_IMPLIES + 1) + " -> " + _pp(phi.right, _LEVEL_IMPLIES)
-        level = _LEVEL_IMPLIES
-    elif isinstance(phi, Iff):
-        text = _pp(phi.left, _LEVEL_IFF + 1) + " <-> " + _pp(phi.right, _LEVEL_IFF)
-        level = _LEVEL_IFF
-    elif isinstance(phi, Forall):
-        text, level = f"forall {phi.var}. {_pp(phi.body, 0)}", _LEVEL_QUANT
-    elif isinstance(phi, Exists):
-        text, level = f"exists {phi.var}. {_pp(phi.body, 0)}", _LEVEL_QUANT
-    else:
-        raise SupkitError(f"not a formula: {phi!r}")
-    if level < min_level:
-        return "(" + text + ")"
+    try:
+        text = phi._text
+    except AttributeError:
+        raise _not_a_formula(phi) from None
+    if text is None:
+        text = phi._text = _text_of(phi)
     return text
 
 
-def canonical_key(phi):
-    """Injective string key for a formula, used to canonicalize pairs."""
-    return to_text(phi)
+def _text_of(phi):
+    """A node's text, from its terms or its children's text."""
+    if isinstance(phi, PropAtom):
+        return phi.name
+    if isinstance(phi, PredAtom):
+        return f"{phi.name}({','.join(to_text_term(a) for a in phi.args)})"
+    if isinstance(phi, Equality):
+        return f"{to_text_term(phi.lhs)} = {to_text_term(phi.rhs)}"
+    if isinstance(phi, Not):
+        return "~" + _pp(phi.body, _LEVEL_NOT)
+    if isinstance(phi, BinaryFormula):
+        infix, left_level, right_level = _INFIX[type(phi)]
+        return _pp(phi.left, left_level) + infix + _pp(phi.right, right_level)
+    return f"{_QUANTIFIER_WORDS[type(phi)]} {phi.var}. {to_text(phi.body)}"
+
+
+def _pp(phi, min_level):
+    """The text of an operand, parenthesized when it binds looser than its
+    position requires."""
+    text = to_text(phi)
+    return "(" + text + ")" if _LEVELS[type(phi)] < min_level else text
+
+
+# Injective string key for a formula, used to canonicalize pairs.
+canonical_key = to_text
 
 
 def pair_key(a, b):
@@ -496,28 +618,46 @@ def pair_key(a, b):
 # only for that fragment: a /\ b := ~(a -> ~b), a \/ b := ~a -> b,
 # a <-> b := (a -> b) /\ (b -> a), exists v := ~forall v~.
 
+# Marks a node that is its own primitive form, so that the slot does not
+# point back at the node itself.
+_PRIMITIVE = object()
+
 
 def primitive_form(phi):
+    try:
+        prim = phi._prim
+    except AttributeError:
+        raise _not_a_formula(phi) from None
+    if prim is None:
+        prim = _primitive_of(phi)
+        phi._prim = _PRIMITIVE if prim is phi else prim
+        return prim
+    return phi if prim is _PRIMITIVE else prim
+
+
+def _primitive_of(phi):
+    """A node's primitive form, from its children's; a node that is
+    primitive already is returned itself."""
     if isinstance(phi, ATOM_NODES):
         return phi
     if isinstance(phi, Not):
-        return Not(primitive_form(phi.body))
+        body = primitive_form(phi.body)
+        return phi if body is phi.body else Not(body)
+    if isinstance(phi, QuantifiedFormula):
+        body = primitive_form(phi.body)
+        if isinstance(phi, Exists):
+            return Not(Forall(phi.var, Not(body)))
+        return phi if body is phi.body else Forall(phi.var, body)
+    a, b = primitive_form(phi.left), primitive_form(phi.right)
     if isinstance(phi, And):
-        return Not(Implies(primitive_form(phi.left), Not(primitive_form(phi.right))))
+        return Not(Implies(a, Not(b)))
     if isinstance(phi, Or):
-        return Implies(Not(primitive_form(phi.left)), primitive_form(phi.right))
-    if isinstance(phi, Implies):
-        return Implies(primitive_form(phi.left), primitive_form(phi.right))
+        return Implies(Not(a), b)
     if isinstance(phi, Iff):
-        a, b = primitive_form(phi.left), primitive_form(phi.right)
         return Not(Implies(Implies(a, b), Not(Implies(b, a))))
-    if isinstance(phi, Sup):
-        return Sup(primitive_form(phi.left), primitive_form(phi.right))
-    if isinstance(phi, Forall):
-        return Forall(phi.var, primitive_form(phi.body))
-    if isinstance(phi, Exists):
-        return Not(Forall(phi.var, Not(primitive_form(phi.body))))
-    raise SupkitError(f"not a formula: {phi!r}")
+    if a is phi.left and b is phi.right:
+        return phi
+    return type(phi)(a, b)
 
 
 # ---------------------------------------------------------------------------

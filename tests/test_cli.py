@@ -1,10 +1,12 @@
 import json
 
+import pytest
+
 from supkit.choice import ChoiceTable
-from supkit.cli import run
+from supkit.cli import _search, run
 from supkit.models import Valuation
 from supkit.proofs import proof_to_json
-from supkit.semantics import eval_scs
+from supkit.semantics import SearchBudgetError, SearchSpace, class_spec_for, eval_scs
 from supkit.syntax import PropAtom, parse
 
 
@@ -99,6 +101,37 @@ def test_jobs_flag_matches_serial(capsys):
     code2, out2, _ = invoke(capsys, *args, "--jobs", "2")
     assert code1 == code2 == 0
     assert "valid" in out1 and "valid" in out2
+
+
+def test_jobs_json_identical_to_serial(capsys):
+    # one valid and one refuted rung: verdict, countermodel and counts agree
+    for formula in ("(forall v. P(v) sup Q(v)) -> exists v. (P(v) sup Q(v))",
+                    "(forall v. P(v) sup Q(v)) -> forall v. P(v)"):
+        args = ("taut", "--class", "all", "--formula", formula,
+                "--max-domain", "2", "--json")
+        outputs = set()
+        for jobs in ("1", "2", "3"):
+            code, out, _ = invoke(capsys, *args, "--jobs", jobs)
+            outputs.add((code, out))
+        assert len(outputs) == 1
+        data = json.loads(outputs.pop()[1])
+        assert data["tables_checked"] > 0
+
+
+def test_jobs_keeps_the_budget():
+    phi = parse("(forall v. (P(v) sup Q(v))) -> exists v. (P(v) sup Q(v))")
+    spec = class_spec_for("all", [phi])
+    space = SearchSpace.for_task([phi])
+    for jobs in (1, 2):
+        with pytest.raises(SearchBudgetError):
+            _search([], phi, spec, space, jobs, budget=10)
+    serial = _search([], phi, spec, SearchSpace.for_task([phi], max_domain=2), 1)
+    parallel = _search([], phi, spec, SearchSpace.for_task([phi], max_domain=2), 2,
+                       budget=serial.tables_checked)
+    assert parallel.to_json() == serial.to_json()
+    with pytest.raises(SearchBudgetError):
+        _search([], phi, spec, SearchSpace.for_task([phi], max_domain=2), 2,
+                budget=serial.tables_checked - 1)
 
 
 def test_check_proof_roundtrip(capsys, tmp_path):

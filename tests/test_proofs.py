@@ -68,6 +68,21 @@ def test_match_ui():
     assert match_axiom(parse("(forall v. R(v,v)) -> R(c1,c2)"), "UI") is None
 
 
+def test_ui_rejects_open_sup_operands():
+    # a table may choose differently on {P(@e),Q(@e)} and {P(c1),Q(c1)},
+    # so the instance below fails in every class
+    unsound = parse("(forall v. P(v) sup Q(v)) -> P(c1) sup Q(c1)")
+    assert match_axiom(unsound, "UI") is None
+    verdict = check_proof(proof("L0", [(unsound, Axiom("UI"))]))
+    assert not verdict.ok and verdict.line == 1
+    # v is bound again inside, so the sup's operands do not vary with it
+    assert match_axiom(parse("(forall v. p0 -> exists v. P(v) sup Q(v)) -> "
+                             "p0 -> exists v. P(v) sup Q(v)"), "UI") is not None
+    # sup between sentences under the quantifier is still instantiable
+    assert match_axiom(parse("(forall v. P(v) /\\ (P(c1) sup Q(c1))) -> "
+                             "P(c2) /\\ (P(c1) sup Q(c1))"), "UI") is not None
+
+
 def test_match_d_side_condition():
     good = parse("(forall v. (p0 -> Q(v))) -> (p0 -> forall v. Q(v))")
     assert match_axiom(good, "D") is not None
