@@ -33,6 +33,7 @@ from .semantics import (
     DEFAULT_ORACLE_BOUND,
     SearchSpace,
     check_consequence,
+    check_restricted_sentences,
     class_spec_for,
     eval_fcs,
     eval_scs,
@@ -50,7 +51,6 @@ from .syntax import (
     Signature,
     Sup,
     SupkitError,
-    SyntaxClass,
     Variable,
     classify,
     free_vars,
@@ -71,7 +71,11 @@ def _oracle_bound(args):
     if getattr(args, "oracle_bound", None) is not None:
         return _positive(args.oracle_bound, "--oracle-bound")
     if env:
-        return _positive(int(env), "SUPKIT_ORACLE_BOUND")
+        try:
+            value = int(env)
+        except ValueError:
+            raise SupkitError("SUPKIT_ORACLE_BOUND must be a positive integer") from None
+        return _positive(value, "SUPKIT_ORACLE_BOUND")
     return DEFAULT_ORACLE_BOUND
 
 
@@ -167,9 +171,7 @@ def _search(premises, conclusion, spec, space, jobs, budget=DEFAULT_BUDGET):
     if jobs <= 1:
         return check_consequence(premises, conclusion, spec, space=space,
                                  budget=budget)
-    for phi in list(premises) + [conclusion]:
-        if free_vars(phi) or classify(phi) > SyntaxClass.RESTRICTED:
-            raise SupkitError(f"not a restricted sentence: {to_text(phi)}")
+    check_restricted_sentences(list(premises) + [conclusion])
     models = list(space.models())
     step = max(1, (len(models) + jobs - 1) // jobs)
     chunks = [(models[start:start + step], premises, conclusion, spec, budget)

@@ -579,28 +579,48 @@ def proof_to_json(proof):
     return out
 
 
+_KINDS = {str: "a string", int: "a line number", list: "a list", dict: "an object"}
+
+
+def _field(data, key, kind):
+    """``data[key]``, which must be present and of type ``kind``."""
+    value = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise SupkitError(f"malformed proof JSON: {key!r} must be {_KINDS[kind]}")
+    return value
+
+
 def proof_from_json(data, sig=None):
+    """The Proof in the JSON wire format; malformed input raises SupkitError."""
+    system = _field(data, "system", str)
+    hypotheses = _field(data, "hypotheses", list) if "hypotheses" in data else []
+    if not all(isinstance(h, str) for h in hypotheses):
+        raise SupkitError("malformed proof JSON: 'hypotheses' must be strings")
     lines = []
-    for entry in data.get("lines", ()):
-        j = entry["just"]
-        kind = j["kind"]
+    for entry in _field(data, "lines", list):
+        formula = _field(entry, "formula", str)
+        j = _field(entry, "just", dict)
+        kind = _field(j, "kind", str)
         if kind == "hyp":
             just = Hyp()
         elif kind == "axiom":
-            just = Axiom(j["scheme"])
+            just = Axiom(_field(j, "scheme", str))
         elif kind == "mp":
-            a, b = j["from"]
-            just = MP(a, b)
+            refs = _field(j, "from", list)
+            if len(refs) != 2 or not all(type(r) is int for r in refs):
+                raise SupkitError("malformed proof JSON: an mp 'from' must be "
+                                  "two line numbers")
+            just = MP(*refs)
         elif kind == "gr":
-            just = GR(j["from"], j["var"])
+            just = GR(_field(j, "from", int), _field(j, "var", str))
         elif kind == "sv":
-            just = SV(j["from"], proof_from_json(j["cert"], sig))
+            just = SV(_field(j, "from", int), proof_from_json(_field(j, "cert", dict), sig))
         else:
             raise SupkitError(f"unknown justification kind {kind!r}")
-        lines.append(ProofLine(parse(entry["formula"], sig), just))
+        lines.append(ProofLine(parse(formula, sig), just))
     return Proof(
-        system=data["system"],
-        hypotheses=tuple(parse(h, sig) for h in data.get("hypotheses", ())),
+        system=system,
+        hypotheses=tuple(parse(h, sig) for h in hypotheses),
         lines=tuple(lines),
         unrestricted=bool(data.get("unrestricted", False)),
         allow_open_hypotheses=bool(data.get("allow_open_hypotheses", False)),

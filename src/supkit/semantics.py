@@ -190,17 +190,23 @@ class Verdict:
         return out
 
 
-def check_consequence(premises, conclusion, spec, space=None, budget=DEFAULT_BUDGET):
-    """Search the space for a (model, admissible table) pair satisfying every
-    premise but not the conclusion; valid-over-space when none exists."""
-    premises = tuple(premises)
-    formulas = list(premises) + [conclusion]
+def check_restricted_sentences(formulas):
+    """Raise unless every formula is a restricted sentence, the input that
+    consequence checking handles."""
     for phi in formulas:
         if classify(phi) > SyntaxClass.RESTRICTED:
             raise NotRestrictedError(
                 f"consequence checking handles restricted sentences only: {to_text(phi)}")
         if free_vars(phi):
             raise EvalError(f"not a sentence: {to_text(phi)}")
+
+
+def check_consequence(premises, conclusion, spec, space=None, budget=DEFAULT_BUDGET):
+    """Search the space for a (model, admissible table) pair satisfying every
+    premise but not the conclusion; valid-over-space when none exists."""
+    premises = tuple(premises)
+    formulas = list(premises) + [conclusion]
+    check_restricted_sentences(formulas)
     if space is None:
         space = SearchSpace.for_task(formulas)
     scan = scan_models(space.models(), premises, conclusion, spec, budget)

@@ -20,6 +20,7 @@ from supkit.choice import (
     collapse,
     enumerate_tables,
 )
+from supkit.cli import _depth1_sentences
 from supkit.constructions import (
     build_choice_from_theory,
     enumerate_fragment_markings,
@@ -71,15 +72,6 @@ def report(line):
 
 # ---------------------------------------------------------------------------
 # Criterion 1: interpolation
-
-
-def _depth1_sentences():
-    atoms = [p0, p1]
-    out = list(atoms) + [Not(a) for a in atoms]
-    for left, right in itertools.product(atoms, repeat=2):
-        for ctor in (And, Or, Implies, Iff, Sup):
-            out.append(ctor(left, right))
-    return out
 
 
 def test_criterion_1_interpolation():

@@ -134,6 +134,48 @@ def test_jobs_keeps_the_budget():
                 budget=serial.tables_checked - 1)
 
 
+@pytest.mark.parametrize("formula", ["P(v)", "(forall v. P(v) sup Q(v)) sup P(c1)"])
+def test_jobs_rejects_input_as_serial_does(capsys, formula):
+    serial = invoke(capsys, "taut", "--formula", formula, "--jobs", "1")
+    parallel = invoke(capsys, "taut", "--formula", formula, "--jobs", "2")
+    assert serial[0] == 2 and serial[2].startswith("error: ")
+    assert parallel == serial
+
+
+def test_oracle_bound_env_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("SUPKIT_ORACLE_BOUND", "abc")
+    code, out, err = invoke(capsys, "taut", "--formula", "p0 -> p0")
+    assert code == 2 and out == ""
+    assert err == "error: SUPKIT_ORACLE_BOUND must be a positive integer\n"
+
+
+_P1_LINE = {"formula": "p0 -> p1 -> p0", "just": {"kind": "axiom", "scheme": "P1"}}
+
+
+@pytest.mark.parametrize("proof", [
+    [],
+    {"lines": [_P1_LINE]},
+    {"system": "K0"},
+    {"system": "K0", "lines": [{"just": {"kind": "hyp"}}]},
+    {"system": "K0", "lines": [{"formula": "p0"}]},
+    {"system": "K0", "lines": [_P1_LINE, {"formula": "p0", "just": {"kind": "mp"}}]},
+    {"system": "K0", "lines": [_P1_LINE, {"formula": "p0",
+                                          "just": {"kind": "mp", "from": [1]}}]},
+    {"system": "K0", "lines": [_P1_LINE, {"formula": "p0",
+                                          "just": {"kind": "mp", "from": ["a", "b"]}}]},
+    {"system": "L0", "lines": [_P1_LINE, {"formula": "forall v. p0 -> p1 -> p0",
+                                          "just": {"kind": "gr", "from": [1], "var": "v"}}]},
+    {"system": "K1", "lines": [_P1_LINE, {"formula": "p0", "just": {
+        "kind": "sv", "from": "1", "cert": {"system": "K0", "lines": [_P1_LINE]}}}]},
+])
+def test_check_proof_malformed_json_exit_2(capsys, tmp_path, proof):
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps(proof))
+    code, out, err = invoke(capsys, "check-proof", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed proof JSON") and "Traceback" not in err
+
+
 def test_check_proof_roundtrip(capsys, tmp_path):
     from supkit.corpus import corpus_entries, mutant_entries
     entry = corpus_entries()[0]

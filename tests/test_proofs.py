@@ -1,5 +1,15 @@
-from hilbertlib import dn_iff_proof
+import hashlib
+import json
+from importlib import resources
+
 from supkit.choice import ChoiceTable, ClassSpec, TruthTableOracle, collapse, extendable
+from supkit.corpus import (
+    ENTRY_NAMES,
+    GENERATED,
+    corpus_entries,
+    dn_iff_proof,
+    sv_double_negation,
+)
 from supkit.proofs import (
     GR,
     MP,
@@ -148,11 +158,7 @@ def test_identity_chain():
 
 
 def sv_proof(system="K1"):
-    cert = dn_iff_proof("K0", p0)
-    lines = [(line.formula, line.just) for line in cert.lines]
-    premise_index = len(lines)
-    lines.append((Iff(Sup(Not(Not(p0)), p1), Sup(p0, p1)), SV(premise_index, cert)))
-    return proof(system, lines)
+    return sv_double_negation(system, p0, p1)
 
 
 def test_sv_with_certificate():
@@ -239,6 +245,30 @@ def test_proof_json_roundtrip():
     again = proof_from_json(data)
     assert check_proof(again).ok
     assert [to_text(l.formula) for l in again.lines] == [to_text(l.formula) for l in p.lines]
+
+
+# sha256 of json.dumps(proof_to_json(p), sort_keys=True) for the corpus/*.json
+# files that shipped these two proofs before they were generated
+SHIPPED_SV_SHA256 = {
+    "k1_sv_double_negation":
+        "d6ffef195b90751bbd50b63f826c6139f45d6c3e68a21f175fa2e869a790cc20",
+    "l1_sv_double_negation_fo":
+        "286c3663c4bc663b37d7445e11702562d2225df7ae2b4a46ea407f4751aab2bd",
+}
+
+
+def test_generated_sv_proofs_equal_the_shipped_files():
+    assert set(GENERATED) == set(SHIPPED_SV_SHA256)
+    proofs = {entry.name: entry.proof for entry in corpus_entries()}
+    for name, digest in SHIPPED_SV_SHA256.items():
+        text = json.dumps(proof_to_json(proofs[name]), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+def test_corpus_files_are_the_loaded_entries():
+    shipped = {path.name for path in (resources.files("supkit") / "corpus").iterdir()
+               if path.name.endswith(".json")}
+    assert shipped == {name + ".json" for name in ENTRY_NAMES if name not in GENERATED}
 
 
 def test_sv_semantic_core():
