@@ -27,6 +27,8 @@ from .syntax import (
     free_vars,
     is_classical,
     is_sentence,
+    json_field,
+    json_names,
     parse,
     to_text,
 )
@@ -134,12 +136,17 @@ class ChoiceTable:
 
     @classmethod
     def from_json(cls, data, sig=None):
-        table = cls(mode=data.get("mode", SENTENCE_MODE))
-        for entry in data.get("entries", ()):
-            a = parse(entry["pair"][0], sig)
-            b = parse(entry["pair"][1], sig)
-            c = parse(entry["choice"], sig)
-            table = table.with_entry(a, b, c)
+        """The table in the JSON form of ``to_json``; malformed input raises
+        SupkitError."""
+        source = "table JSON"
+        table = cls(mode=json_field(data, "mode", str, source, SENTENCE_MODE))
+        for entry in json_field(data, "entries", list, source, []):
+            pair = json_names(entry, "pair", source)
+            if len(pair) != 2:
+                raise SupkitError(f"malformed {source}: 'pair' must hold two formulas")
+            a, b = (parse(text, sig) for text in pair)
+            choice = parse(json_field(entry, "choice", str, source), sig)
+            table = table.with_entry(a, b, choice)
         return table
 
     def describe(self):
@@ -318,39 +325,33 @@ class PreferenceGraph:
 
     @classmethod
     def from_table(cls, table):
-        nodes, edges = set(), set()
-        for a, b, c in table.pairs():
-            ka, kb, kc = canonical_key(a), canonical_key(b), canonical_key(c)
-            loser = kb if kc == ka else ka
-            nodes.update((ka, kb))
-            edges.add((kc, loser))
-        return cls(frozenset(nodes), frozenset(edges))
+        return cls(frozenset(k for pair in table.entries for k in pair),
+                   frozenset((kc, kb if kc == ka else ka)
+                             for (ka, kb), kc in table.entries.items()))
 
     def has_cycle(self):
-        return _has_cycle(self.nodes, self.edges)
+        return _has_cycle(self.edges)
 
 
-def _has_cycle(nodes, edges):
+def _has_cycle(edges):
+    """Whether the digraph with these edges has a cycle (a node without
+    edges lies on none)."""
     succ = {}
     for a, b in edges:
         succ.setdefault(a, set()).add(b)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in nodes}
-    for a, b in edges:
-        color.setdefault(a, WHITE)
-        color.setdefault(b, WHITE)
+    GREY, BLACK = 1, 2
+    color = {}
 
     def visit(n):
         color[n] = GREY
         for m in succ.get(n, ()):
-            if color[m] == GREY:
-                return True
-            if color[m] == WHITE and visit(m):
+            seen = color.get(m)
+            if seen == GREY or (seen is None and visit(m)):
                 return True
         color[n] = BLACK
         return False
 
-    return any(color[n] == WHITE and visit(n) for n in list(color))
+    return any(n not in color and visit(n) for n in succ)
 
 
 def class_representatives(oracle, formulas):
@@ -372,17 +373,11 @@ def class_representatives(oracle, formulas):
     return reps
 
 
-def _entry_triples(table):
-    return [(a, b, c) for a, b, c in table.pairs()]
-
-
 def _reg_violation(table, oracle):
     """Two entries whose class-pairs coincide must choose equivalent sides."""
-    triples = _entry_triples(table)
-    members = [f for a, b, _ in triples for f in (a, b)]
-    reps = class_representatives(oracle, members)
+    reps = class_representatives(oracle, table.formulas.values())
     seen = {}
-    for a, b, c in triples:
+    for a, b, c in table.pairs():
         ra, rb = reps[canonical_key(a)], reps[canonical_key(b)]
         rc = reps[canonical_key(c)]
         class_pair = (ra, rb) if ra <= rb else (rb, ra)
@@ -395,29 +390,25 @@ def _reg_violation(table, oracle):
     return None
 
 
-def _class_graphs(table, oracle):
+def _class_graphs(table, oracle, negations=False):
     """Split entry constraints into an inter-class digraph over representative
-    keys and per-class sentence-level digraphs; also return the rep map
-    extended with single negations (for the duality closure)."""
-    triples = _entry_triples(table)
-    members = [f for a, b, _ in triples for f in (a, b)]
-    negs = [Not(f) for f in members]
+    keys and per-class digraphs over member keys, returned after a map from
+    each class to its negation's class (for the duality closure).  Only with
+    ``negations`` does the partition cover the members' negations; the map
+    is empty otherwise."""
+    members = list(table.formulas.values())
+    negs = [Not(f) for f in members] if negations else []
     reps = class_representatives(oracle, members + negs)
-    neg_rep = {}
-    for f in members:
-        neg_rep[reps[canonical_key(f)]] = reps[canonical_key(Not(f))]
+    neg_rep = {reps[canonical_key(f)]: reps[canonical_key(n)]
+               for f, n in zip(members, negs)}
     inter_edges, intra_edges = set(), set()
-    for a, b, c in triples:
-        ka, kb, kc = canonical_key(a), canonical_key(b), canonical_key(c)
-        ra, rb = reps[ka], reps[kb]
-        loser_key = kb if kc == ka else ka
-        if ra == rb:
-            intra_edges.add((kc, loser_key))
+    for (ka, kb), kc in table.entries.items():
+        loser = kb if kc == ka else ka
+        if reps[ka] == reps[kb]:
+            intra_edges.add((kc, loser))
         else:
-            winner_rep = reps[kc]
-            loser_rep = rb if winner_rep == ra else ra
-            inter_edges.add((winner_rep, loser_rep))
-    return reps, neg_rep, inter_edges, intra_edges
+            inter_edges.add((reps[kc], reps[loser]))
+    return neg_rep, inter_edges, intra_edges
 
 
 def _dec_closure(inter_edges, neg_rep):
@@ -458,11 +449,10 @@ def check_class(table, spec, universe):
             )
     if name == "dec":
         oracle = spec.require_oracle()
-        reps, neg_rep, inter, intra = _class_graphs(table, oracle)
-        if _has_cycle(set(), intra):
+        neg_rep, inter, intra = _class_graphs(table, oracle, negations=True)
+        if _has_cycle(intra):
             return ClassVerdict(False, kind="dec", detail="cyclic choices inside a class")
-        closed = _dec_closure(inter, neg_rep)
-        if _has_cycle(set(), closed):
+        if _has_cycle(_dec_closure(inter, neg_rep)):
             return ClassVerdict(
                 False, kind="dec",
                 detail="duality-closed preference graph is cyclic",
@@ -486,8 +476,13 @@ def extendable(table, spec):
     """Whether some total table in the class agrees with this partial table.
 
     all: always; reg: class-pair choices consistent; asso: preference graph
-    acyclic; regstar: both plus per-class acyclicity; dec: additionally the
-    duality-closed class graph is acyclic.
+    acyclic; regstar: the inter-class and per-class graphs acyclic; dec:
+    additionally the duality-closed class graph is acyclic.
+
+    regstar and dec need no separate reg pass: two entries on the same pair
+    of classes that choose different classes are the edges A -> B and
+    B -> A of the inter-class graph, a 2-cycle, and the duality closure
+    contains that graph.
     """
     name = spec.name
     if name == "all":
@@ -495,16 +490,12 @@ def extendable(table, spec):
     if name == "asso":
         return not PreferenceGraph.from_table(table).has_cycle()
     oracle = spec.require_oracle()
-    if _reg_violation(table, oracle) is not None:
-        return False
     if name == "reg":
-        return True
-    reps, neg_rep, inter, intra = _class_graphs(table, oracle)
-    if _has_cycle(set(), intra) or _has_cycle(set(), inter):
-        return False
-    if name == "regstar":
-        return True
-    return not _has_cycle(set(), _dec_closure(inter, neg_rep))
+        return _reg_violation(table, oracle) is None
+    neg_rep, inter, intra = _class_graphs(table, oracle, negations=name == "dec")
+    if name == "dec":
+        inter = _dec_closure(inter, neg_rep)
+    return not (_has_cycle(intra) or _has_cycle(inter))
 
 
 def enumerate_tables(task, spec, seed=None, mode=SENTENCE_MODE):

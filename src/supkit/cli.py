@@ -2,8 +2,9 @@
 consequence/tautology checking, proof checking, and the demo suite.
 
 Exit codes: 0 success or valid; 1 countermodel found or proof rejected;
-2 usage or input errors.  Verdict reports always embed the searched space,
-so nothing claims more than what was enumerated.  SUPKIT_ORACLE_BOUND
+2 usage or input errors, a formula nested too deeply included.  Verdict
+reports always embed the searched space, so nothing claims more than what
+was enumerated.  SUPKIT_ORACLE_BOUND
 overrides the default equivalence-oracle domain bound.
 """
 
@@ -25,7 +26,7 @@ from .choice import (
     collapse,
     enumerate_tables,
 )
-from .models import Structure, Valuation
+from .models import Structure, Valuation, valuations_over
 from .proofs import check_proof, proof_from_json
 from .semantics import (
     DEFAULT_BUDGET,
@@ -41,6 +42,7 @@ from .semantics import (
     verdict_of_scans,
 )
 from .syntax import (
+    NESTED_TOO_DEEPLY,
     And,
     Constant,
     Iff,
@@ -54,6 +56,7 @@ from .syntax import (
     Variable,
     classify,
     free_vars,
+    json_field,
     parse,
     parse_term,
     substitute,
@@ -188,7 +191,7 @@ def _search_chunk(chunk):
 def cmd_consequence(args):
     sig = _signature(args)
     premises = [parse(text.strip(), sig)
-                for text in (args.premises or "").split(";") if text.strip()]
+                for text in args.premises.split(";") if text.strip()]
     conclusion = parse(args.conclusion, sig)
     formulas = premises + [conclusion]
     spec = class_spec_for(args.table_class, formulas, _oracle_bound(args))
@@ -196,16 +199,6 @@ def cmd_consequence(args):
         formulas, max_domain=_positive(args.max_domain, "--max-domain"))
     verdict = _search(premises, conclusion, spec, space,
                       _positive(args.jobs, "--jobs"))
-    return _verdict_output(args, verdict)
-
-
-def cmd_taut(args):
-    sig = _signature(args)
-    conclusion = parse(args.formula, sig)
-    spec = class_spec_for(args.table_class, [conclusion], _oracle_bound(args))
-    space = SearchSpace.for_task(
-        [conclusion], max_domain=_positive(args.max_domain, "--max-domain"))
-    verdict = _search([], conclusion, spec, space, _positive(args.jobs, "--jobs"))
     return _verdict_output(args, verdict)
 
 
@@ -308,10 +301,12 @@ def demo_object_superposition(args):
 
 
 def demo_build_model(args):
+    if args.theory is None:
+        raise SupkitError("build-model needs --theory")
     data = _load_json(args.theory)
+    markings = json_field(data, "markings", dict, "theory JSON")
     sig = Signature.from_json(data["signature"]) if "signature" in data else None
-    markings = {parse(text, sig): bool(value)
-                for text, value in data["markings"].items()}
+    markings = {parse(text, sig): bool(value) for text, value in markings.items()}
     fragment = constructions.TheoryFragment.from_markings(markings, sig)
     verdict = constructions.check_theory_fragment(fragment)
     if not verdict.ok:
@@ -355,9 +350,7 @@ def demo_interpolation(args):
     spec = ClassSpec("all")
     for phi, psi in pairs + extra:
         conj, sup, disj = And(phi, psi), Sup(phi, psi), Or(phi, psi)
-        atoms = sorted({"p0", "p1"})
-        for bits in itertools.product((False, True), repeat=len(atoms)):
-            valuation = Valuation(dict(zip(atoms, bits)))
+        for valuation in valuations_over(("p0", "p1")):
 
             def task(table):
                 return (eval_scs(valuation, table, conj),
@@ -437,7 +430,7 @@ def build_parser():
     _add_common(cmd)
     cmd.set_defaults(func=cmd_eval)
 
-    for name, func in (("consequence", cmd_consequence), ("taut", cmd_taut)):
+    for name in ("consequence", "taut"):
         cmd = sub.add_parser(name, help=f"{name} over an enumerated space")
         cmd.add_argument("--class", dest="table_class", choices=CLASS_NAMES,
                          default="all")
@@ -446,15 +439,15 @@ def build_parser():
                              help="semicolon-separated premise sentences")
             cmd.add_argument("--conclusion", required=True)
         else:
-            cmd.add_argument("--formula", required=True)
+            cmd.add_argument("--formula", dest="conclusion", metavar="FORMULA",
+                             required=True)
+            cmd.set_defaults(premises="")
         cmd.add_argument("--max-domain", type=int, default=DEFAULT_DOMAIN_BOUND)
         cmd.add_argument("--oracle-bound", type=int, default=None)
         cmd.add_argument("--jobs", type=int, default=1,
                          help="parallelize the model enumeration")
         _add_common(cmd)
-        cmd.set_defaults(func=func)
-        if name == "taut":
-            cmd.set_defaults(conclusion=None)
+        cmd.set_defaults(func=cmd_consequence)
 
     cmd = sub.add_parser("check-proof", help="check a Hilbert proof JSON file")
     cmd.add_argument("proof", help="proof JSON file")
@@ -493,6 +486,11 @@ def run(argv=None):
         return 2
     except SupkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # a recursive walk over a formula that the parser accepted (printer,
+        # evaluator, collapse) ran out of stack: the input is too deep
+        print(f"error: {NESTED_TOO_DEEPLY}", file=sys.stderr)
         return 2
 
 

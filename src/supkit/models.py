@@ -30,6 +30,8 @@ from .syntax import (
     SupkitError,
     Variable,
     is_classical,
+    json_field,
+    json_names,
     to_text_term,
 )
 
@@ -54,7 +56,10 @@ class Valuation:
 
     @classmethod
     def from_json(cls, data):
-        return cls({k: bool(v) for k, v in data["atoms"].items()})
+        atoms = json_field(data, "atoms", dict, "valuation JSON")
+        if not all(v in (0, 1) for v in atoms.values()):
+            raise SupkitError("malformed valuation JSON: atom values must be 0 or 1")
+        return cls({k: bool(v) for k, v in atoms.items()})
 
     def describe(self):
         return ", ".join(f"{k}={int(v)}" for k, v in sorted(self.assignment.items()))
@@ -93,16 +98,40 @@ class Structure:
 
     @classmethod
     def from_json(cls, data):
+        """The structure in the JSON form of ``to_json``; malformed input, or
+        an interpretation naming an element outside the domain, raises
+        SupkitError."""
+        source = "model JSON"
+        domain = tuple(json_names(data, "domain", source))
+
+        def element(value, where):
+            if not isinstance(value, str) or value not in domain:
+                raise SupkitError(f"malformed {source}: {where} names {value!r}, "
+                                  "which is not an element of the domain")
+            return value
+
+        def elements(values, where):
+            if not isinstance(values, list):
+                raise SupkitError(f"malformed {source}: {where} must list elements")
+            return tuple(element(v, where) for v in values)
+
+        constants = json_field(data, "constants", dict, source, {})
+        functions = json_field(data, "functions", dict, source, {})
+        predicates = json_field(data, "predicates", dict, source, {})
         return cls(
-            domain=tuple(data["domain"]),
-            constants=dict(data.get("constants", {})),
+            domain=domain,
+            constants={name: element(value, f"constant {name!r}")
+                       for name, value in constants.items()},
             functions={
-                name: {tuple(k.split(",")): v for k, v in table.items()}
-                for name, table in data.get("functions", {}).items()
+                name: {elements(k.split(","), f"function {name!r}"):
+                       element(v, f"function {name!r}")
+                       for k, v in json_field(functions, name, dict, source).items()}
+                for name in functions
             },
             predicates={
-                name: frozenset(tuple(t) for t in tuples)
-                for name, tuples in data.get("predicates", {}).items()
+                name: frozenset(elements(t, f"predicate {name!r}")
+                                for t in json_field(predicates, name, list, source))
+                for name in predicates
             },
         )
 

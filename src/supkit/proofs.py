@@ -40,6 +40,8 @@ from .syntax import (
     classify,
     free_vars,
     is_classical,
+    json_field,
+    json_names,
     parse,
     primitive_form,
     substitute,
@@ -579,23 +581,14 @@ def proof_to_json(proof):
     return out
 
 
-_KINDS = {str: "a string", int: "a line number", list: "a list", dict: "an object"}
-
-
 def _field(data, key, kind):
-    """``data[key]``, which must be present and of type ``kind``."""
-    value = data.get(key) if isinstance(data, dict) else None
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise SupkitError(f"malformed proof JSON: {key!r} must be {_KINDS[kind]}")
-    return value
+    return json_field(data, key, kind, "proof JSON")
 
 
 def proof_from_json(data, sig=None):
     """The Proof in the JSON wire format; malformed input raises SupkitError."""
     system = _field(data, "system", str)
-    hypotheses = _field(data, "hypotheses", list) if "hypotheses" in data else []
-    if not all(isinstance(h, str) for h in hypotheses):
-        raise SupkitError("malformed proof JSON: 'hypotheses' must be strings")
+    hypotheses = json_names(data, "hypotheses", "proof JSON", [])
     lines = []
     for entry in _field(data, "lines", list):
         formula = _field(entry, "formula", str)

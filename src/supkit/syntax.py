@@ -29,12 +29,44 @@ class SupkitError(Exception):
     """Base class for all errors raised by this package."""
 
 
+_JSON_KINDS = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+_REQUIRED = object()
+
+
+def json_field(data, key, kind, source, default=_REQUIRED):
+    """``data[key]`` of a JSON object, which must have type ``kind``; a
+    missing key gives ``default`` when one is given.  Malformed input raises
+    SupkitError naming the ``source`` ("proof JSON", "model JSON", ...)."""
+    if not isinstance(data, dict):
+        raise SupkitError(f"malformed {source}: expected an object")
+    if key not in data and default is not _REQUIRED:
+        return default
+    value = data.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise SupkitError(f"malformed {source}: {key!r} must be {_JSON_KINDS[kind]}")
+    return value
+
+
+def json_names(data, key, source, default=_REQUIRED):
+    """``data[key]`` of a JSON object, which must be a list of strings."""
+    names = json_field(data, key, list, source, default)
+    if not all(isinstance(name, str) for name in names):
+        raise SupkitError(f"malformed {source}: {key!r} must be a list of strings")
+    return names
+
+
 class ParseError(SupkitError):
     def __init__(self, message, pos=None):
         self.pos = pos
         if pos is not None:
             message = f"{message} (at position {pos})"
         super().__init__(message)
+
+
+# The error for input nested deeper than the interpreter's recursion limit
+# lets a recursive walk follow: the parser raises it as a ParseError, and
+# the CLI reports it for any later walk over a formula the parser accepted.
+NESTED_TOO_DEEPLY = "input nested too deeply"
 
 
 class UnknownSymbolError(ParseError):
@@ -318,7 +350,7 @@ class Signature:
                     )
                 seen[name] = kind
         for name, arity in list(self.functions.items()) + list(self.predicates.items()):
-            if not isinstance(arity, int) or arity < 1:
+            if type(arity) is not int or arity < 1:
                 raise SupkitError(f"arity of {name!r} must be a positive integer")
 
     def is_prop_atom(self, name):
@@ -337,11 +369,12 @@ class Signature:
 
     @classmethod
     def from_json(cls, data):
+        source = "signature JSON"
         return cls(
-            constants=frozenset(data.get("constants", ())),
-            functions=dict(data.get("functions", {})),
-            predicates=dict(data.get("predicates", {})),
-            prop_atoms=frozenset(data.get("prop_atoms", ())),
+            constants=json_names(data, "constants", source, ()),
+            functions=json_field(data, "functions", dict, source, {}),
+            predicates=json_field(data, "predicates", dict, source, {}),
+            prop_atoms=json_names(data, "prop_atoms", source, ()),
         )
 
 
@@ -841,18 +874,22 @@ class _Parser:
 
 def parse(text, sig=None):
     """Parse the text grammar into a Formula; round-trips with to_text."""
-    parser = _Parser(text, sig or DEFAULT_SIGNATURE)
-    phi = parser.formula()
-    kind, value, pos = parser.peek()
-    if kind != "EOF":
-        raise ParseError(f"trailing input {value!r}", pos)
-    return phi
+    return _parse_whole(text, sig, _Parser.formula)
 
 
 def parse_term(text, sig=None):
+    return _parse_whole(text, sig, _Parser.term)
+
+
+def _parse_whole(text, sig, start):
+    """Run one production over the whole text.  Input nested deeper than the
+    recursive descent can follow raises ParseError."""
     parser = _Parser(text, sig or DEFAULT_SIGNATURE)
-    t = parser.term()
+    try:
+        result = start(parser)
+    except RecursionError:
+        raise ParseError(NESTED_TOO_DEEPLY) from None
     kind, value, pos = parser.peek()
     if kind != "EOF":
         raise ParseError(f"trailing input {value!r}", pos)
-    return t
+    return result

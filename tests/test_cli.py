@@ -279,3 +279,80 @@ def test_demo_ui_failure_general_all_cases(capsys):
     data = json.loads(out)
     assert [d["case"] for d in data] == [1, 2, 3, 4]
     assert all(d["verified"] for d in data)
+
+
+_GOOD_EVAL_FILES = {"model": {"domain": ["e0"], "constants": {"c1": "e0"}},
+                    "table": {"entries": []}}
+
+
+def _eval_with(tmp_path, files):
+    argv = ["eval", "--formula", "P(c1)"]
+    for name, data in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        argv += [f"--{name}", str(path)]
+    return argv
+
+
+def _assert_input_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_eval_accepts_well_formed_files(capsys, tmp_path):
+    code, out, _ = invoke(capsys, *_eval_with(tmp_path, _GOOD_EVAL_FILES))
+    assert code == 0 and out == "sentence-choice: false\n"
+
+
+@pytest.mark.parametrize("bad", [
+    {"model": {"domain_missing": 1}},
+    {"model": [1]},
+    {"model": {"domain": [0]}},
+    {"model": {"domain": ["e0"], "constants": {"c1": "e5"}}},
+    {"model": {"domain": ["e0"], "constants": {"c1": "e0"}, "functions": {"g": {"e9": "e0"}}}},
+    {"model": {"domain": ["e0"], "constants": {"c1": "e0"}, "functions": {"g": {"e0": "e9"}}}},
+    {"model": {"domain": ["e0"], "constants": {"c1": "e0"}, "predicates": {"P": [["e9"]]}}},
+    {"model": {"domain": ["e0"], "constants": {"c1": "e0"}, "predicates": {"P": ["e0"]}}},
+    {"model": {"atoms": {"p0": "yes"}}},
+    {"table": {"entries": [{"choice": "P(c1)"}]}},
+    {"table": {"entries": [{"pair": ["P(c1)"], "choice": "P(c1)"}]}},
+    {"table": {"entries": [{"pair": ["P(c1)", "Q(c1)"]}]}},
+    {"table": {"mode": 3}},
+    {"table": []},
+    {"sig": {"constants": 5}},
+    {"sig": {"predicates": ["P"]}},
+    {"sig": {"functions": {"g": True}}},
+    {"sig": "P"},
+])
+def test_malformed_model_table_or_signature_exit_2(capsys, tmp_path, bad):
+    argv = _eval_with(tmp_path, _GOOD_EVAL_FILES | bad)
+    _assert_input_error(*invoke(capsys, *argv))
+
+
+@pytest.mark.parametrize("theory", [None, {"marks": {}}, {"markings": []},
+                                    {"markings": {}, "signature": 5}])
+def test_demo_build_model_malformed_theory_exit_2(capsys, tmp_path, theory):
+    argv = ["demo", "build-model"]
+    if theory is not None:
+        path = tmp_path / "theory.json"
+        path.write_text(json.dumps(theory))
+        argv += ["--theory", str(path)]
+    _assert_input_error(*invoke(capsys, *argv))
+
+
+_NESTED = {
+    "parentheses": lambda n: "(" * n + "p0" + ")" * n,
+    "negations": lambda n: "~" * n + "p0",
+    "conjuncts": lambda n: " /\\ ".join(["p0"] * n),
+}
+
+
+@pytest.mark.parametrize("shape, depth", [("parentheses", 100), ("negations", 300),
+                                          ("conjuncts", 300)])
+def test_deep_nesting_exit_2(capsys, shape, depth):
+    code, out, _ = invoke(capsys, "parse", "--formula", _NESTED[shape](depth))
+    assert code == 0 and out.endswith("class: classical\n")
+    code, out, err = invoke(capsys, "parse", "--formula", _NESTED[shape](3000))
+    _assert_input_error(code, out, err)
+    assert err == "error: input nested too deeply\n"

@@ -1,0 +1,202 @@
+"""Differential tests of ``choice.extendable``.
+
+The reference below is the earlier algorithm: it partitions a table's
+members once for the ``reg`` check and again, with every member's negation,
+for the class graphs, whatever the class.  The current ``extendable`` builds
+one class graph per check and reads ``reg`` consistency off its 2-cycles;
+both must give the same answer on every table.
+"""
+
+import itertools
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from supkit import choice
+from supkit.choice import (
+    BoundedModelOracle,
+    ChoiceTable,
+    ClassSpec,
+    PreferenceGraph,
+    TruthTableOracle,
+    _dec_closure,
+    class_representatives,
+    extendable,
+)
+from supkit.cli import run
+from supkit.syntax import Not, canonical_key, parse
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
+
+CLASSES = ("all", "reg", "asso", "regstar", "dec")
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation
+
+
+def ref_has_cycle(nodes, edges):
+    succ = {}
+    for a, b in edges:
+        succ.setdefault(a, set()).add(b)
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {n: WHITE for n in nodes}
+    for a, b in edges:
+        color.setdefault(a, WHITE)
+        color.setdefault(b, WHITE)
+
+    def visit(n):
+        color[n] = GREY
+        for m in succ.get(n, ()):
+            if color[m] == GREY:
+                return True
+            if color[m] == WHITE and visit(m):
+                return True
+        color[n] = BLACK
+        return False
+
+    return any(color[n] == WHITE and visit(n) for n in list(color))
+
+
+def ref_reg_violation(table, oracle):
+    triples = list(table.pairs())
+    members = [f for a, b, _ in triples for f in (a, b)]
+    reps = class_representatives(oracle, members)
+    seen = {}
+    for a, b, c in triples:
+        ra, rb = reps[canonical_key(a)], reps[canonical_key(b)]
+        rc = reps[canonical_key(c)]
+        class_pair = (ra, rb) if ra <= rb else (rb, ra)
+        if class_pair[0] == class_pair[1]:
+            continue
+        prev = seen.get(class_pair)
+        if prev is not None and prev[0] != rc:
+            return (prev[1], (a, b, c))
+        seen[class_pair] = (rc, (a, b, c))
+    return None
+
+
+def ref_class_graphs(table, oracle):
+    triples = list(table.pairs())
+    members = [f for a, b, _ in triples for f in (a, b)]
+    negs = [Not(f) for f in members]
+    reps = class_representatives(oracle, members + negs)
+    neg_rep = {}
+    for f in members:
+        neg_rep[reps[canonical_key(f)]] = reps[canonical_key(Not(f))]
+    inter_edges, intra_edges = set(), set()
+    for a, b, c in triples:
+        ka, kb, kc = canonical_key(a), canonical_key(b), canonical_key(c)
+        ra, rb = reps[ka], reps[kb]
+        loser_key = kb if kc == ka else ka
+        if ra == rb:
+            intra_edges.add((kc, loser_key))
+        else:
+            winner_rep = reps[kc]
+            loser_rep = rb if winner_rep == ra else ra
+            inter_edges.add((winner_rep, loser_rep))
+    return reps, neg_rep, inter_edges, intra_edges
+
+
+def ref_extendable(table, spec):
+    name = spec.name
+    if name == "all":
+        return True
+    if name == "asso":
+        graph = PreferenceGraph.from_table(table)
+        return not ref_has_cycle(graph.nodes, graph.edges)
+    oracle = spec.require_oracle()
+    if ref_reg_violation(table, oracle) is not None:
+        return False
+    if name == "reg":
+        return True
+    reps, neg_rep, inter, intra = ref_class_graphs(table, oracle)
+    if ref_has_cycle(set(), intra) or ref_has_cycle(set(), inter):
+        return False
+    if name == "regstar":
+        return True
+    return not ref_has_cycle(set(), _dec_closure(inter, neg_rep))
+
+
+# ---------------------------------------------------------------------------
+# Tables
+
+
+def _tables(pairs):
+    """The table holding these pairs, once for every choice of sides."""
+    for picks in itertools.product((0, 1), repeat=len(pairs)):
+        table = ChoiceTable()
+        for (a, b), pick in zip(pairs, picks):
+            table = table.with_entry(a, b, (a, b)[pick])
+        yield table
+
+
+def _assert_agree(tables, oracle):
+    specs = [ClassSpec(name, oracle) for name in CLASSES]
+    outcomes = set()
+    for table in tables:
+        for spec in specs:
+            want = ref_extendable(table, spec)
+            assert extendable(table, spec) == want, (spec.name, table.describe())
+            outcomes.add((spec.name, want))
+    # every class both accepts and rejects some table, except "all"
+    assert outcomes == {(name, ok) for name in CLASSES for ok in (True, False)
+                        if name != "all" or ok}
+
+
+PROP_POOL = [parse(text) for text in ("p0", "~~p0", "~p0", "p1", "~p1", "p0 /\\ p1")]
+
+
+def test_extendable_matches_reference_on_small_propositional_tables():
+    pairs = list(itertools.combinations(PROP_POOL, 2))
+    tables = [table for size in range(4)
+              for chosen in itertools.combinations(pairs, size)
+              for table in _tables(chosen)]
+    assert len(tables) == 4091
+    _assert_agree(tables, TruthTableOracle())
+
+
+FO_POOL = [parse(text) for text in (
+    "P(c1)", "~~P(c1)", "~P(c1)", "Q(c1)", "~Q(c1)", "P(c2)",
+    "forall v. P(v)", "~exists v. ~P(v)", "exists v. ~P(v)", "R(c1,c2)",
+)]
+
+
+def test_extendable_matches_reference_on_sampled_first_order_tables():
+    rng = random.Random(5)
+    pairs = list(itertools.combinations(FO_POOL, 2))
+    tables = []
+    for _ in range(400):
+        table = ChoiceTable()
+        for a, b in rng.sample(pairs, rng.randint(1, 12)):
+            table = table.with_entry(a, b, rng.choice((a, b)))
+        tables.append(table)
+    _assert_agree(tables, BoundedModelOracle(2))
+
+
+def _rung_argv(rung):
+    """A benchmark rung's command line, with its symbols left unrenamed."""
+    names = {s: s for s in ("P", "Q", "R", "c1", "c2", "p0", "p1", "p2", "p3", "p4")}
+    *premises, conclusion = [text.format(**names)
+                             for text in list(rung.premises) + [rung.conclusion]]
+    if premises:
+        argv = ["consequence", "--premises", ";".join(premises),
+                "--conclusion", conclusion]
+    else:
+        argv = ["taut", "--formula", conclusion]
+    return argv + ["--class", rung.table_class, "--max-domain", str(workloads.MAX_DOMAIN),
+                   "--oracle-bound", str(workloads.ORACLE_BOUND), "--json"]
+
+
+@pytest.mark.parametrize("rung", workloads.FO_CLASSES, ids=lambda r: r.name)
+def test_class_rungs_report_what_the_reference_reports(capsys, monkeypatch, rung):
+    argv = _rung_argv(rung)
+    code = run(argv)
+    out = capsys.readouterr().out
+    assert code == (0 if rung.valid else 1)
+    monkeypatch.setattr(choice, "extendable", ref_extendable)
+    assert run(argv) == code
+    assert capsys.readouterr().out == out
