@@ -207,51 +207,39 @@ def _collapse(table, phi):
 # Equivalence oracles
 
 
-class TruthTableOracle:
-    """Exact classical equivalence for propositional formulas."""
-
-    def __init__(self):
-        self._cache = {}
-
-    def equivalent(self, a, b):
-        if a == b:
-            return True
-        key = tuple(sorted((canonical_key(a), canonical_key(b))))
-        hit = self._cache.get(key)
-        if hit is None:
-            vocab = models.vocabulary_of([a, b])
-            if vocab.first_order:
-                raise SupkitError(
-                    "truth-table oracle supports propositional formulas only")
-            hit = all(
-                models.eval_classical(v, a) == models.eval_classical(v, b)
-                for v in models.valuations_over(vocab.prop_atoms)
-            )
-            self._cache[key] = hit
-        return hit
-
-    def describe(self):
-        return {"kind": "truth-table"}
-
-
 class BoundedModelOracle:
     """Classical equivalence decided over all structures with domain size up
     to a bound (exact for propositional inputs).  Open formulas are compared
-    under every assignment of their free variables."""
+    under every assignment of their free variables.
+
+    Each formula gets a class id once: ``class_of`` compares a formula it
+    has not seen with one member of each class found so far.  One member
+    stands for its class because bounded equivalence is transitive: giving
+    a structure interpretations for more symbols, on the same domain, does
+    not change a formula's truth, so a pair that agrees over its own
+    vocabulary agrees over any larger one, and two pairs sharing a member
+    can be compared over their joint vocabulary.  Ids live as long as the
+    oracle; ``semantics.class_spec_for`` builds one per verdict.
+    """
 
     def __init__(self, max_domain=3):
         self.max_domain = max_domain
-        self._cache = {}
+        self._ids = {}       # canonical key -> class id
+        self._members = []   # class id -> the first formula given that id
+
+    def class_of(self, phi):
+        key = canonical_key(phi)
+        cid = self._ids.get(key)
+        if cid is None:
+            cid = next((i for i, member in enumerate(self._members)
+                        if self._compute(phi, member)), len(self._members))
+            if cid == len(self._members):
+                self._members.append(phi)
+            self._ids[key] = cid
+        return cid
 
     def equivalent(self, a, b):
-        if a == b:
-            return True
-        key = tuple(sorted((canonical_key(a), canonical_key(b))))
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._compute(a, b)
-            self._cache[key] = hit
-        return hit
+        return self.class_of(a) == self.class_of(b)
 
     def _compute(self, a, b):
         vocab = models.vocabulary_of([a, b])
@@ -271,6 +259,19 @@ class BoundedModelOracle:
 
     def describe(self):
         return {"kind": "bounded-model", "max_domain": self.max_domain}
+
+
+class TruthTableOracle(BoundedModelOracle):
+    """Exact classical equivalence for propositional formulas."""
+
+    def class_of(self, phi):
+        if canonical_key(phi) not in self._ids and \
+                models.vocabulary_of([phi]).first_order:
+            raise SupkitError("truth-table oracle supports propositional formulas only")
+        return super().class_of(phi)
+
+    def describe(self):
+        return {"kind": "truth-table"}
 
 
 # ---------------------------------------------------------------------------
@@ -357,61 +358,48 @@ def _has_cycle(edges):
 def class_representatives(oracle, formulas):
     """Map canonical key -> representative key (lexicographically least
     member of each equivalence class within the given collection)."""
-    reps = {}            # key -> rep key
-    rep_formulas = []    # (rep key, formula)
-    items = sorted({canonical_key(f): f for f in formulas}.items())
-    for key, phi in items:
-        assigned = None
-        for rep_key, rep_phi in rep_formulas:
-            if oracle.equivalent(phi, rep_phi):
-                assigned = rep_key
-                break
-        if assigned is None:
-            assigned = key
-            rep_formulas.append((key, phi))
-        reps[key] = assigned
-    return reps
+    ids = {key: oracle.class_of(f)
+           for key, f in sorted({canonical_key(f): f for f in formulas}.items())}
+    least = {}
+    for key, cid in ids.items():
+        least.setdefault(cid, key)
+    return {key: least[cid] for key, cid in ids.items()}
 
 
 def _reg_violation(table, oracle):
     """Two entries whose class-pairs coincide must choose equivalent sides."""
-    reps = class_representatives(oracle, table.formulas.values())
     seen = {}
     for a, b, c in table.pairs():
-        ra, rb = reps[canonical_key(a)], reps[canonical_key(b)]
-        rc = reps[canonical_key(c)]
-        class_pair = (ra, rb) if ra <= rb else (rb, ra)
-        if class_pair[0] == class_pair[1]:
+        ca, cb, cc = oracle.class_of(a), oracle.class_of(b), oracle.class_of(c)
+        if ca == cb:
             continue
+        class_pair = (ca, cb) if ca < cb else (cb, ca)
         prev = seen.get(class_pair)
-        if prev is not None and prev[0] != rc:
+        if prev is not None and prev[0] != cc:
             return (prev[1], (a, b, c))
-        seen[class_pair] = (rc, (a, b, c))
+        seen[class_pair] = (cc, (a, b, c))
     return None
 
 
 def _class_graphs(table, oracle, negations=False):
-    """Split entry constraints into an inter-class digraph over representative
-    keys and per-class digraphs over member keys, returned after a map from
-    each class to its negation's class (for the duality closure).  Only with
-    ``negations`` does the partition cover the members' negations; the map
-    is empty otherwise."""
-    members = list(table.formulas.values())
-    negs = [Not(f) for f in members] if negations else []
-    reps = class_representatives(oracle, members + negs)
-    neg_rep = {reps[canonical_key(f)]: reps[canonical_key(n)]
-               for f, n in zip(members, negs)}
+    """Split entry constraints into an inter-class digraph over class ids
+    and per-class digraphs over member keys, returned after a map from each
+    member's class to its negation's class (for the duality closure), which
+    is built only with ``negations`` and is empty otherwise."""
+    ids = {key: oracle.class_of(f) for key, f in table.formulas.items()}
+    neg_class = {ids[key]: oracle.class_of(Not(f))
+                 for key, f in table.formulas.items()} if negations else {}
     inter_edges, intra_edges = set(), set()
     for (ka, kb), kc in table.entries.items():
         loser = kb if kc == ka else ka
-        if reps[ka] == reps[kb]:
+        if ids[ka] == ids[kb]:
             intra_edges.add((kc, loser))
         else:
-            inter_edges.add((reps[kc], reps[loser]))
-    return neg_rep, inter_edges, intra_edges
+            inter_edges.add((ids[kc], ids[loser]))
+    return neg_class, inter_edges, intra_edges
 
 
-def _dec_closure(inter_edges, neg_rep):
+def _dec_closure(inter_edges, neg_class):
     """Close class edges under the duality rule: A beats B forces not-B to
     beat not-A (inequivalent classes only; the involution is fixed-point
     free classically)."""
@@ -419,7 +407,7 @@ def _dec_closure(inter_edges, neg_rep):
     frontier = list(inter_edges)
     while frontier:
         a, b = frontier.pop()
-        na, nb = neg_rep.get(a), neg_rep.get(b)
+        na, nb = neg_class.get(a), neg_class.get(b)
         if na is None or nb is None or na == nb:
             continue
         dual = (nb, na)
@@ -449,10 +437,10 @@ def check_class(table, spec, universe):
             )
     if name == "dec":
         oracle = spec.require_oracle()
-        neg_rep, inter, intra = _class_graphs(table, oracle, negations=True)
+        neg_class, inter, intra = _class_graphs(table, oracle, negations=True)
         if _has_cycle(intra):
             return ClassVerdict(False, kind="dec", detail="cyclic choices inside a class")
-        if _has_cycle(_dec_closure(inter, neg_rep)):
+        if _has_cycle(_dec_closure(inter, neg_class)):
             return ClassVerdict(
                 False, kind="dec",
                 detail="duality-closed preference graph is cyclic",
@@ -492,9 +480,9 @@ def extendable(table, spec):
     oracle = spec.require_oracle()
     if name == "reg":
         return _reg_violation(table, oracle) is None
-    neg_rep, inter, intra = _class_graphs(table, oracle, negations=name == "dec")
+    neg_class, inter, intra = _class_graphs(table, oracle, negations=name == "dec")
     if name == "dec":
-        inter = _dec_closure(inter, neg_rep)
+        inter = _dec_closure(inter, neg_class)
     return not (_has_cycle(intra) or _has_cycle(inter))
 
 

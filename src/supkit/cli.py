@@ -303,6 +303,7 @@ def demo_object_superposition(args):
 def demo_build_model(args):
     if args.theory is None:
         raise SupkitError("build-model needs --theory")
+    max_domain = _positive(args.max_domain, "--max-domain")
     data = _load_json(args.theory)
     markings = json_field(data, "markings", dict, "theory JSON")
     sig = Signature.from_json(data["signature"]) if "signature" in data else None
@@ -317,7 +318,7 @@ def demo_build_model(args):
     if args.table_class == "reg":
         oracle = class_spec_for("reg", fragment.sentences, _oracle_bound(args)).oracle
     result = constructions.build_choice_from_theory(
-        fragment, args.table_class, oracle, max_domain=args.max_domain)
+        fragment, args.table_class, oracle, max_domain=max_domain)
     payload = {"ok": True} | result.report
     lines = [f"model: {result.report['model']}",
              f"table: {result.table.describe() or '(empty)'}",
@@ -339,6 +340,8 @@ def _depth1_sentences():
 
 
 def demo_interpolation(args):
+    if args.samples < 0:
+        raise SupkitError("--samples must be a non-negative integer")
     rng = random.Random(args.seed)
     sentences = _depth1_sentences()
     pairs = list(itertools.product(sentences, repeat=2))

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .choice import (
     FORMULA_MODE,
     SENTENCE_MODE,
+    BoundedModelOracle,
     ChoiceTable,
     ClassSpec,
     MissingEntryError,
@@ -801,7 +802,6 @@ def object_superposition_report(structure, a, b, oracle=None):
         if element not in structure.domain:
             raise ConditionError(f"element {element!r} not in the domain")
     if oracle is None:
-        from .choice import BoundedModelOracle
         oracle = BoundedModelOracle(max_domain=2)
 
     def sides(x):

@@ -598,37 +598,39 @@ def to_text_term(t):
 
 
 def to_text(phi):
-    """Canonical text form; ``parse(to_text(phi))`` returns ``phi``."""
+    """Canonical text form; ``parse(to_text(phi))`` returns ``phi``.
+
+    A node's text is built from its terms or its children's text, with one
+    call of this function per level of nesting; an operand is parenthesized
+    when it binds looser than its position requires.
+    """
     try:
         text = phi._text
     except AttributeError:
         raise _not_a_formula(phi) from None
-    if text is None:
-        text = phi._text = _text_of(phi)
-    return text
-
-
-def _text_of(phi):
-    """A node's text, from its terms or its children's text."""
+    if text is not None:
+        return text
     if isinstance(phi, PropAtom):
-        return phi.name
-    if isinstance(phi, PredAtom):
-        return f"{phi.name}({','.join(to_text_term(a) for a in phi.args)})"
-    if isinstance(phi, Equality):
-        return f"{to_text_term(phi.lhs)} = {to_text_term(phi.rhs)}"
-    if isinstance(phi, Not):
-        return "~" + _pp(phi.body, _LEVEL_NOT)
-    if isinstance(phi, BinaryFormula):
+        text = phi.name
+    elif isinstance(phi, PredAtom):
+        text = f"{phi.name}({','.join(to_text_term(a) for a in phi.args)})"
+    elif isinstance(phi, Equality):
+        text = f"{to_text_term(phi.lhs)} = {to_text_term(phi.rhs)}"
+    elif isinstance(phi, Not):
+        body = to_text(phi.body)
+        text = "~" + (f"({body})" if _LEVELS[type(phi.body)] < _LEVEL_NOT else body)
+    elif isinstance(phi, BinaryFormula):
         infix, left_level, right_level = _INFIX[type(phi)]
-        return _pp(phi.left, left_level) + infix + _pp(phi.right, right_level)
-    return f"{_QUANTIFIER_WORDS[type(phi)]} {phi.var}. {to_text(phi.body)}"
-
-
-def _pp(phi, min_level):
-    """The text of an operand, parenthesized when it binds looser than its
-    position requires."""
-    text = to_text(phi)
-    return "(" + text + ")" if _LEVELS[type(phi)] < min_level else text
+        left, right = to_text(phi.left), to_text(phi.right)
+        if _LEVELS[type(phi.left)] < left_level:
+            left = f"({left})"
+        if _LEVELS[type(phi.right)] < right_level:
+            right = f"({right})"
+        text = left + infix + right
+    else:
+        text = f"{_QUANTIFIER_WORDS[type(phi)]} {phi.var}. {to_text(phi.body)}"
+    phi._text = text
+    return text
 
 
 # Injective string key for a formula, used to canonicalize pairs.

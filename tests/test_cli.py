@@ -356,3 +356,25 @@ def test_deep_nesting_exit_2(capsys, shape, depth):
     code, out, err = invoke(capsys, "parse", "--formula", _NESTED[shape](3000))
     _assert_input_error(code, out, err)
     assert err == "error: input nested too deeply\n"
+
+
+def test_deep_negation_prints_and_round_trips(capsys):
+    # the printer takes one call per level, so it reaches as deep as the
+    # search does on the same formula; printing the parse gives the input
+    formula = "~" * 400 + "P(c1)"
+    code, out, _ = invoke(capsys, "parse", "--formula", formula)
+    assert code == 0 and out == formula + "\nclass: classical\n"
+
+
+def test_demo_interpolation_checks_samples(capsys):
+    _assert_input_error(*invoke(capsys, "demo", "interpolation", "--samples", "-1"))
+    code, out, _ = invoke(capsys, "demo", "interpolation", "--samples", "0", "--json")
+    assert code == 0 and json.loads(out)["violations"] == 0
+
+
+def test_demo_build_model_checks_max_domain(capsys, tmp_path):
+    path = tmp_path / "theory.json"
+    path.write_text(json.dumps({"markings": {"p0": True}}))
+    argv = ["demo", "build-model", "--theory", str(path), "--max-domain"]
+    _assert_input_error(*invoke(capsys, *argv, "0"))
+    assert invoke(capsys, *argv, "1")[0] == 0

@@ -1,10 +1,12 @@
-"""Differential tests of ``choice.extendable``.
+"""Differential tests of ``choice.extendable`` and the equivalence oracle.
 
 The reference below is the earlier algorithm: it partitions a table's
 members once for the ``reg`` check and again, with every member's negation,
-for the class graphs, whatever the class.  The current ``extendable`` builds
-one class graph per check and reads ``reg`` consistency off its 2-cycles;
-both must give the same answer on every table.
+for the class graphs, whatever the class, each time by a pairwise scan that
+decides each comparison through the oracle's ``_compute``.  The current
+``extendable`` builds one class graph per check, labels classes by the
+oracle's class ids and reads ``reg`` consistency off its 2-cycles; both must
+give the same answer on every table.
 """
 
 import itertools
@@ -61,10 +63,41 @@ def ref_has_cycle(nodes, edges):
     return any(color[n] == WHITE and visit(n) for n in list(color))
 
 
+_REF_DECIDED = {}
+
+
+def ref_equivalent(oracle, a, b):
+    """``oracle._compute(a, b)``, memoised by the pair and the bound, which
+    are all that it depends on, so that the reference stays affordable on
+    the benchmark rungs."""
+    key = (oracle.max_domain, *sorted((canonical_key(a), canonical_key(b))))
+    if key not in _REF_DECIDED:
+        _REF_DECIDED[key] = oracle._compute(a, b)
+    return _REF_DECIDED[key]
+
+
+def ref_class_representatives(oracle, formulas):
+    """Canonical key -> the least key equivalent to it in the collection,
+    by comparing each formula with the representatives found before it."""
+    reps = {}
+    rep_formulas = []
+    for key, phi in sorted({canonical_key(f): f for f in formulas}.items()):
+        assigned = None
+        for rep_key, rep_phi in rep_formulas:
+            if ref_equivalent(oracle, phi, rep_phi):
+                assigned = rep_key
+                break
+        if assigned is None:
+            assigned = key
+            rep_formulas.append((key, phi))
+        reps[key] = assigned
+    return reps
+
+
 def ref_reg_violation(table, oracle):
     triples = list(table.pairs())
     members = [f for a, b, _ in triples for f in (a, b)]
-    reps = class_representatives(oracle, members)
+    reps = ref_class_representatives(oracle, members)
     seen = {}
     for a, b, c in triples:
         ra, rb = reps[canonical_key(a)], reps[canonical_key(b)]
@@ -83,7 +116,7 @@ def ref_class_graphs(table, oracle):
     triples = list(table.pairs())
     members = [f for a, b, _ in triples for f in (a, b)]
     negs = [Not(f) for f in members]
-    reps = class_representatives(oracle, members + negs)
+    reps = ref_class_representatives(oracle, members + negs)
     neg_rep = {}
     for f in members:
         neg_rep[reps[canonical_key(f)]] = reps[canonical_key(Not(f))]
@@ -175,6 +208,24 @@ def test_extendable_matches_reference_on_sampled_first_order_tables():
             table = table.with_entry(a, b, rng.choice((a, b)))
         tables.append(table)
     _assert_agree(tables, BoundedModelOracle(2))
+
+
+@pytest.mark.parametrize("pool, make_oracle", [
+    (PROP_POOL, TruthTableOracle), (FO_POOL, lambda: BoundedModelOracle(2)),
+], ids=("propositional", "first-order"))
+def test_class_ids_match_the_pairwise_reference(pool, make_oracle):
+    """One oracle, reused throughout, decides every pair of the pool and its
+    negations as ``_compute`` does, and partitions every subset of the pool
+    (the member set of any table over it) as the pairwise scan does."""
+    oracle = make_oracle()
+    formulas = pool + [Not(f) for f in pool]
+    for a, b in itertools.product(formulas, repeat=2):
+        assert oracle.equivalent(a, b) == oracle._compute(a, b), (a, b)
+    subsets = [formulas] + [list(chosen) for size in range(2, len(pool) + 1)
+                            for chosen in itertools.combinations(pool, size)]
+    for members in subsets:
+        assert class_representatives(oracle, members) == \
+            ref_class_representatives(oracle, members), members
 
 
 def _rung_argv(rung):
