@@ -95,7 +95,7 @@ def _signature(args):
 
 def _load_model(path, sig):
     data = _load_json(path)
-    if "atoms" in data:
+    if isinstance(data, dict) and "atoms" in data:
         return Valuation.from_json(data)
     return Structure.from_json(data)
 
@@ -168,24 +168,26 @@ def _verdict_output(args, verdict):
 
 
 def _search(premises, conclusion, spec, space, jobs, budget=DEFAULT_BUDGET):
-    """The verdict of check_consequence, with the models split into ``jobs``
-    consecutive chunks that worker processes scan; the verdict, its counts
-    and the budget are exactly those of the serial search."""
+    """The verdict of check_consequence, with the space's blocks split into
+    at most ``jobs`` consecutive runs that worker processes scan; the
+    verdict, its counts and the budget are exactly those of the serial
+    search."""
     if jobs <= 1:
         return check_consequence(premises, conclusion, spec, space=space,
                                  budget=budget)
     check_restricted_sentences(list(premises) + [conclusion])
-    models = list(space.models())
-    step = max(1, (len(models) + jobs - 1) // jobs)
-    chunks = [(models[start:start + step], premises, conclusion, spec, budget)
-              for start in range(0, len(models), step)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    blocks = space.block_count()
+    step = -(-blocks // jobs)
+    chunks = [(space, first, first + step, premises, conclusion, spec, budget)
+              for first in range(0, blocks, step)]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         return verdict_of_scans(premises, conclusion, spec, space,
                                 pool.map(_search_chunk, chunks), budget)
 
 
 def _search_chunk(chunk):
-    return scan_models(*chunk)
+    space, first, stop, *task = chunk
+    return scan_models(space, space.blocks(first, stop), *task)
 
 
 def cmd_consequence(args):
@@ -448,7 +450,7 @@ def build_parser():
         cmd.add_argument("--max-domain", type=int, default=DEFAULT_DOMAIN_BOUND)
         cmd.add_argument("--oracle-bound", type=int, default=None)
         cmd.add_argument("--jobs", type=int, default=1,
-                         help="parallelize the model enumeration")
+                         help="split the search's blocks across up to N processes")
         _add_common(cmd)
         cmd.set_defaults(func=cmd_consequence)
 

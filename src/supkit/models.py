@@ -298,11 +298,91 @@ def vocabulary_of(formulas):
     )
 
 
+class Layout:
+    """The models of one domain size, numbered in the order the search visits
+    them: the valuations of some atoms, or the structures over one domain.
+
+    A model's number is a mixed-radix integer with one digit per
+    interpretation: each constant (parameters after them, under their ``@``
+    name), then each function-table entry, then each predicate bit, in
+    sorted symbol order and argument-tuple order, the last digit fastest.  A
+    valuation has one binary digit per atom, in sorted order.  ``digit``
+    maps ``("c", name)``, ``("f", name, args)``, ``("p", name, args)`` and
+    ``("a", name)`` to a digit's position, with ``args`` a tuple of element
+    indices; a digit's value is an element index, or 0/1 for a bit.
+    """
+
+    def __init__(self, domain, digits):
+        self.domain = domain            # element names, or None for valuations
+        self.digits = tuple(digits)     # (key, radix), most significant first
+        self.digit = {key: k for k, (key, _) in enumerate(self.digits)}
+        self.strides = []
+        stride = 1
+        for _, radix in reversed(self.digits):
+            self.strides.append(stride)
+            stride *= radix
+        self.strides.reverse()
+        self.count = stride
+        self._plan = self._grouped()
+
+    @classmethod
+    def of_valuations(cls, atoms):
+        return cls(None, ((("a", name), 2) for name in sorted(atoms)))
+
+    @classmethod
+    def of_structures(cls, vocab, domain):
+        if vocab.prop_atoms:
+            raise EvalError("structures cannot interpret propositional atoms")
+        n = len(domain)
+        consts = list(vocab.constants) + [PARAM_PREFIX + p for p in vocab.parameters]
+        digits = [(("c", name), n) for name in consts]
+        for kind, symbols, radix in (("f", vocab.functions, n), ("p", vocab.predicates, 2)):
+            for name, arity in symbols:
+                digits += [((kind, name, args), radix)
+                           for args in itertools.product(range(n), repeat=arity)]
+        return cls(tuple(domain), digits)
+
+    def model_at(self, number):
+        """The model with this number."""
+        values = [0] * len(self.digits)
+        for k in range(len(values) - 1, -1, -1):
+            number, values[k] = divmod(number, self.digits[k][1])
+        return self._model(values)
+
+    def models(self):
+        """Every model, in number order."""
+        return map(self._model, itertools.product(*(range(r) for _, r in self.digits)))
+
+    def _model(self, values):
+        if self.domain is None:
+            return Valuation({name: bool(values[k]) for name, k in self._plan})
+        elems = self.domain
+        consts, funcs, preds = self._plan
+        return Structure(
+            elems,
+            {name: elems[values[k]] for name, k in consts},
+            {name: {args: elems[values[k]] for args, k in entries}
+             for name, entries in funcs},
+            {name: frozenset([args for args, k in entries if values[k]])
+             for name, entries in preds})
+
+    def _grouped(self):
+        """Where each interpretation's digit sits, grouped by symbol."""
+        if self.domain is None:
+            return [(key[1], k) for k, (key, _) in enumerate(self.digits)]
+        groups = {"c": [], "f": {}, "p": {}}
+        for k, (key, _) in enumerate(self.digits):
+            if key[0] == "c":
+                groups["c"].append((key[1], k))
+            else:
+                args = tuple(self.domain[i] for i in key[2])
+                groups[key[0]].setdefault(key[1], []).append((args, k))
+        return groups["c"], list(groups["f"].items()), list(groups["p"].items())
+
+
 def valuations_over(atoms):
     """All truth assignments of the given atoms, in lexicographic order."""
-    atoms = tuple(sorted(atoms))
-    for bits in itertools.product((False, True), repeat=len(atoms)):
-        yield Valuation(dict(zip(atoms, bits)))
+    return Layout.of_valuations(atoms).models()
 
 
 def element_names(n):
@@ -313,41 +393,10 @@ def structures_over(vocab, max_domain=3, domain=None):
     """All structures interpreting the vocabulary, domains of size 1..max.
 
     Parameters are interpreted like constants under their printed ``@`` name.
-    Enumeration order is deterministic: domain size ascending, then
-    interpretations in sorted symbol order.
+    Enumeration order is deterministic: domain size ascending, then the
+    structures of one size in ``Layout`` number order.
     """
-    if vocab.prop_atoms:
-        raise EvalError("structures cannot interpret propositional atoms")
-    sizes = [len(domain)] if domain is not None else range(1, max_domain + 1)
-    const_names = list(vocab.constants) + [PARAM_PREFIX + p for p in vocab.parameters]
-    for n in sizes:
-        elems = tuple(domain) if domain is not None else element_names(n)
-        const_choices = [elems] * len(const_names)
-        func_tables = []
-        for fname, arity in vocab.functions:
-            keys = list(itertools.product(elems, repeat=arity))
-            func_tables.append((fname, keys))
-        pred_tuples = []
-        for pname, arity in vocab.predicates:
-            keys = list(itertools.product(elems, repeat=arity))
-            pred_tuples.append((pname, keys))
-        for const_vals in itertools.product(*const_choices):
-            constants = dict(zip(const_names, const_vals))
-            func_value_spaces = [
-                itertools.product(elems, repeat=len(keys)) for _, keys in func_tables
-            ]
-            for func_vals in itertools.product(*func_value_spaces):
-                functions = {
-                    name: dict(zip(keys, vals))
-                    for (name, keys), vals in zip(func_tables, func_vals)
-                }
-                pred_subsets = [
-                    itertools.product((False, True), repeat=len(keys))
-                    for _, keys in pred_tuples
-                ]
-                for picks in itertools.product(*pred_subsets):
-                    predicates = {
-                        name: frozenset(k for k, keep in zip(keys, pick) if keep)
-                        for (name, keys), pick in zip(pred_tuples, picks)
-                    }
-                    yield Structure(elems, constants, functions, predicates)
+    domains = [tuple(domain)] if domain is not None else \
+        [element_names(n) for n in range(1, max_domain + 1)]
+    for elems in domains:
+        yield from Layout.of_structures(vocab, elems).models()

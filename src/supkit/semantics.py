@@ -27,29 +27,41 @@ from .choice import (
 )
 from .models import (
     EvalError,
+    Layout,
     Structure,
     Valuation,
+    element_names,
     eval_classical,
     structures_over,
     valuations_over,
     vocabulary_of,
 )
 from .syntax import (
+    PARAM_PREFIX,
     And,
+    Constant,
+    Equality,
     Exists,
     Forall,
+    FuncApp,
     Iff,
     Implies,
     Not,
     Or,
+    Parameter,
+    PredAtom,
+    PropAtom,
     Sup,
     SupkitError,
     SyntaxClass,
+    Variable,
+    canonical_key,
     classify,
     free_vars,
     instantiate,
     is_classical,
     to_text,
+    to_text_term,
 )
 
 
@@ -70,31 +82,212 @@ def eval_scs(model, table, phi):
             f"sentence-choice evaluation requires a restricted sentence: {to_text(phi)}")
     if table.mode != SENTENCE_MODE:
         raise EvalError("sentence-choice evaluation requires a sentence-mode table")
-    return _scs(model, table, phi)
+    return bool(_truth(_OneModel(model), table, phi, 1))
 
 
-def _scs(model, table, phi):
+def _truth(block, table, phi, care):
+    """The truth mask of a restricted sentence over a block of models (see
+    ``Block``).  Bits outside ``care`` may be wrong: they are models whose
+    truth here no longer matters to the caller.
+
+    A subformula is evaluated when, and only when, some model of its care
+    mask would evaluate it on its own, and the table is read only at
+    ``sup`` nodes.  So a block's evaluation reaches the pairs that its
+    models, one at a time, would reach, and no other; a one-model block
+    reaches them in the order of plain short-circuit evaluation."""
     if is_classical(phi):
-        return eval_classical(model, phi)
-    if isinstance(phi, Not):
-        return not _scs(model, table, phi.body)
-    if isinstance(phi, And):
-        return _scs(model, table, phi.left) and _scs(model, table, phi.right)
-    if isinstance(phi, Or):
-        return _scs(model, table, phi.left) or _scs(model, table, phi.right)
-    if isinstance(phi, Implies):
-        return (not _scs(model, table, phi.left)) or _scs(model, table, phi.right)
-    if isinstance(phi, Iff):
-        return _scs(model, table, phi.left) == _scs(model, table, phi.right)
+        return block.classical(phi)
     if isinstance(phi, Sup):
-        chosen = choose(table, collapse(table, phi.left), collapse(table, phi.right))
-        return eval_classical(model, chosen)
+        return block.classical(
+            choose(table, collapse(table, phi.left), collapse(table, phi.right)))
+    full = block.full
+    if isinstance(phi, Not):
+        return full ^ _truth(block, table, phi.body, care)
     if isinstance(phi, (Forall, Exists)):
-        if not isinstance(model, Structure):
+        if block.domain is None:
             raise EvalError("quantified sentence requires a structure")
-        tester = all if isinstance(phi, Forall) else any
-        return tester(_scs(model, table, instantiate(phi, x)) for x in model.domain)
+        universal = isinstance(phi, Forall)
+        acc = full if universal else 0
+        for x in block.domain:
+            rest = care & (acc if universal else ~acc)
+            if not rest:
+                break
+            truth = _truth(block, table, instantiate(phi, x), rest)
+            acc = acc & truth if universal else acc | truth
+        return acc
+    left = _truth(block, table, phi.left, care)
+    if isinstance(phi, Iff):
+        return full ^ left ^ _truth(block, table, phi.right, care)
+    if isinstance(phi, Or):
+        rest = care & ~left
+        return left | _truth(block, table, phi.right, rest) if rest else left
+    rest = care & left
+    if isinstance(phi, And):
+        return left & _truth(block, table, phi.right, rest) if rest else left
+    if isinstance(phi, Implies):
+        return (full ^ left) | (_truth(block, table, phi.right, rest) if rest else 0)
     raise EvalError(f"not a formula: {phi!r}")
+
+
+class _OneModel:
+    """A block of one given model, whatever its domain's names; classical
+    truth comes from ``eval_classical``."""
+
+    full = 1
+
+    def __init__(self, model):
+        self.model = model
+        self.domain = model.domain if isinstance(model, Structure) else None
+
+    def classical(self, phi):
+        return int(eval_classical(self.model, phi))
+
+
+class Block:
+    """The truth of classical sentences over a run of consecutively numbered
+    models of one ``Layout``, as one integer mask: bit ``i`` stands for
+    model ``start + i``.
+
+    An atom's mask is built from digit masks: the models in which digit
+    ``k`` of the number has value ``v`` form a periodic bit pattern, runs of
+    ``stride`` ones every ``stride * radix`` bits.  Connectives are bit
+    operations, and a quantifier is the AND/OR of its body's masks with the
+    variable bound to each element in turn.
+    """
+
+    def __init__(self, layout, start, width):
+        self.layout = layout
+        self.start = start
+        self.width = width
+        self.full = (1 << width) - 1
+        self.domain = layout.domain
+        if layout.domain is not None:
+            self._elements = {name: i for i, name in enumerate(layout.domain)}
+        self._digits = {}
+        self._masks = {}
+
+    def digit_mask(self, k, v):
+        """The models whose digit ``k`` has value ``v``."""
+        key = (k, v)
+        mask = self._digits.get(key)
+        if mask is None:
+            layout = self.layout
+            stride = layout.strides[k]
+            mask = self._digits[key] = _periodic(
+                self.start, self.width, stride * layout.digits[k][1], v * stride, stride)
+        return mask
+
+    def classical(self, phi):
+        key = canonical_key(phi)
+        mask = self._masks.get(key)
+        if mask is None:
+            mask = self._masks[key] = self._eval(phi, {})
+        return mask
+
+    def _eval(self, phi, env):
+        """``phi``'s mask with its free variables bound by ``env`` to
+        element indices, as ``eval_classical`` binds them."""
+        if isinstance(phi, PredAtom):
+            mask = 0
+            for args, within in self._combinations(phi.args, env):
+                mask |= within & self.digit_mask(
+                    self.layout.digit[("p", phi.name, args)], 1)
+            return mask
+        if isinstance(phi, Equality):
+            rhs = self._term(phi.rhs, env)
+            mask = 0
+            for v, within in self._term(phi.lhs, env).items():
+                mask |= within & rhs.get(v, 0)
+            return mask
+        if isinstance(phi, PropAtom):
+            k = self.layout.digit.get(("a", phi.name))
+            if k is None:
+                raise EvalError(f"valuation does not cover atom {phi.name!r}")
+            return self.digit_mask(k, 1)
+        full = self.full
+        if isinstance(phi, Not):
+            return full ^ self._eval(phi.body, env)
+        if isinstance(phi, Forall):
+            mask = full
+            for v in range(len(self.domain)):
+                mask &= self._eval(phi.body, {**env, phi.var: v})
+                if not mask:
+                    break
+            return mask
+        if isinstance(phi, Exists):
+            mask = 0
+            for v in range(len(self.domain)):
+                mask |= self._eval(phi.body, {**env, phi.var: v})
+                if mask == full:
+                    break
+            return mask
+        left, right = self._eval(phi.left, env), self._eval(phi.right, env)
+        if isinstance(phi, And):
+            return left & right
+        if isinstance(phi, Or):
+            return left | right
+        if isinstance(phi, Implies):
+            return (full ^ left) | right
+        if isinstance(phi, Iff):
+            return full ^ left ^ right
+        raise EvalError(f"not a formula: {phi!r}")
+
+    def _combinations(self, terms, env):
+        """(argument element indices, the models where the terms take them)
+        for every combination the terms take somewhere in the block."""
+        combos = [((), self.full)]
+        for term in terms:
+            values = self._term(term, env)
+            combos = [(args + (v,), within & m) for args, within in combos
+                      for v, m in values.items() if within & m]
+        return combos
+
+    def _term(self, term, env):
+        """Element index -> the models where the term denotes it."""
+        if isinstance(term, Variable):
+            if term.name not in env:
+                raise EvalError(f"unbound variable {term.name!r}")
+            return {env[term.name]: self.full}
+        if isinstance(term, FuncApp):
+            out = {}
+            n = len(self.domain)
+            for args, within in self._combinations(term.args, env):
+                k = self.layout.digit[("f", term.name, args)]
+                for v in range(n):
+                    m = within & self.digit_mask(k, v)
+                    if m:
+                        out[v] = out.get(v, 0) | m
+            return out
+        if isinstance(term, Constant):
+            k = self.layout.digit[("c", term.name)]
+        elif isinstance(term, Parameter):
+            k = self.layout.digit.get(("c", PARAM_PREFIX + term.element))
+            if k is None:
+                if term.element not in self._elements:
+                    raise EvalError(f"parameter {to_text_term(term)} not in domain")
+                return {self._elements[term.element]: self.full}
+        else:
+            raise EvalError(f"not a term: {term!r}")
+        masks = {v: self.digit_mask(k, v) for v in range(len(self.domain))}
+        return {v: m for v, m in masks.items() if m}
+
+
+def _periodic(start, width, period, offset, run):
+    """Bits ``i < width`` such that ``(start + i) % period`` lies in
+    ``[offset, offset + run)``."""
+    first = start - start % period
+    if period > width:   # the block meets at most two periods
+        mask = 0
+        for base in (first + offset, first + period + offset):
+            lo, hi = max(base, start), min(base + run, start + width)
+            if lo < hi:
+                mask |= ((1 << (hi - lo)) - 1) << (lo - start)
+        return mask
+    tiled, size = ((1 << run) - 1) << offset, period
+    while size < start - first + width:
+        tiled |= tiled << size
+        size *= 2
+    return (tiled >> (start - first)) & ((1 << width) - 1)
 
 
 def eval_fcs(structure, table, phi):
@@ -114,6 +307,9 @@ def eval_fcs(structure, table, phi):
 DEFAULT_DOMAIN_BOUND = 3
 DEFAULT_ORACLE_BOUND = 3
 DEFAULT_BUDGET = 2_000_000
+# Models per block: the table search runs once per block of this many
+# consecutive models of one size (see scan_models).
+BLOCK_WIDTH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -136,6 +332,34 @@ class SearchSpace:
         if self.kind == "propositional":
             return valuations_over(self.atoms)
         return structures_over(self.vocabulary, self.max_domain)
+
+    def layout(self, size):
+        """The numbered models of one domain size (``None`` for valuations)."""
+        if self.kind == "propositional":
+            return Layout.of_valuations(self.atoms)
+        return Layout.of_structures(self.vocabulary, element_names(size))
+
+    def _sizes(self):
+        return [None] if self.kind == "propositional" else range(1, self.max_domain + 1)
+
+    def block_count(self):
+        return sum(-(-self.layout(size).count // BLOCK_WIDTH) for size in self._sizes())
+
+    def blocks(self, first=0, stop=None):
+        """The blocks numbered ``first`` to ``stop - 1`` (all from ``first``
+        when ``stop`` is None), as ``(size, start, width)``: runs of at most
+        ``BLOCK_WIDTH`` consecutive models of one size, in model order."""
+        number = 0
+        for size in self._sizes():
+            if stop is not None and number >= stop:
+                return
+            count = self.layout(size).count
+            blocks = -(-count // BLOCK_WIDTH)
+            last = blocks if stop is None else min(blocks, stop - number)
+            for b in range(max(first - number, 0), last):
+                start = b * BLOCK_WIDTH
+                yield size, start, min(BLOCK_WIDTH, count - start)
+            number += blocks
 
     def describe(self):
         if self.kind == "propositional":
@@ -209,27 +433,88 @@ def check_consequence(premises, conclusion, spec, space=None, budget=DEFAULT_BUD
     check_restricted_sentences(formulas)
     if space is None:
         space = SearchSpace.for_task(formulas)
-    scan = scan_models(space.models(), premises, conclusion, spec, budget)
+    scan = scan_models(space, space.blocks(), premises, conclusion, spec, budget)
     return verdict_of_scans(premises, conclusion, spec, space, [scan], budget)
 
 
-def scan_models(models, premises, conclusion, spec, budget=DEFAULT_BUDGET):
-    """Search the models in order, each under every admissible table, for a
-    countermodel.  Returns ``(countermodel or None, models checked, tables
-    checked)``; it stops at the first countermodel, or as soon as more than
-    ``budget`` tables have been checked."""
+def scan_models(space, blocks, premises, conclusion, spec, budget=DEFAULT_BUDGET):
+    """Search the space's blocks in order, each under every admissible table,
+    for a countermodel.  Returns ``(countermodel or None, models checked,
+    tables checked)``; it stops at the first block holding a countermodel,
+    or as soon as more than ``budget`` tables have been checked.
+
+    A block's tables are searched once for all its models: ``_truth`` gives
+    each leaf table's refuted models as a mask.  That finds what a search
+    per model would find, provided that ``choice.extendable`` is
+
+    * monotone: every sub-table of an admissible table is admissible, so a
+      block leaf restricted to the pairs one model reaches is a leaf of that
+      model's own search; and
+    * exact: an admissible table has an admissible one-entry extension on
+      every new pair, so each leaf of one model's search is extended by some
+      leaf of its block's search.
+
+    Both are tested for every class on sampled tables.  The lowest refuted
+    model is searched again as a block of its own, so the countermodel and
+    its table are those of a search model by model; ``models_checked``
+    counts the models up to it, and ``tables_checked`` every leaf of every
+    search made."""
     models_checked = 0
     tables_checked = 0
-    for model in models:
-        models_checked += 1
-        task = _model_task(model, premises, conclusion)
-        for table, refuted in enumerate_tables(task, spec):
-            tables_checked += 1
+    layouts = {}
+    for size, start, width in blocks:
+        if size not in layouts:
+            layouts[size] = space.layout(size)
+        layout = layouts[size]
+        index, table, leaves = _search_block(
+            Block(layout, start, width), premises, conclusion, spec, budget - tables_checked)
+        tables_checked += leaves
+        if tables_checked > budget:
+            return None, models_checked, tables_checked
+        if index < 0:
+            models_checked += width
+            continue
+        models_checked += index + 1
+        if width > 1:
+            _, table, leaves = _search_block(
+                Block(layout, start + index, 1), premises, conclusion, spec,
+                budget - tables_checked)
+            tables_checked += leaves
             if tables_checked > budget:
                 return None, models_checked, tables_checked
-            if refuted:
-                return Countermodel(model, table), models_checked, tables_checked
+        return Countermodel(layout.model_at(start + index), table), \
+            models_checked, tables_checked
     return None, models_checked, tables_checked
+
+
+def _search_block(block, premises, conclusion, spec, allowance):
+    """``(i, table, leaves)``: the block's lowest refuted model ``i`` (-1 if
+    none) and the first leaf table refuting it.  Once a model is refuted,
+    the rest of the search evaluates only the models below it, since only
+    they can lower ``i``; every branch still offers each admissible choice,
+    so each of those models still meets each of its own leaves.  Stops as
+    soon as more than ``allowance`` leaves are seen."""
+    below = block.full   # the models that may still lower the answer
+
+    def task(table):
+        care = below
+        for sigma in premises:
+            care &= _truth(block, table, sigma, care)
+            if not care:
+                return 0
+        return care & ~_truth(block, table, conclusion, care)
+
+    found, leaves = None, 0
+    for table, refuted in enumerate_tables(task, spec):
+        leaves += 1
+        if leaves > allowance:
+            break
+        if refuted:
+            below = (refuted & -refuted) - 1
+            found = table
+            if not below:
+                break
+    return (below + 1).bit_length() - 1 if found is not None else -1, found, leaves
 
 
 def verdict_of_scans(premises, conclusion, spec, space, scans, budget=DEFAULT_BUDGET):
@@ -257,15 +542,6 @@ def verdict_of_scans(premises, conclusion, spec, space, scans, budget=DEFAULT_BU
         models_checked=models_checked,
         tables_checked=tables_checked,
     )
-
-
-def _model_task(model, premises, conclusion):
-    def task(table):
-        for sigma in premises:
-            if not eval_scs(model, table, sigma):
-                return False
-        return not eval_scs(model, table, conclusion)
-    return task
 
 
 def is_tautology(phi, spec, space=None, budget=DEFAULT_BUDGET):

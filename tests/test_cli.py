@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from supkit import cli, semantics
 from supkit.choice import ChoiceTable
 from supkit.cli import _search, run
 from supkit.models import Valuation
@@ -308,6 +309,8 @@ def test_eval_accepts_well_formed_files(capsys, tmp_path):
 @pytest.mark.parametrize("bad", [
     {"model": {"domain_missing": 1}},
     {"model": [1]},
+    {"model": None},
+    {"model": 5},
     {"model": {"domain": [0]}},
     {"model": {"domain": ["e0"], "constants": {"c1": "e5"}}},
     {"model": {"domain": ["e0"], "constants": {"c1": "e0"}, "functions": {"g": {"e9": "e0"}}}},
@@ -378,3 +381,36 @@ def test_demo_build_model_checks_max_domain(capsys, tmp_path):
     argv = ["demo", "build-model", "--theory", str(path), "--max-domain"]
     _assert_input_error(*invoke(capsys, *argv, "0"))
     assert invoke(capsys, *argv, "1")[0] == 0
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps
+    in this process, so that no worker is started."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("width, jobs, workers", [
+    (semantics.BLOCK_WIDTH, 5000, 2), (1, 3, 3), (1, 5000, 10),
+])
+def test_jobs_start_no_more_workers_than_blocks(capsys, monkeypatch, width, jobs, workers):
+    # P(c1) has 2 and 8 structures of sizes 1 and 2: 2 blocks, or 10 of one model
+    monkeypatch.setattr(semantics, "BLOCK_WIDTH", width)
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: _InProcessPool(sizes, max_workers))
+    args = ("taut", "--formula", "P(c1) sup P(c1) -> P(c1)", "--max-domain", "2", "--json")
+    serial = invoke(capsys, *args)
+    assert invoke(capsys, *args, "--jobs", str(jobs)) == serial
+    assert sizes == [workers]
+    assert json.loads(serial[1])["models_checked"] == 10

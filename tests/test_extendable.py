@@ -198,7 +198,7 @@ FO_POOL = [parse(text) for text in (
 )]
 
 
-def test_extendable_matches_reference_on_sampled_first_order_tables():
+def _sampled_first_order_tables():
     rng = random.Random(5)
     pairs = list(itertools.combinations(FO_POOL, 2))
     tables = []
@@ -207,7 +207,11 @@ def test_extendable_matches_reference_on_sampled_first_order_tables():
         for a, b in rng.sample(pairs, rng.randint(1, 12)):
             table = table.with_entry(a, b, rng.choice((a, b)))
         tables.append(table)
-    _assert_agree(tables, BoundedModelOracle(2))
+    return tables
+
+
+def test_extendable_matches_reference_on_sampled_first_order_tables():
+    _assert_agree(_sampled_first_order_tables(), BoundedModelOracle(2))
 
 
 @pytest.mark.parametrize("pool, make_oracle", [
@@ -226,6 +230,56 @@ def test_class_ids_match_the_pairwise_reference(pool, make_oracle):
     for members in subsets:
         assert class_representatives(oracle, members) == \
             ref_class_representatives(oracle, members), members
+
+
+# ---------------------------------------------------------------------------
+# The two properties the block search relies on (semantics.scan_models)
+
+
+def _without(table, key_pair):
+    """The table less its entry on one pair."""
+    smaller = ChoiceTable()
+    for a, b, c in table.pairs():
+        if (canonical_key(a), canonical_key(b)) != key_pair:
+            smaller = smaller.with_entry(a, b, c)
+    return smaller
+
+
+def _assert_monotone_and_exact(tables, exact_up_to, pool, oracle):
+    """Monotone: removing an entry from an admissible table leaves it
+    admissible (so every sub-table is, by induction).  Exact: an admissible
+    table of at most ``exact_up_to`` entries has, on every pair of the pool
+    it lacks, an admissible one-entry extension."""
+    pairs = list(itertools.combinations(pool, 2))
+    for name in CLASSES:
+        spec = ClassSpec(name, oracle)
+        admissible = [t for t in tables if extendable(t, spec)]
+        assert admissible and (name == "all" or len(admissible) < len(tables))
+        for table in admissible:
+            for key_pair in table.entries:
+                assert extendable(_without(table, key_pair), spec), \
+                    (name, "monotone", table.describe(), key_pair)
+        for table in admissible:
+            if len(table) > exact_up_to:
+                continue
+            for a, b in pairs:
+                if not table.defined_on(a, b):
+                    assert any(extendable(table.with_entry(a, b, pick), spec)
+                               for pick in (a, b)), \
+                        (name, "exact", table.describe(), a, b)
+
+
+def test_extendable_is_monotone_and_exact_on_propositional_tables():
+    pairs = list(itertools.combinations(PROP_POOL, 2))
+    tables = [table for size in range(4)
+              for chosen in itertools.combinations(pairs, size)
+              for table in _tables(chosen)]
+    _assert_monotone_and_exact(tables, 2, PROP_POOL, TruthTableOracle())
+
+
+def test_extendable_is_monotone_and_exact_on_first_order_tables():
+    tables = _sampled_first_order_tables()
+    _assert_monotone_and_exact(tables, len(FO_POOL) ** 2, FO_POOL, BoundedModelOracle(2))
 
 
 def _rung_argv(rung):
