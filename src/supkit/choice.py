@@ -140,12 +140,13 @@ class ChoiceTable:
         SupkitError."""
         source = "table JSON"
         table = cls(mode=json_field(data, "mode", str, source, SENTENCE_MODE))
+        memo = {}   # texts parsed before, whole or in parentheses
         for entry in json_field(data, "entries", list, source, []):
             pair = json_names(entry, "pair", source)
             if len(pair) != 2:
                 raise SupkitError(f"malformed {source}: 'pair' must hold two formulas")
-            a, b = (parse(text, sig) for text in pair)
-            choice = parse(json_field(entry, "choice", str, source), sig)
+            a, b = (parse(text, sig, memo) for text in pair)
+            choice = parse(json_field(entry, "choice", str, source), sig, memo)
             table = table.with_entry(a, b, choice)
         return table
 

@@ -29,7 +29,7 @@ from .proofs import (
     ProofLine,
     proof_from_json,
 )
-from .syntax import Iff, Implies, Not, PropAtom, Sup, parse, primitive_form
+from .syntax import Iff, Implies, Not, PropAtom, Sup, parse, primitive_form, to_text
 
 SYSTEM_CLASS = {
     "K0": "all", "L0": "all",
@@ -100,6 +100,13 @@ class MutantEntry:
 # compile down to plain Hilbert proofs that check line by line.
 
 
+def _key(phi):
+    """The text of ``phi``'s primitive form, equal exactly when the primitive
+    forms are.  Sets and dicts below are keyed by it: a string keeps its
+    hash, where hashing a node walks its whole tree on every lookup."""
+    return to_text(primitive_form(phi))
+
+
 def _identity_items(a):
     """items proving a -> a from P1/P2."""
     aa = Implies(a, a)
@@ -135,13 +142,13 @@ def _discharge(hyp, items):
         kind = tag[0]
         if kind == "self" or (kind == "outer" and phi == hyp):
             out.extend(_identity_items(hyp))
-            depends.add(primitive_form(phi))
+            depends.add(_key(phi))
         elif kind in ("ax", "outer"):
             out.append((phi, tag))
         else:
             _, f1, f2 = tag
-            dep1 = primitive_form(f1) in depends
-            dep2 = primitive_form(f2) in depends
+            dep1 = _key(f1) in depends
+            dep2 = _key(f2) in depends
             if not dep1 and not dep2:
                 out.append((phi, tag))
                 continue
@@ -154,7 +161,7 @@ def _discharge(hyp, items):
             out.append((p2, ("ax", "P2")))
             out.append((Implies(h_f1, h_phi), ("mp", h_f2, p2)))
             out.append((h_phi, ("mp", h_f1, Implies(h_f1, h_phi))))
-            depends.add(primitive_form(phi))
+            depends.add(_key(phi))
     return out
 
 
@@ -242,14 +249,14 @@ def _assemble(system, items):
     lines = []
     index = {}
     for phi, tag in items:
-        key = primitive_form(phi)
+        key = _key(phi)
         if key in index:
             continue
         if tag[0] == "ax":
             just = Axiom(tag[1])
         else:
             _, f1, f2 = tag
-            just = MP(index[primitive_form(f1)], index[primitive_form(f2)])
+            just = MP(index[_key(f1)], index[_key(f2)])
         lines.append(ProofLine(phi, just))
         index[key] = len(lines)
     return Proof(system=system, lines=tuple(lines))

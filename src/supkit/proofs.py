@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .syntax import (
     And,
+    BinaryFormula,
     CaptureError,
     Equality,
     Exists,
@@ -31,6 +32,7 @@ from .syntax import (
     Implies,
     Not,
     Or,
+    ParseError,
     PredAtom,
     PropAtom,
     Sup,
@@ -422,18 +424,33 @@ class ProofVerdict:
         return self.ok
 
 
-def _is_propositional(phi):
-    if isinstance(phi, PropAtom):
-        return True
-    if isinstance(phi, Not):
-        return _is_propositional(phi.body)
-    if isinstance(phi, (And, Or, Implies, Iff, Sup)):
-        return _is_propositional(phi.left) and _is_propositional(phi.right)
-    return False
+def _is_propositional(phi, known):
+    """Whether ``phi`` is built from propositional atoms by connectives.
+    ``known`` maps the ids of nodes decided before to their answers; a
+    proof keeps its nodes alive while it is checked, so no id is reused."""
+    answer = known.get(id(phi))
+    if answer is None:
+        if isinstance(phi, PropAtom):
+            answer = True
+        elif isinstance(phi, Not):
+            answer = _is_propositional(phi.body, known)
+        elif isinstance(phi, BinaryFormula):
+            answer = (_is_propositional(phi.left, known)
+                      and _is_propositional(phi.right, known))
+        else:
+            answer = False
+        known[id(phi)] = answer
+    return answer
 
 
 def check_proof(proof):
     """Validate every line; returns ok or the first failing line + reason."""
+    return _check_proof(proof, {})
+
+
+def _check_proof(proof, propositional):
+    """check_proof, sharing the ``propositional`` answers of _is_propositional
+    with the certificates the proof embeds."""
     system = SYSTEMS.get(proof.system)
     if system is None:
         return ProofVerdict(False, 0, f"unknown system {proof.system!r}")
@@ -442,17 +459,17 @@ def check_proof(proof):
     hyp_prims = [primitive_form(h) for h in proof.hypotheses]
     prims = []
     for number, line in enumerate(proof.lines, start=1):
-        reason = _check_line(system, proof, hyp_prims, prims, number, line)
+        reason = _check_line(system, proof, hyp_prims, prims, number, line, propositional)
         if reason is not None:
             return ProofVerdict(False, number, reason)
         prims.append(primitive_form(line.formula))
     return ProofVerdict(True)
 
 
-def _check_line(system, proof, hyp_prims, prims, number, line):
+def _check_line(system, proof, hyp_prims, prims, number, line, propositional):
     phi = line.formula
     just = line.just
-    if not system.first_order and not _is_propositional(phi):
+    if not system.first_order and not _is_propositional(phi, propositional):
         return "first-order syntax in a propositional system"
     if system.first_order and not proof.unrestricted:
         if classify(phi) > SyntaxClass.RESTRICTED:
@@ -527,7 +544,7 @@ def _check_line(system, proof, hyp_prims, prims, number, line):
             return f"SV certificate must be a {base} proof, got {cert.system}"
         if cert.hypotheses:
             return "SV certificate must not use hypotheses"
-        sub = check_proof(cert)
+        sub = _check_proof(cert, propositional)
         if not sub.ok:
             return f"SV certificate invalid at its line {sub.line}: {sub.reason}"
         if _as_iff(primitive_form(cert.conclusion())) != (sup_phi, sup_psi):
@@ -586,11 +603,17 @@ def _field(data, key, kind):
 
 
 def proof_from_json(data, sig=None):
-    """The Proof in the JSON wire format; malformed input raises SupkitError."""
+    """The Proof in the JSON wire format; malformed input raises SupkitError,
+    and a malformed formula a ParseError that names its line.  Each distinct
+    formula text, whole or in parentheses, is parsed once per call."""
+    return _proof_from_json(data, sig, {})
+
+
+def _proof_from_json(data, sig, memo):
     system = _field(data, "system", str)
     hypotheses = json_names(data, "hypotheses", "proof JSON", [])
     lines = []
-    for entry in _field(data, "lines", list):
+    for number, entry in enumerate(_field(data, "lines", list), start=1):
         formula = _field(entry, "formula", str)
         j = _field(entry, "just", dict)
         kind = _field(j, "kind", str)
@@ -607,14 +630,27 @@ def proof_from_json(data, sig=None):
         elif kind == "gr":
             just = GR(_field(j, "from", int), _field(j, "var", str))
         elif kind == "sv":
-            just = SV(_field(j, "from", int), proof_from_json(_field(j, "cert", dict), sig))
+            premise = _field(j, "from", int)
+            try:
+                cert = _proof_from_json(_field(j, "cert", dict), sig, memo)
+            except ParseError as exc:
+                raise exc.within(f"certificate of line {number}") from None
+            just = SV(premise, cert)
         else:
             raise SupkitError(f"unknown justification kind {kind!r}")
-        lines.append(ProofLine(parse(formula, sig), just))
+        lines.append(ProofLine(_parse_at(formula, sig, memo, f"line {number}"), just))
     return Proof(
         system=system,
-        hypotheses=tuple(parse(h, sig) for h in hypotheses),
+        hypotheses=tuple(_parse_at(h, sig, memo, f"hypothesis {number}")
+                         for number, h in enumerate(hypotheses, start=1)),
         lines=tuple(lines),
         unrestricted=bool(data.get("unrestricted", False)),
         allow_open_hypotheses=bool(data.get("allow_open_hypotheses", False)),
     )
+
+
+def _parse_at(text, sig, memo, where):
+    try:
+        return parse(text, sig, memo)
+    except ParseError as exc:
+        raise exc.within(where) from None

@@ -56,11 +56,21 @@ def json_names(data, key, source, default=_REQUIRED):
 
 
 class ParseError(SupkitError):
-    def __init__(self, message, pos=None):
-        self.pos = pos
+    """Malformed formula text; ``pos`` is the offset in the text, and
+    ``where`` names the text among several, such as ``line 3`` of a proof."""
+
+    def __init__(self, message, pos=None, where=None):
+        self.detail, self.pos, self.where = message, pos, where
         if pos is not None:
             message = f"{message} (at position {pos})"
+        if where is not None:
+            message = f"{where}: {message}"
         super().__init__(message)
+
+    def within(self, where):
+        """The same error, located in ``where`` and then in its own place."""
+        inner = where if self.where is None else f"{where}, {self.where}"
+        return type(self)(self.detail, self.pos, inner)
 
 
 # The error for input nested deeper than the interpreter's recursion limit
@@ -697,10 +707,20 @@ def _primitive_of(phi):
 
 # ---------------------------------------------------------------------------
 # Parser
+#
+# Tokens are read one at a time, as the parser asks for them.  A caller
+# that parses many formulas under one signature may pass a memo: a dict,
+# kept by the caller, from a formula's text to the node parsed from it.
+# The parser then looks up the whole text and, at each ``(`` in a formula
+# position, the text between it and its matching ``)``; on a hit it returns
+# the stored node and resumes after the ``)`` without reading the span.
+# A span's parse depends only on its text and the signature, because
+# binders bind by name, so the stored node equals what a fresh parse would
+# give.  Only successful parses are stored, so an error is raised exactly
+# as it is without a memo.
 
-_TOKEN_RE = re.compile(
-    r"(?P<WS>\s+)"
-    r"|(?P<ARROW2><->)"
+_TOKENS = (
+    r"(?P<ARROW2><->)"
     r"|(?P<ARROW>->)"
     r"|(?P<OR>\\/)"
     r"|(?P<AND>/\\)"
@@ -714,42 +734,72 @@ _TOKEN_RE = re.compile(
     r"|(?P<PARAM>@[A-Za-z_0-9]+)"
     r"|(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)"
 )
+# one token after any whitespace; EOF matches at the end of the text only
+_TOKEN_RE = re.compile(rf"\s*(?:{_TOKENS}|(?P<EOF>\Z))")
 
 _KEYWORDS = {"forall", "exists", "sup"}
+_KIND_OF_WORD = {"forall": "FORALL", "exists": "EXISTS", "sup": "SUP", "|": "SUP"}
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "WS":
-            value = m.group()
-            if kind == "IDENT" and value in _KEYWORDS:
-                kind = value.upper()
-            if kind == "BAR":
-                kind = "SUP"
-            tokens.append((kind, value, pos))
-        pos = m.end()
-    tokens.append(("EOF", "", len(text)))
-    return tokens
+def _balanced_pattern(depth):
+    """The pattern of a text whose parentheses balance, nested at most
+    ``depth`` deep.  Every repeated group starts with ``(`` and ``[^()]``
+    matches no parenthesis, so a match is unique and backtracking stays
+    bounded."""
+    pattern = r"[^()]*"
+    for _ in range(depth):
+        pattern = rf"[^()]*(?:\({pattern}\)[^()]*)*"
+    return pattern
+
+
+# the longest prefix whose parentheses balance; a span nested deeper than 8
+# is parsed rather than looked up, though the spans inside it are looked up
+_BALANCED_RE = re.compile(_balanced_pattern(8))
+# the longest prefix that splits into tokens
+_READABLE_RE = re.compile(rf"(?:\s+|{_TOKENS})*")
+
+
+def _unreadable(text):
+    """The error for the first character of ``text`` that no token starts,
+    or None when the whole text splits into tokens."""
+    stop = _READABLE_RE.match(text).end()
+    if stop < len(text):
+        return ParseError(f"unexpected character {text[stop]!r}", stop)
+    return None
 
 
 class _Parser:
-    def __init__(self, text, sig):
+    def __init__(self, text, sig, memo):
+        self.text = text
         self.sig = sig
-        self.tokens = _tokenize(text)
-        self.i = 0
+        self.memo = memo
+        self.end = 0            # where the next token is read from
+        self.after = None       # the token after the current one, once looked at
+        self.tok = self._lex()  # the current token: (kind, value, position)
 
-    def peek(self, k=0):
-        return self.tokens[min(self.i + k, len(self.tokens) - 1)]
+    def _lex(self):
+        m = _TOKEN_RE.match(self.text, self.end)
+        if m is None:
+            raise _unreadable(self.text)
+        self.end = m.end()
+        kind = m.lastgroup
+        value = m.group(kind)
+        pos = m.start(kind)
+        if kind == "IDENT" or kind == "BAR":
+            kind = _KIND_OF_WORD.get(value, kind)
+        return (kind, value, pos)
+
+    def ahead(self):
+        if self.after is None:
+            self.after = self._lex()
+        return self.after
 
     def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
+        tok = self.tok
+        if self.after is None:
+            self.tok = self._lex()
+        else:
+            self.tok, self.after = self.after, None
         return tok
 
     def expect(self, kind):
@@ -758,56 +808,78 @@ class _Parser:
             raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
         return tok
 
+    def _span(self, pos):
+        """With a memo, the text between the ``(`` at ``pos`` and the ``)``
+        that closes it; None without a memo, or when the parentheses after
+        ``pos`` do not close or nest deeper than ``_BALANCED_RE`` follows."""
+        if self.memo is None:
+            return None
+        end = _BALANCED_RE.match(self.text, pos + 1).end()
+        if self.text.startswith(")", end):
+            return self.text[pos + 1:end]
+        return None
+
     def formula(self):
         return self.iff()
 
     def iff(self):
         left = self.implies()
-        if self.peek()[0] == "ARROW2":
+        if self.tok[0] == "ARROW2":
             self.next()
             return Iff(left, self.iff())
         return left
 
     def implies(self):
         left = self.disj()
-        if self.peek()[0] == "ARROW":
+        if self.tok[0] == "ARROW":
             self.next()
             return Implies(left, self.implies())
         return left
 
     def disj(self):
         left = self.conj()
-        while self.peek()[0] == "OR":
+        while self.tok[0] == "OR":
             self.next()
             left = Or(left, self.conj())
         return left
 
     def conj(self):
         left = self.sup()
-        while self.peek()[0] == "AND":
+        while self.tok[0] == "AND":
             self.next()
             left = And(left, self.sup())
         return left
 
     def sup(self):
         left = self.neg()
-        while self.peek()[0] == "SUP":
+        while self.tok[0] == "SUP":
             self.next()
             left = Sup(left, self.neg())
         return left
 
     def neg(self):
-        if self.peek()[0] == "NOT":
+        if self.tok[0] == "NOT":
             self.next()
             return Not(self.neg())
         return self.atom()
 
     def atom(self):
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tok
         if kind == "LPAR":
+            span = self._span(pos)
+            if span is not None:
+                phi = self.memo.get(span)
+                if phi is not None:
+                    self.end, self.after = pos + len(span) + 2, None
+                    self.tok = self._lex()
+                    return phi
             self.next()
             phi = self.formula()
+            # a successful production reads balanced parentheses, so this
+            # is the ``)`` that closes the span
             self.expect("RPAR")
+            if span is not None:
+                self.memo[span] = phi
             return phi
         if kind in ("FORALL", "EXISTS"):
             self.next()
@@ -819,11 +891,11 @@ class _Parser:
             body = self.formula()
             return (Forall if kind == "FORALL" else Exists)(var, body)
         if kind == "IDENT":
-            if value in self.sig.predicates and self.peek(1)[0] == "LPAR":
+            if value in self.sig.predicates and self.ahead()[0] == "LPAR":
                 self.next()
                 args = self.args(value, self.sig.predicates[value], pos)
                 return PredAtom(value, args)
-            if self.sig.is_prop_atom(value) and self.peek(1)[0] not in ("EQ", "LPAR"):
+            if self.sig.is_prop_atom(value) and self.ahead()[0] not in ("EQ", "LPAR"):
                 self.next()
                 return PropAtom(value)
             lhs = self.term()
@@ -838,7 +910,7 @@ class _Parser:
     def args(self, name, arity, pos):
         self.expect("LPAR")
         out = [self.term()]
-        while self.peek()[0] == "COMMA":
+        while self.tok[0] == "COMMA":
             self.next()
             out.append(self.term())
         self.expect("RPAR")
@@ -859,7 +931,7 @@ class _Parser:
             return FuncApp(value, args)
         if value in self.sig.constants:
             return Constant(value)
-        if self.peek()[0] == "LPAR":
+        if self.tok[0] == "LPAR":
             raise UnknownSymbolError(f"unknown function or predicate {value!r}", pos)
         if value in self.sig.predicates or self.sig.is_prop_atom(value):
             raise ParseError(f"{value!r} cannot appear inside a term", pos)
@@ -874,24 +946,41 @@ class _Parser:
         )
 
 
-def parse(text, sig=None):
-    """Parse the text grammar into a Formula; round-trips with to_text."""
-    return _parse_whole(text, sig, _Parser.formula)
+def parse(text, sig=None, memo=None):
+    """Parse the text grammar into a Formula; round-trips with to_text.
+
+    ``memo`` is an optional dict that the caller keeps for one load under
+    one signature, so that formulas sharing a text, whole or in
+    parentheses, are read once and come back as the same node.
+    """
+    phi = memo.get(text) if memo is not None else None
+    if phi is None:
+        phi = _parse_whole(text, sig, _Parser.formula, memo)
+        if memo is not None:
+            memo[text] = phi
+    return phi
 
 
 def parse_term(text, sig=None):
     return _parse_whole(text, sig, _Parser.term)
 
 
-def _parse_whole(text, sig, start):
+def _parse_whole(text, sig, start, memo=None):
     """Run one production over the whole text.  Input nested deeper than the
-    recursive descent can follow raises ParseError."""
-    parser = _Parser(text, sig or DEFAULT_SIGNATURE)
+    recursive descent can follow raises ParseError.
+
+    A character that no token starts is reported before any other error,
+    wherever it is in the text, as when the text was split into tokens
+    before it was parsed; the check runs only once the parse has failed.
+    """
     try:
+        parser = _Parser(text, sig or DEFAULT_SIGNATURE, memo)
         result = start(parser)
+        kind, value, pos = parser.tok
+        if kind != "EOF":
+            raise ParseError(f"trailing input {value!r}", pos)
+        return result
     except RecursionError:
-        raise ParseError(NESTED_TOO_DEEPLY) from None
-    kind, value, pos = parser.peek()
-    if kind != "EOF":
-        raise ParseError(f"trailing input {value!r}", pos)
-    return result
+        raise _unreadable(text) or ParseError(NESTED_TOO_DEEPLY) from None
+    except ParseError as exc:
+        raise _unreadable(text) or exc from None

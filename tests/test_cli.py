@@ -190,6 +190,28 @@ def test_check_proof_roundtrip(capsys, tmp_path):
     assert code == 1 and f"line {mutant.expect_line}" in out
 
 
+def test_check_proof_parse_error_names_its_line(capsys, tmp_path):
+    from supkit.corpus import corpus_entries
+    proof = next(e.proof for e in corpus_entries() if e.name == "k1_sv_double_negation")
+    sv_line = len(proof.lines)
+    bad = "(p0 -> p1) -> (P(c1) sup c1)"
+    message = "expected EQ, found ')' (at position 27)"
+    path = tmp_path / "proof.json"
+    for where, expected in (("line", f"line 57: {message}"),
+                            ("cert", f"certificate of line {sv_line}, line 41: {message}"),
+                            ("hypothesis", f"hypothesis 1: {message}")):
+        data = proof_to_json(proof)
+        if where == "line":
+            data["lines"][56]["formula"] = bad
+        elif where == "cert":
+            data["lines"][sv_line - 1]["just"]["cert"]["lines"][40]["formula"] = bad
+        else:
+            data["hypotheses"] = [bad]
+        path.write_text(json.dumps(data))
+        code, out, err = invoke(capsys, "check-proof", str(path), "--json")
+        assert (code, out, err) == (2, "", f"error: {expected}\n")
+
+
 def test_demo_no_uniform(capsys):
     code, out, _ = invoke(capsys, "demo", "no-uniform", "--alpha", "P(v)")
     assert code == 0

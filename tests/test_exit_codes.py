@@ -94,3 +94,57 @@ def test_exit_codes_hold_their_contract(data):
             assert "countermodel" in payload or "reason" in payload
         else:
             assert out.startswith(("countermodel found:", "rejected at line")), out
+
+
+_JUSTS = st.sampled_from(({"kind": "hyp"}, {"kind": "axiom", "scheme": "P1"},
+                          {"kind": "axiom", "scheme": "S3"}, {"kind": "axiom", "scheme": "UI"},
+                          {"kind": "mp", "from": [1, 2]}, {"kind": "gr", "from": 1, "var": "v"},
+                          {"kind": "sv", "from": 1}))
+
+
+@st.composite
+def _proof_files(draw):
+    """Proofs of several lines whose formulas repeat drawn fragments, whole,
+    in parentheses or with a parenthesis missing, so that a load's parse
+    memo meets hits, misses and unmatched parentheses."""
+    fragments = draw(st.lists(st.one_of(st.sampled_from(_SENTENCES), _formulas),
+                              min_size=1, max_size=3))
+    pieces = st.sampled_from(fragments * 2 + [f"({f})" for f in fragments]
+                             + [f"(({f})" for f in fragments] + [f"{f})" for f in fragments])
+    joints = st.sampled_from((" -> ", " sup ", " /\\ ", ""))
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        just = dict(draw(_JUSTS))
+        if just.get("scheme") == "P1":   # accepted when both pieces parse
+            first, second = draw(pieces), draw(pieces)
+            formula = f"({first}) -> ({second}) -> ({first})"
+        else:
+            rest = draw(st.lists(st.tuples(joints, pieces), max_size=2))
+            formula = draw(pieces) + "".join(joint + piece for joint, piece in rest)
+        if just["kind"] == "sv":   # a certificate that repeats the lines so far
+            just["cert"] = {"system": "K0", "lines": lines[:] or [
+                {"formula": formula, "just": {"kind": "axiom", "scheme": "P1"}}]}
+        lines.append({"formula": formula, "just": just})
+    return {"system": draw(st.sampled_from(("K0", "K1", "L0", "L1"))),
+            "hypotheses": draw(st.lists(pieces, max_size=2)), "lines": lines}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_proof_files())
+def test_check_proof_exit_codes_hold_on_repeated_fragments(proof):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "proof.json")
+        with open(path, "w") as handle:
+            json.dump(proof, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["check-proof", path, "--json"])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (proof, code)
+    assert "Traceback" not in err, proof
+    if code == 2:
+        assert err.startswith("error: ") and out == "", (proof, err)
+    else:
+        payload = json.loads(out)
+        assert payload["ok"] is (code == 0), payload
+        assert code == 0 or "reason" in payload, payload

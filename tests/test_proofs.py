@@ -1,6 +1,9 @@
 import hashlib
 import json
+import re
 from importlib import resources
+
+import pytest
 
 from supkit.choice import ChoiceTable, ClassSpec, TruthTableOracle, collapse, extendable
 from supkit.corpus import (
@@ -8,6 +11,7 @@ from supkit.corpus import (
     GENERATED,
     corpus_entries,
     dn_iff_proof,
+    mutant_entries,
     sv_double_negation,
 )
 from supkit.proofs import (
@@ -34,6 +38,7 @@ from supkit.syntax import (
     Or,
     PredAtom,
     PropAtom,
+    Signature,
     Sup,
     Variable,
     parse,
@@ -285,3 +290,76 @@ def test_sv_semantic_core():
             left = collapse(table, Sup(sigma, tau))
             right = collapse(table, Sup(rho, tau))
             assert oracle.equivalent(left, right)
+
+
+# ---------------------------------------------------------------------------
+# One parse memo per load, against a plain parse of each text
+
+
+def _texts_and_formulas(data, proof):
+    """(text, loaded formula) of every hypothesis and line, certificates
+    included."""
+    yield from zip(data.get("hypotheses", []), proof.hypotheses)
+    for entry, line in zip(data["lines"], proof.lines, strict=True):
+        yield entry["formula"], line.formula
+        if isinstance(line.just, SV):
+            yield from _texts_and_formulas(entry["just"]["cert"], line.just.cert)
+
+
+def _assert_load_matches_plain_parse(data, sig=None):
+    proof = proof_from_json(data, sig)
+    for text, phi in _texts_and_formulas(data, proof):
+        plain = parse(text, sig)
+        assert phi == plain and to_text(phi) == to_text(plain), text
+    return proof
+
+
+def test_memoised_load_matches_plain_parse_on_corpus_and_mutants():
+    proofs = [e.proof for e in corpus_entries()] + [m.proof for m in mutant_entries()]
+    for p in proofs:
+        _assert_load_matches_plain_parse(proof_to_json(p))
+
+
+def _substitute_in(data, pattern, replacement):
+    """Uniform substitution in every formula text of a proof's JSON,
+    certificates included."""
+    if isinstance(data, dict):
+        return {key: _substitute_in(value, pattern, replacement) for key, value in data.items()}
+    if isinstance(data, list):
+        return [_substitute_in(value, pattern, replacement) for value in data]
+    if isinstance(data, str):
+        return pattern.sub(lambda _: replacement, data)
+    return data
+
+
+@pytest.mark.parametrize("name, formula", [
+    ("k1_sv_double_negation", "(p10 -> p11) sup ~p12"),
+    ("k1_sv_double_negation", "p13 /\\ (p14 \\/ p13) -> p15"),
+    ("l1_sv_double_negation_fo", "(forall v. R(v,c1)) /\\ Q(c2)"),
+    ("l1_sv_double_negation_fo", "(exists v. R(c3,v)) -> P(c1) \\/ R(c1,c2)"),
+])
+def test_memoised_load_matches_plain_parse_on_sv_instances(name, formula):
+    entries = {entry.name: entry.proof for entry in corpus_entries()}
+    atom = re.compile(r"(?<![\w@])" + re.escape(GENERATED[name][1]) + r"(?!\w)")
+    instance = _substitute_in(proof_to_json(entries[name]), atom, f"({formula})")
+    assert formula in instance["lines"][0]["formula"]
+    assert check_proof(_assert_load_matches_plain_parse(instance)).ok
+
+
+def test_a_load_shares_nodes_across_lines_and_certificates():
+    entries = {entry.name: entry.proof for entry in corpus_entries()}
+    loaded = proof_from_json(proof_to_json(entries["k1_sv_double_negation"]))
+    cert = loaded.lines[-1].just.cert
+    assert all(a.formula is b.formula for a, b in zip(cert.lines, loaded.lines))
+
+
+def test_loads_under_different_signatures_read_text_differently():
+    text = "(P(c) -> P(c)) -> P(c)"
+    data = {"system": "L0", "hypotheses": [text],
+            "lines": [{"formula": text, "just": {"kind": "hyp"}}]}
+    declared = Signature(constants={"c"}, predicates={"P": 1})
+    undeclared = Signature(predicates={"P": 1})
+    a = _assert_load_matches_plain_parse(data, declared)
+    b = _assert_load_matches_plain_parse(data, undeclared)
+    assert a.lines[0].formula.right == PredAtom("P", (Constant("c"),))
+    assert b.lines[0].formula.right == PredAtom("P", (Variable("c"),))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -261,3 +263,124 @@ def _subformulas(phi):
         yield from _subformulas(phi.right)
     elif isinstance(phi, (Forall, Exists)):
         yield from _subformulas(phi.body)
+
+
+# ---------------------------------------------------------------------------
+# Parse memo: a memoised parse against a plain one
+
+
+def _outcome(text, memo=None):
+    """The formula parsed from ``text``, or the class, message and position
+    of the error it raises."""
+    try:
+        return parse(text, SIG, memo)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.pos
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_formulas(), min_size=1, max_size=4), st.data())
+def test_memoised_parse_matches_plain_parse(parts, data):
+    # texts that repeat the parts, whole, in parentheses or with one
+    # parenthesis missing, so that one memo meets hits, misses and
+    # unmatched parentheses
+    texts = [to_text(part) for part in parts]
+    pieces = st.sampled_from(texts + [f"({t})" for t in texts] + [f"(({t})" for t in texts]
+                             + [f"{t})" for t in texts] + ["~", "$"])
+    joints = st.sampled_from((" -> ", " /\\ ", " sup ", " <-> ", ""))
+    memo = {}
+    for _ in range(4):
+        first = data.draw(pieces)
+        rest = data.draw(st.lists(st.tuples(joints, pieces), max_size=3))
+        text = first + "".join(joint + piece for joint, piece in rest)
+        plain, memoised = _outcome(text), _outcome(text, memo)
+        assert memoised == plain
+        if isinstance(plain, tuple):
+            assert text not in memo
+        else:
+            assert to_text(memoised) == to_text(plain)
+            assert parse(text, SIG, memo) is memoised
+
+
+@pytest.mark.parametrize("text", ["(p0 -> p1)) -> p0 $", "p0 sup $", "P((c1)) $",
+                                  "(" * 3000 + "p0" + ")" * 3000 + " $"])
+def test_unreadable_character_is_reported_before_grammar_errors(text):
+    # the parser reads tokens as it goes, but reports such a character
+    # wherever it is, as a lexer that ran over the whole text first would
+    with pytest.raises(ParseError) as err:
+        parse(text, SIG)
+    assert str(err.value) == f"unexpected character '$' (at position {len(text) - 1})"
+
+
+_PRIMED = ("(p0 -> p1) -> p0", "(P(c1) sup p1) /\\ p2", "(c1 = c2)")
+
+
+@pytest.mark.parametrize("text", [
+    "((p0 -> p1) -> p0",             # an unmatched (
+    "(p0 -> p1)) -> p0",             # an unmatched )
+    "(p0 -> p1) -> (p0 -> p1) )",    # a span parsed before, then junk
+    "(p0 -> p1) -> (p0 -> p1) $",    # ... then a character no token starts
+    "(p0 -> p1)) -> p0 $",           # a grammar error, then such a character
+    "P((c1)) $",
+    "(P(c1) sup p1) p2",
+    "P((c1))",                       # a parenthesised term
+    "(p0 -> p1) -> P((c1))",
+    "(p0 -> p1) -> (c1 = c2",
+    "(p0 -> p1) -> R(c1)",           # arity, after a hit
+    "(p0 -> p1) -> (h(c1) = c2)",    # unknown symbol, after a hit
+    "(" * 40 + "p0" + ")" * 39,
+    "(" * 3000 + "p0" + ")" * 3000,
+    "(" * 3000 + "p0" + ")" * 3000 + " $",
+])
+def test_memo_keeps_parse_errors(text):
+    memo = {}
+    for good in _PRIMED:
+        parse(good, SIG, memo)
+    plain, memoised = _outcome(text), _outcome(text, memo)
+    assert isinstance(plain, tuple) and memoised == plain
+    assert text not in memo
+
+
+def test_memo_returns_repeated_spans_as_one_node():
+    memo = {}
+    phi = parse("(p0 -> p1) -> ~(p0 -> p1)", SIG, memo)
+    assert phi.left is phi.right.body
+    assert parse("((p0 -> p1)) sup p2", SIG, memo).left is phi.left
+    assert parse("(p0 -> p1) -> ~(p0 -> p1)", SIG, memo) is phi
+    # parentheses nested deeper than the span pattern follows are parsed
+    deep = "(" * 30 + "(p0 -> p1)" + ")" * 30
+    assert parse(deep, SIG, memo) is phi.left
+
+
+def test_memo_is_kept_per_signature():
+    text = "(P(c) -> P(c)) -> P(c)"
+    declared = Signature(constants={"c"}, predicates={"P": 1})
+    undeclared = Signature(predicates={"P": 1})
+    a, b = parse(text, declared, {}), parse(text, undeclared, {})
+    assert a.right == PredAtom("P", (Constant("c"),))
+    assert b.right == PredAtom("P", (Variable("c"),))
+
+
+def test_patterns_need_no_python_newer_than_3_10():
+    # pyproject asks for Python 3.10, whose re has no possessive repeats
+    # and no atomic groups; the parse of each pattern shows them if present
+    try:
+        from re import _parser
+    except ImportError:
+        import sre_parse as _parser
+    from supkit import syntax
+
+    def opcodes(items):
+        for item in items:
+            if isinstance(item, _parser.SubPattern):
+                yield from opcodes(item.data)
+            elif isinstance(item, (tuple, list)):
+                yield from opcodes(item)
+            else:
+                yield str(item)
+
+    patterns = [v for v in vars(syntax).values() if isinstance(v, re.Pattern)]
+    assert len(patterns) >= 3
+    for pattern in patterns:
+        used = set(opcodes(_parser.parse(pattern.pattern).data))
+        assert not used & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}, pattern.pattern
