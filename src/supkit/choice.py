@@ -213,63 +213,98 @@ class BoundedModelOracle:
     to a bound (exact for propositional inputs).  Open formulas are compared
     under every assignment of their free variables.
 
-    Each formula gets a class id once: ``class_of`` compares a formula it
-    has not seen with one member of each class found so far.  One member
-    stands for its class because bounded equivalence is transitive: giving
-    a structure interpretations for more symbols, on the same domain, does
-    not change a formula's truth, so a pair that agrees over its own
-    vocabulary agrees over any larger one, and two pairs sharing a member
-    can be compared over their joint vocabulary.  Ids live as long as the
-    oracle; ``semantics.class_spec_for`` builds one per verdict.
+    A formula's class id comes from its fingerprint, the tuple of its truth
+    masks (``models.Block``) over every model of the oracle's vocabulary:
+    the valuations of its atoms, or the structures of sizes 1 to the bound,
+    with parameters read as constants under their ``@`` name and free
+    variables under ``models.FREE_PREFIX`` and theirs.  The vocabulary is
+    that of the formulas given so far.  A formula with a new symbol widens
+    it: the new digits come first in the models' numbering, so each
+    fingerprint found so far is widened by repeating its masks, and ids do
+    not change.  That is sound because a formula's truth does not change
+    when a structure is expanded to more symbols on the same domain, so
+    bounded equivalence over the oracle's vocabulary is the relation over
+    each pair's own.  ``semantics.class_spec_for`` builds one per verdict.
+
+    Fingerprints are the exact masks, one bit per model, so they cost the
+    space's size in memory: at bound 3, ``P``, ``Q``, two constants and
+    three parameters give about 16 k bits per class, ``R/2``, one constant
+    and three parameters about 42 k, and two binary relations about 21 M.
     """
 
     def __init__(self, max_domain=3):
         self.max_domain = max_domain
         self._ids = {}       # canonical key -> class id
-        self._members = []   # class id -> the first formula given that id
+        self._classes = {}   # fingerprint -> class id
+        self._vocab = models.Vocabulary()
+        self._free = ()      # free variables read as constants, sorted
+        self._blocks = ()    # one Block of every model per domain size
 
     def class_of(self, phi):
         key = canonical_key(phi)
         cid = self._ids.get(key)
         if cid is None:
-            cid = next((i for i, member in enumerate(self._members)
-                        if self._compute(phi, member)), len(self._members))
-            if cid == len(self._members):
-                self._members.append(phi)
-            self._ids[key] = cid
+            if not is_classical(phi):
+                raise models.EvalError(
+                    f"equivalence is decided for sup-free formulas only: {to_text(phi)}")
+            self._widen(models.vocabulary_of([phi]), free_vars(phi))
+            fingerprint = tuple(block.mask(phi) for block in self._blocks)
+            cid = self._ids[key] = self._classes.setdefault(fingerprint, len(self._classes))
         return cid
 
     def equivalent(self, a, b):
         return self.class_of(a) == self.class_of(b)
 
-    def _compute(self, a, b):
-        vocab = models.vocabulary_of([a, b])
-        if not vocab.first_order:
-            return all(
-                models.eval_classical(v, a) == models.eval_classical(v, b)
-                for v in models.valuations_over(vocab.prop_atoms)
-            )
-        fv = sorted(free_vars(a) | free_vars(b))
-        for structure in models.structures_over(vocab, self.max_domain):
-            for values in itertools.product(structure.domain, repeat=len(fv)):
-                env = dict(zip(fv, values))
-                if models.eval_classical(structure, a, env) != \
-                        models.eval_classical(structure, b, env):
-                    return False
-        return True
+    def _widen(self, vocab, free):
+        """Cover a new formula's vocabulary and free variables."""
+        vocab = self._vocab.union(vocab)
+        if vocab is self._vocab and free.issubset(self._free):
+            return
+        free = tuple(sorted(free.union(self._free)))
+        if vocab.first_order:
+            layouts = [models.Layout.of_structures(vocab, models.element_names(n), free)
+                       for n in range(1, self.max_domain + 1)]
+        else:
+            layouts = [models.Layout.of_valuations(vocab.prop_atoms)]
+        if self._blocks:
+            old = [block.layout for block in self._blocks]
+            layouts = [_new_digits_first(layout, before)
+                       for layout, before in zip(layouts, old)]
+            self._classes = {
+                tuple(_repeat(mask, before.count, layout.count // before.count)
+                      for mask, before, layout in zip(fingerprint, old, layouts)): cid
+                for fingerprint, cid in self._classes.items()}
+        self._vocab, self._free = vocab, free
+        self._blocks = [models.Block(layout, 0, layout.count) for layout in layouts]
 
     def describe(self):
         return {"kind": "bounded-model", "max_domain": self.max_domain}
 
 
+def _new_digits_first(layout, before):
+    """``layout``'s models renumbered: the digits that ``before`` lacks, then
+    the digits of ``before`` in its order."""
+    kept = {key for key, _ in before.digits}
+    return models.Layout(layout.domain, [d for d in layout.digits if d[0] not in kept]
+                         + list(before.digits))
+
+
+def _repeat(mask, width, times):
+    """``times`` copies of a ``width``-bit mask, side by side."""
+    tiled, size = mask, width
+    while size < width * times:
+        tiled |= tiled << size
+        size *= 2
+    return tiled & ((1 << (width * times)) - 1)
+
+
 class TruthTableOracle(BoundedModelOracle):
     """Exact classical equivalence for propositional formulas."""
 
-    def class_of(self, phi):
-        if canonical_key(phi) not in self._ids and \
-                models.vocabulary_of([phi]).first_order:
+    def _widen(self, vocab, free):
+        if vocab.first_order:
             raise SupkitError("truth-table oracle supports propositional formulas only")
-        return super().class_of(phi)
+        super()._widen(vocab, free)
 
     def describe(self):
         return {"kind": "truth-table"}

@@ -10,6 +10,7 @@ overrides the default equivalence-oracle domain bound.
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -481,9 +482,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built by the first ``run`` and reused by the later ones
+    (not at import, which stays cheap)."""
+    return build_parser()
+
+
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError) as exc:

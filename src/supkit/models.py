@@ -1,4 +1,5 @@
-"""Finite structures, propositional valuations, and classical evaluation.
+"""Finite structures, propositional valuations, classical evaluation, and
+the numbered models of one domain size with their truth masks.
 
 Structures have named domain elements; equality is always identity.
 Parameter terms denote themselves, so they are only meaningful against a
@@ -8,6 +9,7 @@ printed name (used when parameters must range over candidate structures,
 e.g. inside the bounded equivalence oracle).
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -29,6 +31,7 @@ from .syntax import (
     Sup,
     SupkitError,
     Variable,
+    canonical_key,
     is_classical,
     json_field,
     json_names,
@@ -222,6 +225,11 @@ def _eval(model, phi, env):
 # Vocabulary extraction and model enumeration
 
 
+_MIXED = ("vocabulary mixes propositional atoms with first-order symbols; "
+          "search spaces support one kind at a time")
+_SYMBOL_FIELDS = ("prop_atoms", "constants", "functions", "predicates", "parameters")
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     prop_atoms: tuple = ()
@@ -235,6 +243,23 @@ class Vocabulary:
     def first_order(self):
         return bool(self.constants or self.functions or self.predicates
                     or self.parameters or self.fo_syntax)
+
+    def union(self, other):
+        """The vocabulary of the formulas of both (``self`` when it covers
+        ``other``); like ``vocabulary_of``, it raises EvalError when atoms
+        meet first-order symbols."""
+        fo_syntax = self.fo_syntax or other.fo_syntax
+        merged = {}
+        for name in _SYMBOL_FIELDS:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            merged[name] = mine if set(theirs) <= set(mine) else \
+                tuple(sorted(set(mine).union(theirs)))
+        if fo_syntax == self.fo_syntax and all(
+                merged[name] is getattr(self, name) for name in _SYMBOL_FIELDS):
+            return self
+        if merged["prop_atoms"] and fo_syntax:
+            raise EvalError(_MIXED)
+        return Vocabulary(**merged, fo_syntax=fo_syntax)
 
     def describe(self):
         return {
@@ -284,10 +309,7 @@ def vocabulary_of(formulas):
     for phi in formulas:
         walk(phi)
     if atoms and fo_syntax[0]:
-        raise EvalError(
-            "vocabulary mixes propositional atoms with first-order symbols; "
-            "search spaces support one kind at a time"
-        )
+        raise EvalError(_MIXED)
     return Vocabulary(
         prop_atoms=tuple(sorted(atoms)),
         constants=tuple(sorted(consts)),
@@ -296,6 +318,11 @@ def vocabulary_of(formulas):
         parameters=tuple(sorted(params)),
         fo_syntax=fo_syntax[0],
     )
+
+
+# The prefix under which a free variable read as a constant is interpreted
+# (see Layout.of_structures); a parsed name never starts with it.
+FREE_PREFIX = "?"
 
 
 class Layout:
@@ -323,18 +350,21 @@ class Layout:
             stride *= radix
         self.strides.reverse()
         self.count = stride
-        self._plan = self._grouped()
 
     @classmethod
     def of_valuations(cls, atoms):
         return cls(None, ((("a", name), 2) for name in sorted(atoms)))
 
     @classmethod
-    def of_structures(cls, vocab, domain):
+    def of_structures(cls, vocab, domain, variables=()):
+        """The structures over ``domain``; the ``variables`` are read as
+        constants too, after the parameters, under ``FREE_PREFIX`` and
+        their name, which no constant or parameter can have."""
         if vocab.prop_atoms:
             raise EvalError("structures cannot interpret propositional atoms")
         n = len(domain)
-        consts = list(vocab.constants) + [PARAM_PREFIX + p for p in vocab.parameters]
+        consts = list(vocab.constants) + [PARAM_PREFIX + p for p in vocab.parameters] \
+            + [FREE_PREFIX + v for v in variables]
         digits = [(("c", name), n) for name in consts]
         for kind, symbols, radix in (("f", vocab.functions, n), ("p", vocab.predicates, 2)):
             for name, arity in symbols:
@@ -366,7 +396,8 @@ class Layout:
             {name: frozenset([args for args, k in entries if values[k]])
              for name, entries in preds})
 
-    def _grouped(self):
+    @functools.cached_property
+    def _plan(self):
         """Where each interpretation's digit sits, grouped by symbol."""
         if self.domain is None:
             return [(key[1], k) for k, (key, _) in enumerate(self.digits)]
@@ -378,6 +409,161 @@ class Layout:
                 args = tuple(self.domain[i] for i in key[2])
                 groups[key[0]].setdefault(key[1], []).append((args, k))
         return groups["c"], list(groups["f"].items()), list(groups["p"].items())
+
+
+class Block:
+    """The truth of classical sentences over a run of consecutively numbered
+    models of one ``Layout``, as one integer mask: bit ``i`` stands for
+    model ``start + i``.
+
+    An atom's mask is built from digit masks: the models in which digit
+    ``k`` of the number has value ``v`` form a periodic bit pattern, runs of
+    ``stride`` ones every ``stride * radix`` bits.  Connectives are bit
+    operations, and a quantifier is the AND/OR of its body's masks with the
+    variable bound to each element in turn.  A free variable is read as a
+    constant where the layout has a digit for it (``Layout.of_structures``).
+    """
+
+    def __init__(self, layout, start, width):
+        self.layout = layout
+        self.start = start
+        self.width = width
+        self.full = (1 << width) - 1
+        self.domain = layout.domain
+        if layout.domain is not None:
+            self._elements = {name: i for i, name in enumerate(layout.domain)}
+        self._digits = {}
+        self._masks = {}
+
+    def digit_mask(self, k, v):
+        """The models whose digit ``k`` has value ``v``."""
+        key = (k, v)
+        mask = self._digits.get(key)
+        if mask is None:
+            layout = self.layout
+            stride = layout.strides[k]
+            mask = self._digits[key] = _periodic(
+                self.start, self.width, stride * layout.digits[k][1], v * stride, stride)
+        return mask
+
+    def classical(self, phi):
+        """``phi``'s mask, kept for the block's life."""
+        key = canonical_key(phi)
+        mask = self._masks.get(key)
+        if mask is None:
+            mask = self._masks[key] = self.mask(phi)
+        return mask
+
+    def mask(self, phi):
+        """``phi``'s mask, not kept."""
+        return self._eval(phi, {})
+
+    def _eval(self, phi, env):
+        """``phi``'s mask with its free variables bound by ``env`` to
+        element indices, as ``eval_classical`` binds them."""
+        if isinstance(phi, PredAtom):
+            mask = 0
+            for args, within in self._combinations(phi.args, env):
+                mask |= within & self.digit_mask(
+                    self.layout.digit[("p", phi.name, args)], 1)
+            return mask
+        if isinstance(phi, Equality):
+            rhs = self._term(phi.rhs, env)
+            mask = 0
+            for v, within in self._term(phi.lhs, env).items():
+                mask |= within & rhs.get(v, 0)
+            return mask
+        if isinstance(phi, PropAtom):
+            k = self.layout.digit.get(("a", phi.name))
+            if k is None:
+                raise EvalError(f"valuation does not cover atom {phi.name!r}")
+            return self.digit_mask(k, 1)
+        full = self.full
+        if isinstance(phi, Not):
+            return full ^ self._eval(phi.body, env)
+        if isinstance(phi, Forall):
+            mask = full
+            for v in range(len(self.domain)):
+                mask &= self._eval(phi.body, {**env, phi.var: v})
+                if not mask:
+                    break
+            return mask
+        if isinstance(phi, Exists):
+            mask = 0
+            for v in range(len(self.domain)):
+                mask |= self._eval(phi.body, {**env, phi.var: v})
+                if mask == full:
+                    break
+            return mask
+        left, right = self._eval(phi.left, env), self._eval(phi.right, env)
+        if isinstance(phi, And):
+            return left & right
+        if isinstance(phi, Or):
+            return left | right
+        if isinstance(phi, Implies):
+            return (full ^ left) | right
+        if isinstance(phi, Iff):
+            return full ^ left ^ right
+        raise EvalError(f"not a formula: {phi!r}")
+
+    def _combinations(self, terms, env):
+        """(argument element indices, the models where the terms take them)
+        for every combination the terms take somewhere in the block."""
+        combos = [((), self.full)]
+        for term in terms:
+            values = self._term(term, env)
+            combos = [(args + (v,), within & m) for args, within in combos
+                      for v, m in values.items() if within & m]
+        return combos
+
+    def _term(self, term, env):
+        """Element index -> the models where the term denotes it."""
+        if isinstance(term, Variable):
+            if term.name in env:
+                return {env[term.name]: self.full}
+            k = self.layout.digit.get(("c", FREE_PREFIX + term.name))
+            if k is None:
+                raise EvalError(f"unbound variable {term.name!r}")
+        elif isinstance(term, FuncApp):
+            out = {}
+            n = len(self.domain)
+            for args, within in self._combinations(term.args, env):
+                k = self.layout.digit[("f", term.name, args)]
+                for v in range(n):
+                    m = within & self.digit_mask(k, v)
+                    if m:
+                        out[v] = out.get(v, 0) | m
+            return out
+        elif isinstance(term, Constant):
+            k = self.layout.digit[("c", term.name)]
+        elif isinstance(term, Parameter):
+            k = self.layout.digit.get(("c", PARAM_PREFIX + term.element))
+            if k is None:
+                if term.element not in self._elements:
+                    raise EvalError(f"parameter {to_text_term(term)} not in domain")
+                return {self._elements[term.element]: self.full}
+        else:
+            raise EvalError(f"not a term: {term!r}")
+        masks = {v: self.digit_mask(k, v) for v in range(len(self.domain))}
+        return {v: m for v, m in masks.items() if m}
+
+
+def _periodic(start, width, period, offset, run):
+    """Bits ``i < width`` such that ``(start + i) % period`` lies in
+    ``[offset, offset + run)``."""
+    first = start - start % period
+    if period > width:   # the block meets at most two periods
+        mask = 0
+        for base in (first + offset, first + period + offset):
+            lo, hi = max(base, start), min(base + run, start + width)
+            if lo < hi:
+                mask |= ((1 << (hi - lo)) - 1) << (lo - start)
+        return mask
+    tiled, size = ((1 << run) - 1) << offset, period
+    while size < start - first + width:
+        tiled |= tiled << size
+        size *= 2
+    return (tiled >> (start - first)) & ((1 << width) - 1)
 
 
 def valuations_over(atoms):

@@ -43,7 +43,6 @@ from .syntax import (
     free_vars,
     is_classical,
     json_field,
-    json_names,
     parse,
     primitive_form,
     substitute,
@@ -598,51 +597,62 @@ def proof_to_json(proof):
     return out
 
 
-def _field(data, key, kind):
-    return json_field(data, key, kind, "proof JSON")
-
-
 def proof_from_json(data, sig=None):
     """The Proof in the JSON wire format; malformed input raises SupkitError,
-    and a malformed formula a ParseError that names its line.  Each distinct
+    and a malformed formula a ParseError, each naming its place: ``line 3``,
+    ``hypothesis 2`` or ``certificate of line 5, line 1``.  Each distinct
     formula text, whole or in parentheses, is parsed once per call."""
     return _proof_from_json(data, sig, {})
 
 
-def _proof_from_json(data, sig, memo):
-    system = _field(data, "system", str)
-    hypotheses = json_names(data, "hypotheses", "proof JSON", [])
+def _proof_from_json(data, sig, memo, where=None):
+    """``where`` is the place of ``data`` when it is a certificate, such as
+    ``certificate of line 5``."""
+
+    def place(inner):
+        return inner if where is None else f"{where}, {inner}"
+
+    def field(value, key, kind, at, *default):
+        source = "proof JSON" if at is None else f"proof JSON: {at}"
+        return json_field(value, key, kind, source, *default)
+
+    system = field(data, "system", str, where)
+    hypotheses = list(enumerate(field(data, "hypotheses", list, where, []), start=1))
+    for number, text in hypotheses:
+        if not isinstance(text, str):
+            raise SupkitError(f"malformed proof JSON: {place(f'hypothesis {number}')}: "
+                              "a hypothesis must be a string")
     lines = []
-    for number, entry in enumerate(_field(data, "lines", list), start=1):
-        formula = _field(entry, "formula", str)
-        j = _field(entry, "just", dict)
-        kind = _field(j, "kind", str)
+    for number, entry in enumerate(field(data, "lines", list, where), start=1):
+        at = place(f"line {number}")
+        formula = field(entry, "formula", str, at)
+        j = field(entry, "just", dict, at)
+        kind = field(j, "kind", str, at)
         if kind == "hyp":
             just = Hyp()
         elif kind == "axiom":
-            just = Axiom(_field(j, "scheme", str))
+            just = Axiom(field(j, "scheme", str, at))
         elif kind == "mp":
-            refs = _field(j, "from", list)
+            refs = field(j, "from", list, at)
             if len(refs) != 2 or not all(type(r) is int for r in refs):
-                raise SupkitError("malformed proof JSON: an mp 'from' must be "
+                raise SupkitError(f"malformed proof JSON: {at}: an mp 'from' must be "
                                   "two line numbers")
             just = MP(*refs)
         elif kind == "gr":
-            just = GR(_field(j, "from", int), _field(j, "var", str))
+            just = GR(field(j, "from", int, at), field(j, "var", str, at))
         elif kind == "sv":
-            premise = _field(j, "from", int)
-            try:
-                cert = _proof_from_json(_field(j, "cert", dict), sig, memo)
-            except ParseError as exc:
-                raise exc.within(f"certificate of line {number}") from None
+            premise = field(j, "from", int, at)
+            cert = _proof_from_json(field(j, "cert", dict, at), sig, memo,
+                                    place(f"certificate of line {number}"))
             just = SV(premise, cert)
         else:
-            raise SupkitError(f"unknown justification kind {kind!r}")
-        lines.append(ProofLine(_parse_at(formula, sig, memo, f"line {number}"), just))
+            raise SupkitError(f"malformed proof JSON: {at}: unknown justification "
+                              f"kind {kind!r}")
+        lines.append(ProofLine(_parse_at(formula, sig, memo, at), just))
     return Proof(
         system=system,
-        hypotheses=tuple(_parse_at(h, sig, memo, f"hypothesis {number}")
-                         for number, h in enumerate(hypotheses, start=1)),
+        hypotheses=tuple(_parse_at(text, sig, memo, place(f"hypothesis {number}"))
+                         for number, text in hypotheses),
         lines=tuple(lines),
         unrestricted=bool(data.get("unrestricted", False)),
         allow_open_hypotheses=bool(data.get("allow_open_hypotheses", False)),

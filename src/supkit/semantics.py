@@ -26,6 +26,7 @@ from .choice import (
     enumerate_tables,
 )
 from .models import (
+    Block,
     EvalError,
     Layout,
     Structure,
@@ -37,31 +38,21 @@ from .models import (
     vocabulary_of,
 )
 from .syntax import (
-    PARAM_PREFIX,
     And,
-    Constant,
-    Equality,
     Exists,
     Forall,
-    FuncApp,
     Iff,
     Implies,
     Not,
     Or,
-    Parameter,
-    PredAtom,
-    PropAtom,
     Sup,
     SupkitError,
     SyntaxClass,
-    Variable,
-    canonical_key,
     classify,
     free_vars,
     instantiate,
     is_classical,
     to_text,
-    to_text_term,
 )
 
 
@@ -141,153 +132,6 @@ class _OneModel:
 
     def classical(self, phi):
         return int(eval_classical(self.model, phi))
-
-
-class Block:
-    """The truth of classical sentences over a run of consecutively numbered
-    models of one ``Layout``, as one integer mask: bit ``i`` stands for
-    model ``start + i``.
-
-    An atom's mask is built from digit masks: the models in which digit
-    ``k`` of the number has value ``v`` form a periodic bit pattern, runs of
-    ``stride`` ones every ``stride * radix`` bits.  Connectives are bit
-    operations, and a quantifier is the AND/OR of its body's masks with the
-    variable bound to each element in turn.
-    """
-
-    def __init__(self, layout, start, width):
-        self.layout = layout
-        self.start = start
-        self.width = width
-        self.full = (1 << width) - 1
-        self.domain = layout.domain
-        if layout.domain is not None:
-            self._elements = {name: i for i, name in enumerate(layout.domain)}
-        self._digits = {}
-        self._masks = {}
-
-    def digit_mask(self, k, v):
-        """The models whose digit ``k`` has value ``v``."""
-        key = (k, v)
-        mask = self._digits.get(key)
-        if mask is None:
-            layout = self.layout
-            stride = layout.strides[k]
-            mask = self._digits[key] = _periodic(
-                self.start, self.width, stride * layout.digits[k][1], v * stride, stride)
-        return mask
-
-    def classical(self, phi):
-        key = canonical_key(phi)
-        mask = self._masks.get(key)
-        if mask is None:
-            mask = self._masks[key] = self._eval(phi, {})
-        return mask
-
-    def _eval(self, phi, env):
-        """``phi``'s mask with its free variables bound by ``env`` to
-        element indices, as ``eval_classical`` binds them."""
-        if isinstance(phi, PredAtom):
-            mask = 0
-            for args, within in self._combinations(phi.args, env):
-                mask |= within & self.digit_mask(
-                    self.layout.digit[("p", phi.name, args)], 1)
-            return mask
-        if isinstance(phi, Equality):
-            rhs = self._term(phi.rhs, env)
-            mask = 0
-            for v, within in self._term(phi.lhs, env).items():
-                mask |= within & rhs.get(v, 0)
-            return mask
-        if isinstance(phi, PropAtom):
-            k = self.layout.digit.get(("a", phi.name))
-            if k is None:
-                raise EvalError(f"valuation does not cover atom {phi.name!r}")
-            return self.digit_mask(k, 1)
-        full = self.full
-        if isinstance(phi, Not):
-            return full ^ self._eval(phi.body, env)
-        if isinstance(phi, Forall):
-            mask = full
-            for v in range(len(self.domain)):
-                mask &= self._eval(phi.body, {**env, phi.var: v})
-                if not mask:
-                    break
-            return mask
-        if isinstance(phi, Exists):
-            mask = 0
-            for v in range(len(self.domain)):
-                mask |= self._eval(phi.body, {**env, phi.var: v})
-                if mask == full:
-                    break
-            return mask
-        left, right = self._eval(phi.left, env), self._eval(phi.right, env)
-        if isinstance(phi, And):
-            return left & right
-        if isinstance(phi, Or):
-            return left | right
-        if isinstance(phi, Implies):
-            return (full ^ left) | right
-        if isinstance(phi, Iff):
-            return full ^ left ^ right
-        raise EvalError(f"not a formula: {phi!r}")
-
-    def _combinations(self, terms, env):
-        """(argument element indices, the models where the terms take them)
-        for every combination the terms take somewhere in the block."""
-        combos = [((), self.full)]
-        for term in terms:
-            values = self._term(term, env)
-            combos = [(args + (v,), within & m) for args, within in combos
-                      for v, m in values.items() if within & m]
-        return combos
-
-    def _term(self, term, env):
-        """Element index -> the models where the term denotes it."""
-        if isinstance(term, Variable):
-            if term.name not in env:
-                raise EvalError(f"unbound variable {term.name!r}")
-            return {env[term.name]: self.full}
-        if isinstance(term, FuncApp):
-            out = {}
-            n = len(self.domain)
-            for args, within in self._combinations(term.args, env):
-                k = self.layout.digit[("f", term.name, args)]
-                for v in range(n):
-                    m = within & self.digit_mask(k, v)
-                    if m:
-                        out[v] = out.get(v, 0) | m
-            return out
-        if isinstance(term, Constant):
-            k = self.layout.digit[("c", term.name)]
-        elif isinstance(term, Parameter):
-            k = self.layout.digit.get(("c", PARAM_PREFIX + term.element))
-            if k is None:
-                if term.element not in self._elements:
-                    raise EvalError(f"parameter {to_text_term(term)} not in domain")
-                return {self._elements[term.element]: self.full}
-        else:
-            raise EvalError(f"not a term: {term!r}")
-        masks = {v: self.digit_mask(k, v) for v in range(len(self.domain))}
-        return {v: m for v, m in masks.items() if m}
-
-
-def _periodic(start, width, period, offset, run):
-    """Bits ``i < width`` such that ``(start + i) % period`` lies in
-    ``[offset, offset + run)``."""
-    first = start - start % period
-    if period > width:   # the block meets at most two periods
-        mask = 0
-        for base in (first + offset, first + period + offset):
-            lo, hi = max(base, start), min(base + run, start + width)
-            if lo < hi:
-                mask |= ((1 << (hi - lo)) - 1) << (lo - start)
-        return mask
-    tiled, size = ((1 << run) - 1) << offset, period
-    while size < start - first + width:
-        tiled |= tiled << size
-        size *= 2
-    return (tiled >> (start - first)) & ((1 << width) - 1)
 
 
 def eval_fcs(structure, table, phi):

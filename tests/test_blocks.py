@@ -19,10 +19,9 @@ from supkit import semantics
 from supkit.choice import enumerate_tables
 from supkit.cli import run
 from supkit.corpus import corpus_entries
-from supkit.models import Layout, element_names, eval_classical, vocabulary_of
+from supkit.models import Block, Layout, element_names, eval_classical, vocabulary_of
 from supkit.semantics import (
     DEFAULT_BUDGET,
-    Block,
     Countermodel,
     SearchSpace,
     check_consequence,

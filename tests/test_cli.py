@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +214,35 @@ def test_check_proof_parse_error_names_its_line(capsys, tmp_path):
         path.write_text(json.dumps(data))
         code, out, err = invoke(capsys, "check-proof", str(path), "--json")
         assert (code, out, err) == (2, "", f"error: {expected}\n")
+
+
+@pytest.mark.parametrize("where, place", [
+    ("line", "line 57"), ("cert", "certificate of line {sv}, line 41"),
+    ("certificate", "certificate of line {sv}"), ("hypothesis", "hypothesis 2"),
+], ids=("line", "certificate-line", "certificate", "hypothesis"))
+def test_check_proof_malformed_json_names_its_place(capsys, tmp_path, where, place):
+    from supkit.corpus import corpus_entries
+    proof = next(e.proof for e in corpus_entries() if e.name == "k1_sv_double_negation")
+    sv_line = len(proof.lines)
+    data = proof_to_json(proof)
+    cert = data["lines"][sv_line - 1]["just"]["cert"]
+    bad_mp = {"kind": "mp", "from": [1]}
+    if where == "line":
+        data["lines"][56]["just"] = bad_mp
+    elif where == "cert":
+        cert["lines"][40]["just"] = bad_mp
+    elif where == "certificate":
+        cert["system"] = 5
+    else:
+        data["hypotheses"] = ["p0", 5]
+    problem = {"certificate": "'system' must be a string",
+               "hypothesis": "a hypothesis must be a string"}.get(
+                   where, "an mp 'from' must be two line numbers")
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "check-proof", str(path), "--json")
+    place = place.format(sv=sv_line)
+    assert (code, out, err) == (2, "", f"error: malformed proof JSON: {place}: {problem}\n")
 
 
 def test_demo_no_uniform(capsys):
@@ -436,3 +469,57 @@ def test_jobs_start_no_more_workers_than_blocks(capsys, monkeypatch, width, jobs
     assert invoke(capsys, *args, "--jobs", str(jobs)) == serial
     assert sizes == [workers]
     assert json.loads(serial[1])["models_checked"] == 10
+
+
+# One process, one parser: each call must print what a fresh process prints,
+# with argparse errors between the calls, and see no option that an earlier
+# call gave (the premises before a taut, --jobs, --case, --oracle-bound).
+_SEQUENCE = (
+    ["consequence", "--premises", "P(c1)", "--conclusion", "P(c1) sup Q(c1) -> P(c1)",
+     "--jobs", "2", "--max-domain", "1", "--json"],
+    ["taut", "--formula", "P(c1) sup Q(c1) -> P(c1)", "--max-domain", "1"],
+    ["taut", "--nope"],
+    ["demo", "ui-failure", "--case", "2", "--json"],
+    ["demo", "ui-failure"],
+    ["demo", "no-uniform", "--oracle-bound", "1", "--json"],
+    ["classify"],
+    ["demo", "no-uniform", "--json"],
+    ["consequence", "--conclusion", "P(c1) -> P(c1)", "--class", "reg", "--json"],
+    ["parse", "--formula", "P(c1) sup Q(c1)"],
+)
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-m", "supkit.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout
+
+
+def test_one_parser_serves_many_calls_as_fresh_processes_do(capsys):
+    codes = []
+    for argv in _SEQUENCE:
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:   # argparse rejects the command line
+            code = exc.code
+        out = capsys.readouterr().out
+        assert (code, out) == _fresh_process(argv), argv
+        codes.append(code)
+    assert codes == [0, 1, 2, 0, 0, 2, 2, 0, 0, 0]
+    for argv in _SEQUENCE:
+        try:
+            fresh = vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            continue
+        assert vars(cli._parser().parse_args(argv)) == fresh, argv
+
+
+def test_import_builds_no_parser():
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import supkit.cli as c; print(c._parser.cache_info().currsize)"],
+        env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True, text=True, timeout=60)
+    assert done.stdout == "0\n"

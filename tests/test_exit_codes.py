@@ -70,23 +70,29 @@ def _argv(draw, directory):
     return argv
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.data())
-def test_exit_codes_hold_their_contract(data):
-    with tempfile.TemporaryDirectory() as directory:
-        argv = data.draw(_argv(directory))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = run(argv)
-            except SystemExit as exc:   # argparse rejects the command line
-                code = exc.code
+def _run_and_check(argv):
+    """Run one command line and assert the exit-code contract on it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:   # argparse rejects the command line
+            code = exc.code
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err, argv
     if code == 2:
         assert err.startswith(("error: ", "usage: ")), (argv, err)
-    if code == 1:
+    if code == 1 and argv[0] == "demo":
+        # a demonstration whose claim fails over the searched bounds
+        assert out, argv
+        if "--json" in argv:
+            payload = json.loads(out)
+            rows = payload if isinstance(payload, list) else [payload]
+            assert any(row.get(claim) is False for row in rows for claim in
+                       ("ok", "verified", "contradiction", "dichotomy")), payload
+            assert argv[1] != "interpolation" or payload["violations"] > 0
+    elif code == 1:
         assert argv[0] in ("taut", "consequence", "check-proof"), argv
         if "--json" in argv:
             payload = json.loads(out)
@@ -94,6 +100,78 @@ def test_exit_codes_hold_their_contract(data):
             assert "countermodel" in payload or "reason" in payload
         else:
             assert out.startswith(("countermodel found:", "rejected at line")), out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_exit_codes_hold_their_contract(data):
+    with tempfile.TemporaryDirectory() as directory:
+        _run_and_check(data.draw(_argv(directory)))
+
+
+_ALPHAS = ("P(v)", "R(v,c1)", "v = c3", "P(v) \\/ Q(c1)", "exists u. R(u,v)", "P(g(v))",
+           "P(c1)", "P(v) /\\ Q(u)", "P(v) sup Q(v)")
+_TERMS = ("c1", "c2", "c3", "@e0", "g(c1)") * 2 + ("v", "g(")
+_THEORIES = (
+    {"markings": {"p0 sup p1": True, "p0": True, "p1": False}},
+    {"markings": {"p0 sup p1": True, "p0": False, "p1": False}},
+    {"markings": {"~~p0 sup p1": True, "p0 sup p1": True, "~~p0": True, "p0": True,
+                  "p1": True}},
+    {"markings": {"~~P(c1) sup Q(c1)": True, "P(c1) sup Q(c1)": True, "~~P(c1)": True,
+                  "P(c1)": True, "Q(c1)": True}},
+    {"markings": {"forall v. P(v) sup Q(v)": True, "P(c1) sup Q(c1)": True}},
+)
+# mostly values that are accepted, so that most demonstrations run
+_DEMO_OPTIONS = {
+    "--case": st.sampled_from(("1", "2", "3", "4") * 2 + ("5",)),
+    "--alpha": st.one_of(st.sampled_from(_ALPHAS), st.sampled_from(_ALPHAS), _formulas),
+    "--t1": st.sampled_from(_TERMS),
+    "--t2": st.sampled_from(_TERMS),
+    "--max-domain": st.sampled_from(("1", "2") * 3 + ("0",)),
+    "--oracle-bound": st.sampled_from(("1", "2") * 3 + ("0",)),
+    "--samples": st.sampled_from(("0", "1", "2", "3") * 2 + ("-1",)),
+    "--seed": st.integers(0, 3).map(str),
+}
+_DEMO_USES = {
+    "no-uniform": ("--alpha", "--oracle-bound"),
+    "object-superposition": ("--oracle-bound",),
+    "build-model": ("--max-domain", "--oracle-bound"),
+    "ui-failure": ("--case", "--alpha", "--t1", "--t2"),
+    "ui-failure-general": ("--case",),
+    "interpolation": ("--samples", "--seed"),
+}
+
+
+@st.composite
+def _demo_argv(draw, directory):
+    """A ``demo`` command line, with the options its demonstration reads and,
+    for build-model, a theory file that the draw writes into ``directory``."""
+    which = draw(st.sampled_from(("no-uniform", "object-superposition", "build-model",
+                                  "ui-failure") * 3 + ("ui-failure-general", "interpolation")))
+    argv = ["demo", which]
+    if which == "interpolation":   # the one slow demonstration: keep it small
+        argv += ["--samples", draw(_DEMO_OPTIONS["--samples"])]
+    if which == "build-model":
+        argv += ["--class", draw(st.sampled_from(("reg", "reg", "all")))]
+        if draw(st.integers(0, 9)):
+            path = os.path.join(directory, "theory.json")
+            theory = draw(st.sampled_from(_THEORIES) if draw(st.integers(0, 3)) else _json)
+            with open(path, "w") as handle:
+                json.dump(theory, handle)
+            argv += ["--theory", path]
+    for option in _DEMO_USES[which]:
+        if option not in argv and draw(st.booleans()):
+            argv += [option, draw(_DEMO_OPTIONS[option])]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_demo_exit_codes_hold_their_contract(data):
+    with tempfile.TemporaryDirectory() as directory:
+        _run_and_check(data.draw(_demo_argv(directory)))
 
 
 _JUSTS = st.sampled_from(({"kind": "hyp"}, {"kind": "axiom", "scheme": "P1"},

@@ -3,7 +3,8 @@
 The reference below is the earlier algorithm: it partitions a table's
 members once for the ``reg`` check and again, with every member's negation,
 for the class graphs, whatever the class, each time by a pairwise scan that
-decides each comparison through the oracle's ``_compute``.  The current
+decides each comparison through ``pairwise_equivalent``, the oracle's
+structure-by-structure comparison before fingerprints.  The current
 ``extendable`` builds one class graph per check, labels classes by the
 oracle's class ids and reads ``reg`` consistency off its 2-cycles; both must
 give the same answer on every table.
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from supkit import choice
+from supkit import choice, models
 from supkit.choice import (
     BoundedModelOracle,
     ChoiceTable,
@@ -28,7 +29,8 @@ from supkit.choice import (
     extendable,
 )
 from supkit.cli import run
-from supkit.syntax import Not, canonical_key, parse
+from supkit.models import EvalError
+from supkit.syntax import Not, SupkitError, canonical_key, free_vars, parse
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -63,16 +65,37 @@ def ref_has_cycle(nodes, edges):
     return any(color[n] == WHITE and visit(n) for n in list(color))
 
 
+def pairwise_equivalent(oracle, a, b):
+    """Whether ``a`` and ``b`` are equivalent up to ``oracle.max_domain``,
+    decided as the oracle did before fingerprints: over the pair's own
+    vocabulary, structure by structure and, for open formulas, assignment by
+    assignment."""
+    vocab = models.vocabulary_of([a, b])
+    if not vocab.first_order:
+        return all(
+            models.eval_classical(v, a) == models.eval_classical(v, b)
+            for v in models.valuations_over(vocab.prop_atoms)
+        )
+    fv = sorted(free_vars(a) | free_vars(b))
+    for structure in models.structures_over(vocab, oracle.max_domain):
+        for values in itertools.product(structure.domain, repeat=len(fv)):
+            env = dict(zip(fv, values))
+            if models.eval_classical(structure, a, env) != \
+                    models.eval_classical(structure, b, env):
+                return False
+    return True
+
+
 _REF_DECIDED = {}
 
 
 def ref_equivalent(oracle, a, b):
-    """``oracle._compute(a, b)``, memoised by the pair and the bound, which
-    are all that it depends on, so that the reference stays affordable on
-    the benchmark rungs."""
+    """``pairwise_equivalent(oracle, a, b)``, memoised by the pair and the
+    bound, which are all that it depends on, so that the reference stays
+    affordable on the benchmark rungs."""
     key = (oracle.max_domain, *sorted((canonical_key(a), canonical_key(b))))
     if key not in _REF_DECIDED:
-        _REF_DECIDED[key] = oracle._compute(a, b)
+        _REF_DECIDED[key] = pairwise_equivalent(oracle, a, b)
     return _REF_DECIDED[key]
 
 
@@ -219,17 +242,89 @@ def test_extendable_matches_reference_on_sampled_first_order_tables():
 ], ids=("propositional", "first-order"))
 def test_class_ids_match_the_pairwise_reference(pool, make_oracle):
     """One oracle, reused throughout, decides every pair of the pool and its
-    negations as ``_compute`` does, and partitions every subset of the pool
-    (the member set of any table over it) as the pairwise scan does."""
+    negations as ``pairwise_equivalent`` does, and partitions every subset of
+    the pool (the member set of any table over it) as the pairwise scan
+    does."""
     oracle = make_oracle()
     formulas = pool + [Not(f) for f in pool]
     for a, b in itertools.product(formulas, repeat=2):
-        assert oracle.equivalent(a, b) == oracle._compute(a, b), (a, b)
+        assert oracle.equivalent(a, b) == pairwise_equivalent(oracle, a, b), (a, b)
     subsets = [formulas] + [list(chosen) for size in range(2, len(pool) + 1)
                             for chosen in itertools.combinations(pool, size)]
     for members in subsets:
         assert class_representatives(oracle, members) == \
             ref_class_representatives(oracle, members), members
+
+
+# Pools beyond the tables' sentences: open formulas (free variables are read
+# as constants), function symbols with equality, and parameters (read as
+# constants under their ``@`` name).  Each is fed to one oracle in the order
+# of the pairs, so the oracle's vocabulary widens while classes exist.
+WIDER_POOLS = {
+    "open": ("P(v)", "P(u)", "~~P(v)", "P(v) /\\ P(u)", "P(u) /\\ P(v)", "v = u", "u = v",
+             "v = v", "R(v,u)", "R(u,v)", "exists u. R(v,u)", "exists w. R(v,w)",
+             "forall v. P(v)", "P(v) \\/ ~P(v)", "P(c1)", "v = c1 -> P(v)", "P(c1) /\\ v = c1"),
+    "functions-equality": (
+        "g(c1) = c1", "c1 = g(c1)", "g(g(c1)) = c1", "c1 = c2", "c2 = c1", "c1 = c1",
+        "g(c1) = g(c2)", "c1 = c2 -> g(c1) = g(c2)", "P(g(c1))", "forall v. g(v) = v",
+        "exists v. g(v) = c1", "forall v. exists u. g(u) = v",
+        "forall v. forall u. (g(v) = g(u) -> v = u)", "P(c1) \\/ ~P(c1)"),
+    "parameters": (
+        "P(@e0)", "P(@e1)", "@e0 = @e1", "@e1 = @e0", "@e0 = @e0", "R(@e0,c1)", "R(c1,@e0)",
+        "forall v. P(v) -> P(@e0)", "P(@e0) /\\ @e0 = @e1 -> P(@e1)", "exists v. v = @e2",
+        "P(c1)", "c1 = @e0 -> (P(c1) <-> P(@e0))"),
+}
+
+
+@pytest.mark.parametrize("pool, bound", [
+    ("open", 2), ("functions-equality", 2), ("functions-equality", 3), ("parameters", 2),
+])
+def test_class_ids_match_the_pairwise_reference_on_wider_pools(pool, bound):
+    oracle = BoundedModelOracle(bound)
+    formulas = [parse(text) for text in WIDER_POOLS[pool]]
+    formulas += [Not(f) for f in formulas]
+    for a, b in itertools.product(formulas, repeat=2):
+        assert oracle.equivalent(a, b) == pairwise_equivalent(oracle, a, b), (a, b)
+    assert class_representatives(oracle, formulas) == \
+        ref_class_representatives(oracle, formulas)
+
+
+def test_widening_keeps_the_classes_found_before():
+    """Formulas with new symbols, parameters and free variables join the
+    classes found before them, which keep their ids, as they would in an
+    oracle that saw the wide formulas first."""
+    early = [parse(text) for text in ("P(c1)", "~~P(c1)", "~P(c1)", "P(c1) \\/ ~P(c1)")]
+    late = [parse(text) for text in (
+        "P(c1) /\\ (Q(@e0) \\/ ~Q(@e0))", "R(v,c2) \\/ ~R(v,c2)", "g(c1) = g(c1) -> ~~P(c1)",
+        "Q(@e0)", "R(v,c2)", "~(P(c1) \\/ ~P(c1)) \\/ ~P(c1)")]
+    oracle = BoundedModelOracle(2)
+    assert [oracle.class_of(f) for f in early] == [0, 0, 1, 2]
+    assert [oracle.class_of(f) for f in late] == [0, 2, 0, 3, 4, 1]
+    assert oracle._vocab.parameters == ("e0",) and oracle._free == ("v",)
+    wide_first = BoundedModelOracle(2)
+    for f in late + early:
+        wide_first.class_of(f)
+    formulas = early + late
+    for a, b in itertools.product(formulas, repeat=2):
+        want = pairwise_equivalent(oracle, a, b)
+        assert oracle.equivalent(a, b) == wide_first.equivalent(a, b) == want, (a, b)
+    truth_tables = TruthTableOracle()
+    assert [truth_tables.class_of(parse(text)) for text in (
+        "p0", "~~p0", "p0 /\\ (p1 \\/ ~p1)", "p1", "~p0 \\/ p0 /\\ p1")] == [0, 0, 0, 1, 2]
+
+
+def test_oracle_rejects_what_it_cannot_compare():
+    oracle = TruthTableOracle()
+    oracle.class_of(parse("p0"))
+    with pytest.raises(SupkitError, match="propositional formulas only"):
+        oracle.class_of(parse("P(c1)"))
+    oracle = BoundedModelOracle(2)
+    oracle.class_of(parse("P(c1)"))
+    with pytest.raises(EvalError, match="mixes propositional atoms"):
+        oracle.class_of(parse("p0"))
+    with pytest.raises(EvalError, match="sup-free"):
+        oracle.class_of(parse("P(c1) sup Q(c1)"))
+    assert oracle.class_of(parse("~~P(c1)")) == 0   # the oracle still works
 
 
 # ---------------------------------------------------------------------------
