@@ -16,7 +16,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import constructions
 from .choice import (
@@ -169,26 +168,83 @@ def _verdict_output(args, verdict):
 
 
 def _search(premises, conclusion, spec, space, jobs, budget=DEFAULT_BUDGET):
-    """The verdict of check_consequence, with the space's blocks split into
-    at most ``jobs`` consecutive runs that worker processes scan; the
-    verdict, its counts and the budget are exactly those of the serial
-    search."""
+    """The verdict of check_consequence, with the space's models cut into
+    ``jobs`` equal shares (see ``shares``).  This process scans the first
+    share's blocks and one worker process scans each other share's, so no
+    process is started when one share holds every block.  The verdict, its
+    counts and the budget are exactly those of the serial search: the scans
+    are read in model order, and the workers still running once the verdict
+    is settled are killed, as they are on every other way out."""
     if jobs <= 1:
         return check_consequence(premises, conclusion, spec, space=space,
                                  budget=budget)
     check_restricted_sentences(list(premises) + [conclusion])
-    blocks = space.block_count()
-    step = -(-blocks // jobs)
-    chunks = [(space, first, first + step, premises, conclusion, spec, budget)
-              for first in range(0, blocks, step)]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        return verdict_of_scans(premises, conclusion, spec, space,
-                                pool.map(_search_chunk, chunks), budget)
+    blocks = list(space.blocks())
+    (first, stop), *rest = shares([width for _, _, width in blocks], jobs)
+    task = (premises, conclusion, spec, budget)
+    workers = []
+    try:
+        if rest:
+            import multiprocessing   # only here: importing cli stays cheap
+            for start, end in rest:
+                receive, send = multiprocessing.Pipe(duplex=False)
+                worker = multiprocessing.Process(
+                    target=_scan_share, args=(send, space, blocks[start:end], *task),
+                    daemon=True)
+                worker.start()
+                workers.append((worker, receive))
+                send.close()
+        scans = itertools.chain([scan_models(space, blocks[first:stop], *task)],
+                                itertools.starmap(_received, workers))
+        return verdict_of_scans(premises, conclusion, spec, space, scans, budget)
+    finally:
+        for worker, receive in workers:
+            worker.kill()
+            worker.join()
+            receive.close()
 
 
-def _search_chunk(chunk):
-    space, first, stop, *task = chunk
-    return scan_models(space, space.blocks(first, stop), *task)
+def shares(widths, jobs):
+    """Runs of consecutive blocks, given their widths in model order, as
+    ``(first, stop)`` block numbers: block ``b`` joins run
+    ``jobs * m_b // total``, where ``m_b`` is the number of its first model.
+    So there are at most ``jobs`` runs, and each holds within one block
+    width of ``total / jobs`` models."""
+    total = sum(widths)
+    runs, share, start = [], None, 0
+    for b, width in enumerate(widths):
+        if jobs * start // total != share:
+            share = jobs * start // total
+            runs.append([b, b])
+        runs[-1][1] = b + 1
+        start += width
+    return [tuple(run) for run in runs]
+
+
+def _scan_share(send, *scan):
+    """A worker's body: sends ``(True, scan_models(...))``, or ``(False,
+    exception)`` if it raised.  Interrupts are left to the caller, which
+    kills its workers."""
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        result = True, scan_models(*scan)
+    except Exception as exc:
+        result = False, exc
+    send.send(result)
+
+
+def _received(worker, receive):
+    """A worker's scan, or its exception raised again here."""
+    try:
+        ok, result = receive.recv()
+    except EOFError:
+        worker.join()
+        raise SupkitError(f"a search worker ended without a result "
+                          f"(exit code {worker.exitcode})") from None
+    if not ok:
+        raise result
+    return result
 
 
 def cmd_consequence(args):
@@ -451,7 +507,9 @@ def build_parser():
         cmd.add_argument("--max-domain", type=int, default=DEFAULT_DOMAIN_BOUND)
         cmd.add_argument("--oracle-bound", type=int, default=None)
         cmd.add_argument("--jobs", type=int, default=1,
-                         help="split the search's blocks across up to N processes")
+                         help="cut the models into N equal shares: this process scans "
+                              "the first, one more process each other share "
+                              "(none when one share holds every block)")
         _add_common(cmd)
         cmd.set_defaults(func=cmd_consequence)
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supkit import semantics
+from supkit import cli, semantics
 from supkit.choice import enumerate_tables
 from supkit.cli import run
 from supkit.corpus import corpus_entries
@@ -102,6 +102,51 @@ def test_rungs_match_the_model_by_model_reference(capsys, monkeypatch, rung):
     assert one == reference
     assert wide[0] == reference[0]
     assert _without_tables(wide[1]) == _without_tables(reference[1])
+
+
+# Sentences refuted only late in their spaces (by the 77th of 84 and the 93rd
+# of 228 structures), so that with one-model blocks their countermodels fall
+# in a worker's share; the rungs' countermodels all fall in the first share.
+LATE = (
+    "(forall v. forall w. forall u. (v = w \\/ v = u \\/ w = u)) \\/ (exists v. ~P(v))"
+    " \\/ ((exists v. P(v)) sup (exists v. Q(v)))",
+    "(forall v. forall w. forall u. (v = w \\/ v = u \\/ w = u)) \\/ (exists v. ~P(v))"
+    " \\/ (P(c1) sup Q(c1))",
+)
+
+
+def test_jobs_print_what_the_serial_search_prints(capsys, monkeypatch):
+    """``--jobs 2`` and ``--jobs 3`` give the serial output and exit code on
+    every rung, with blocks of one model, so that shares really split, and
+    at the default width; the countermodels found fall in this process's
+    share and in workers' shares."""
+    found_in = set()
+    scan_models, received = cli.scan_models, cli._received
+
+    def own_scan(*scan):
+        result = scan_models(*scan)
+        if result[0] is not None:
+            found_in.add("caller")
+        return result
+
+    def workers_scan(*worker):
+        result = received(*worker)
+        if result[0] is not None:
+            found_in.add("worker")
+        return result
+
+    monkeypatch.setattr(cli, "scan_models", own_scan)
+    monkeypatch.setattr(cli, "_received", workers_scan)
+    argvs = [_rung_argv(rung) for rung in RUNGS] + \
+        [["taut", "--formula", text, "--json"] for text in LATE]
+    for width in (1, semantics.BLOCK_WIDTH):
+        monkeypatch.setattr(semantics, "BLOCK_WIDTH", width)
+        for argv in argvs:
+            serial = (run(argv), capsys.readouterr().out)
+            for jobs in ("2", "3"):
+                assert (run(argv + ["--jobs", jobs]), capsys.readouterr().out) == serial, \
+                    (width, argv, jobs)
+    assert found_in == {"caller", "worker"}
 
 
 def _verdict_json(entry, monkeypatch, width, scan):

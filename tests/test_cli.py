@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -127,16 +129,17 @@ def test_jobs_keeps_the_budget():
     phi = parse("(forall v. (P(v) sup Q(v))) -> exists v. (P(v) sup Q(v))")
     spec = class_spec_for("all", [phi])
     space = SearchSpace.for_task([phi])
-    for jobs in (1, 2):
+    for jobs in (1, 2, 3):
         with pytest.raises(SearchBudgetError):
             _search([], phi, spec, space, jobs, budget=10)
     serial = _search([], phi, spec, SearchSpace.for_task([phi], max_domain=2), 1)
-    parallel = _search([], phi, spec, SearchSpace.for_task([phi], max_domain=2), 2,
-                       budget=serial.tables_checked)
-    assert parallel.to_json() == serial.to_json()
-    with pytest.raises(SearchBudgetError):
-        _search([], phi, spec, SearchSpace.for_task([phi], max_domain=2), 2,
-                budget=serial.tables_checked - 1)
+    for jobs in (2, 3):
+        parallel = _search([], phi, spec, SearchSpace.for_task([phi], max_domain=2), jobs,
+                           budget=serial.tables_checked)
+        assert parallel.to_json() == serial.to_json()
+        with pytest.raises(SearchBudgetError):
+            _search([], phi, spec, SearchSpace.for_task([phi], max_domain=2), jobs,
+                    budget=serial.tables_checked - 1)
 
 
 @pytest.mark.parametrize("formula", ["P(v)", "(forall v. P(v) sup Q(v)) sup P(c1)"])
@@ -438,36 +441,40 @@ def test_demo_build_model_checks_max_domain(capsys, tmp_path):
     assert invoke(capsys, *argv, "1")[0] == 0
 
 
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps
-    in this process, so that no worker is started."""
+class _InProcess:
+    """Stands in for multiprocessing.Process: counts the workers started, and
+    runs each one's body in this process when it is started."""
 
-    def __init__(self, sizes, max_workers):
-        sizes.append(max_workers)
+    def __init__(self, started, target, args, daemon):
+        started.append(self)
+        self.target, self.args = target, args
 
-    def __enter__(self):
-        return self
+    def start(self):
+        handler = signal.getsignal(signal.SIGINT)   # the body ignores SIGINT
+        self.target(*self.args)
+        signal.signal(signal.SIGINT, handler)
 
-    def __exit__(self, *exc):
-        return False
+    def kill(self):
+        pass
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def join(self):
+        pass
 
 
 @pytest.mark.parametrize("width, jobs, workers", [
-    (semantics.BLOCK_WIDTH, 5000, 2), (1, 3, 3), (1, 5000, 10),
+    (semantics.BLOCK_WIDTH, 5000, 1), (1, 3, 2), (1, 5000, 9),
 ])
 def test_jobs_start_no_more_workers_than_blocks(capsys, monkeypatch, width, jobs, workers):
-    # P(c1) has 2 and 8 structures of sizes 1 and 2: 2 blocks, or 10 of one model
+    # P(c1) has 2 and 8 structures of sizes 1 and 2: 2 blocks, or 10 of one
+    # model; this process scans the first share, a worker each other share
     monkeypatch.setattr(semantics, "BLOCK_WIDTH", width)
-    sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor",
-                        lambda max_workers: _InProcessPool(sizes, max_workers))
+    started = []
+    monkeypatch.setattr(multiprocessing, "Process",
+                        lambda **kw: _InProcess(started, **kw))
     args = ("taut", "--formula", "P(c1) sup P(c1) -> P(c1)", "--max-domain", "2", "--json")
     serial = invoke(capsys, *args)
     assert invoke(capsys, *args, "--jobs", str(jobs)) == serial
-    assert sizes == [workers]
+    assert len(started) == workers
     assert json.loads(serial[1])["models_checked"] == 10
 
 
@@ -523,3 +530,12 @@ def test_import_builds_no_parser():
          "import supkit.cli as c; print(c._parser.cache_info().currsize)"],
         env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True, text=True, timeout=60)
     assert done.stdout == "0\n"
+
+
+def test_import_loads_no_process_machinery():
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, supkit.cli; print(sorted({'multiprocessing', 'concurrent.futures'}"
+         " & set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True, text=True, timeout=60)
+    assert done.stdout == "[]\n"
