@@ -46,6 +46,9 @@ class MissingEntryError(SupkitError):
         a, b = pair
         super().__init__(f"no entry for pair {{{to_text(a)}, {to_text(b)}}}")
 
+    def __reduce__(self):
+        return type(self), (self.pair,)
+
 
 class NotBasicError(SupkitError):
     pass
@@ -167,6 +170,12 @@ def choose(table, a, b):
     if kc is None:
         raise MissingEntryError((fa, fb))
     return fa if kc == ka else fb
+
+
+def pick(table, sup):
+    """The table's pick at a ``sup`` node: its choice between the collapses
+    of the node's two operands."""
+    return choose(table, collapse(table, sup.left), collapse(table, sup.right))
 
 
 def collapse(table, phi):
@@ -507,6 +516,10 @@ def extendable(table, spec):
     of classes that choose different classes are the edges A -> B and
     B -> A of the inter-class graph, a 2-cycle, and the duality closure
     contains that graph.
+
+    The search does not call this: it prunes by ``TableNode``'s incremental
+    step, which must agree with this check, rebuilt from scratch, on every
+    one-entry extension.
     """
     name = spec.name
     if name == "all":
@@ -522,26 +535,168 @@ def extendable(table, spec):
     return not (_has_cycle(intra) or _has_cycle(inter))
 
 
+# ---------------------------------------------------------------------------
+# The search trie
+
+
+class TableNode:
+    """A table of one verdict's search trie, with what the search learns
+    about it.
+
+    * ``children``: the one-entry extensions built so far, keyed by the
+      canonical keys of the pair and of the pick, ``None`` where the class
+      rules one out.  Blocks of one verdict reach different pairs from the
+      same table, so a node may have children on several pairs.
+    * ``picks``: the chosen member at each ``sup`` node already evaluated on
+      the table, by the node's ``id``.  The node is stored with its pick,
+      which keeps it alive, so its ``id`` is not reused while the entry
+      lasts.  A child starts from a copy of its parent's picks: adding
+      entries never changes a pick.
+    * ``succ``: the class graph, as node -> successors (``None`` for a seed
+      table that no table of the class extends).  Each entry adds the edge
+      winner -> loser: on member keys for asso; on class ids between two
+      classes and on keys inside one for reg, regstar and dec (keys are
+      strings and ids integers, so the two parts never meet; reg keeps no
+      edges inside a class).  dec adds with each edge A -> B between
+      classes its dual ~B -> ~A.  That is the whole duality closure of
+      ``_dec_closure``: negation is an involution on classes, so the dual
+      of a dual is the edge itself.
+
+    A child is admissible, as ``extendable`` decides from scratch, iff its
+    new edges close no cycle in the parent's graph, that is, iff no loser
+    already reaches its winner; for reg, iff no loser already beats its
+    winner directly.  The trie holds no state on a ``ChoiceTable``, so
+    tables stay plain values that pickle and compare as before.
+    """
+
+    __slots__ = ("table", "spec", "negations", "succ", "children", "picks")
+
+    def __init__(self, table, spec, negations, succ, picks):
+        self.table = table
+        self.spec = spec
+        self.negations = negations   # class id -> its negation's, for dec
+        self.succ = succ
+        self.children = {}
+        self.picks = picks
+
+    @classmethod
+    def root(cls, spec, seed=None, mode=SENTENCE_MODE):
+        """A new trie's root: the seed table (empty by default), its class
+        graph built from its entries."""
+        node = cls(seed if seed is not None else ChoiceTable(mode=mode), spec, {}, {}, {})
+        table = node.table
+        for (ka, kb), kc in sorted(table.entries.items()):
+            a, b = table.formulas[ka], table.formulas[kb]
+            node.succ = node._step(a, b, a if kc == ka else b)
+            if node.succ is None:
+                break
+        return node
+
+    def child(self, a, b, choice):
+        """The node of this table extended by ``choice`` on the pair
+        ``{a, b}`` (in canonical order), or ``None`` when the class rules
+        that table out."""
+        key = (canonical_key(a), canonical_key(b), canonical_key(choice))
+        try:
+            return self.children[key]
+        except KeyError:
+            pass
+        node = None
+        succ = self._step(a, b, choice) if self.succ is not None else None
+        if succ is not None:
+            node = TableNode(self.table.with_entry(a, b, choice), self.spec,
+                             self.negations, succ, dict(self.picks))
+        self.children[key] = node
+        return node
+
+    def _step(self, a, b, choice):
+        """The class graph with the entry ``{a, b} -> choice`` added, or
+        ``None`` when that closes a cycle."""
+        name = self.spec.name
+        if name == "all":
+            return self.succ
+        ka, kb = canonical_key(a), canonical_key(b)
+        if canonical_key(choice) != ka:
+            a, b, ka, kb = b, a, kb, ka   # a wins, b loses
+        edges = [(ka, kb)]
+        if name != "asso":
+            oracle = self.spec.require_oracle()
+            ca, cb = oracle.class_of(a), oracle.class_of(b)
+            if ca != cb:
+                edges = [(ca, cb)]
+                if name == "dec":
+                    edges.append((self._negation(oracle, cb, b), self._negation(oracle, ca, a)))
+            elif name == "reg":
+                return self.succ
+        succ = dict(self.succ)
+        for winner, loser in edges:
+            closes = winner in succ.get(loser, ()) if name == "reg" else \
+                _reaches(succ, loser, winner)
+            if closes:
+                return None
+            if loser not in succ.get(winner, ()):
+                succ[winner] = succ.get(winner, ()) + (loser,)
+        return succ
+
+    def _negation(self, oracle, cid, phi):
+        """The class of ``~phi``, given ``phi``'s class ``cid``."""
+        neg = self.negations.get(cid)
+        if neg is None:
+            neg = self.negations[cid] = oracle.class_of(Not(phi))
+        return neg
+
+    def pick(self, sup):
+        """``pick(self.table, sup)``, evaluated once per node."""
+        hit = self.picks.get(id(sup))
+        if hit is None:
+            hit = self.picks[id(sup)] = sup, pick(self.table, sup)
+        return hit[1]
+
+    def leaves(self, task):
+        """Run ``task`` (a callable taking a node) here and, at each
+        MissingEntryError, under each admissible child on the missing pair,
+        the canonically smaller pick first.  Yields ``(node, result)`` for
+        each node where the task returns."""
+        try:
+            result = task(self)
+        except MissingEntryError as exc:
+            a, b = exc.pair
+            for choice in (a, b):
+                node = self.child(a, b, choice)
+                if node is not None:
+                    yield from node.leaves(task)
+            return
+        yield self, result
+
+
+def _reaches(succ, source, target):
+    """Whether the digraph ``succ`` has a path from ``source`` to ``target``."""
+    seen = {source}
+    stack = [source]
+    while stack:
+        for node in succ.get(stack.pop(), ()):
+            if node == target:
+                return True
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return False
+
+
 def enumerate_tables(task, spec, seed=None, mode=SENTENCE_MODE):
     """Run ``task`` (a callable taking a table) under every admissible total
     extension of the seed table on the pairs the task actually reaches.
 
-    Branch points are discovered lazily from MissingEntryError; each branch
-    is pruned through ``extendable``.  Yields (table, result) pairs in
-    deterministic order (canonically smaller choice first).
+    Branch points are discovered lazily from MissingEntryError and walked
+    as a ``TableNode`` trie; each branch is pruned by the node's incremental
+    step, whose reference is ``extendable``.  Yields (table, result) pairs
+    in deterministic order (canonically smaller choice first).
+
+    The seed may also be a trie's node: the search then walks and extends
+    that trie, and the task takes, and the pairs hold, nodes.
     """
-    base = seed if seed is not None else ChoiceTable(mode=mode)
-
-    def run(table):
-        try:
-            result = task(table)
-        except MissingEntryError as exc:
-            a, b = exc.pair
-            for pick in (a, b):
-                extended = table.with_entry(a, b, pick)
-                if extendable(extended, spec):
-                    yield from run(extended)
-            return
-        yield table, result
-
-    yield from run(base)
+    if isinstance(seed, TableNode):
+        yield from seed.leaves(task)
+        return
+    for node, result in TableNode.root(spec, seed, mode).leaves(lambda node: task(node.table)):
+        yield node.table, result

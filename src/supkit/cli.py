@@ -174,7 +174,9 @@ def _search(premises, conclusion, spec, space, jobs, budget=DEFAULT_BUDGET):
     process is started when one share holds every block.  The verdict, its
     counts and the budget are exactly those of the serial search: the scans
     are read in model order, and the workers still running once the verdict
-    is settled are killed, as they are on every other way out."""
+    is settled are killed, as they are on every other way out.  Each share's
+    scan builds its own table trie (see ``scan_models``); none is shared
+    between processes."""
     if jobs <= 1:
         return check_consequence(premises, conclusion, spec, space=space,
                                  budget=budget)

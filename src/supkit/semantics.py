@@ -20,10 +20,11 @@ from .choice import (
     BoundedModelOracle,
     ChoiceTable,
     ClassSpec,
+    TableNode,
     TruthTableOracle,
-    choose,
     collapse,
     enumerate_tables,
+    pick,
 )
 from .models import (
     Block,
@@ -78,8 +79,10 @@ def eval_scs(model, table, phi):
 
 def _truth(block, table, phi, care):
     """The truth mask of a restricted sentence over a block of models (see
-    ``Block``).  Bits outside ``care`` may be wrong: they are models whose
-    truth here no longer matters to the caller.
+    ``Block``), under a ``ChoiceTable`` or a search trie's ``TableNode``,
+    which picks at each ``sup`` node once per table.  Bits outside ``care``
+    may be wrong: they are models whose truth here no longer matters to the
+    caller.
 
     A subformula is evaluated when, and only when, some model of its care
     mask would evaluate it on its own, and the table is read only at
@@ -90,7 +93,7 @@ def _truth(block, table, phi, care):
         return block.classical(phi)
     if isinstance(phi, Sup):
         return block.classical(
-            choose(table, collapse(table, phi.left), collapse(table, phi.right)))
+            table.pick(phi) if isinstance(table, TableNode) else pick(table, phi))
     full = block.full
     if isinstance(phi, Not):
         return full ^ _truth(block, table, phi.body, care)
@@ -302,16 +305,21 @@ def scan_models(space, blocks, premises, conclusion, spec, budget=DEFAULT_BUDGET
     model is searched again as a block of its own, so the countermodel and
     its table are those of a search model by model; ``models_checked``
     counts the models up to it, and ``tables_checked`` every leaf of every
-    search made."""
+    search made.
+
+    Every search starts from the root of one ``TableNode`` trie, made here
+    and dropped on return, so a table that several blocks reach is built,
+    judged and evaluated at each ``sup`` node once."""
     models_checked = 0
     tables_checked = 0
     layouts = {}
+    root = TableNode.root(spec)
     for size, start, width in blocks:
         if size not in layouts:
             layouts[size] = space.layout(size)
         layout = layouts[size]
         index, table, leaves = _search_block(
-            Block(layout, start, width), premises, conclusion, spec, budget - tables_checked)
+            Block(layout, start, width), premises, conclusion, root, budget - tables_checked)
         tables_checked += leaves
         if tables_checked > budget:
             return None, models_checked, tables_checked
@@ -321,7 +329,7 @@ def scan_models(space, blocks, premises, conclusion, spec, budget=DEFAULT_BUDGET
         models_checked += index + 1
         if width > 1:
             _, table, leaves = _search_block(
-                Block(layout, start + index, 1), premises, conclusion, spec,
+                Block(layout, start + index, 1), premises, conclusion, root,
                 budget - tables_checked)
             tables_checked += leaves
             if tables_checked > budget:
@@ -331,31 +339,32 @@ def scan_models(space, blocks, premises, conclusion, spec, budget=DEFAULT_BUDGET
     return None, models_checked, tables_checked
 
 
-def _search_block(block, premises, conclusion, spec, allowance):
+def _search_block(block, premises, conclusion, root, allowance):
     """``(i, table, leaves)``: the block's lowest refuted model ``i`` (-1 if
-    none) and the first leaf table refuting it.  Once a model is refuted,
-    the rest of the search evaluates only the models below it, since only
-    they can lower ``i``; every branch still offers each admissible choice,
-    so each of those models still meets each of its own leaves.  Stops as
-    soon as more than ``allowance`` leaves are seen."""
+    none) and the first leaf table refuting it, searched from the trie's
+    ``root``.  Once a model is refuted, the rest of the search evaluates
+    only the models below it, since only they can lower ``i``; every branch
+    still offers each admissible choice, so each of those models still
+    meets each of its own leaves.  Stops as soon as more than ``allowance``
+    leaves are seen."""
     below = block.full   # the models that may still lower the answer
 
-    def task(table):
+    def task(node):
         care = below
         for sigma in premises:
-            care &= _truth(block, table, sigma, care)
+            care &= _truth(block, node, sigma, care)
             if not care:
                 return 0
-        return care & ~_truth(block, table, conclusion, care)
+        return care & ~_truth(block, node, conclusion, care)
 
     found, leaves = None, 0
-    for table, refuted in enumerate_tables(task, spec):
+    for node, refuted in enumerate_tables(task, root.spec, root):
         leaves += 1
         if leaves > allowance:
             break
         if refuted:
             below = (refuted & -refuted) - 1
-            found = table
+            found = node.table
             if not below:
                 break
     return (below + 1).bit_length() - 1 if found is not None else -1, found, leaves

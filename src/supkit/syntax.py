@@ -339,29 +339,29 @@ class Signature:
         object.__setattr__(self, "functions", dict(self.functions or {}))
         object.__setattr__(self, "predicates", dict(self.predicates or {}))
         object.__setattr__(self, "prop_atoms", frozenset(self.prop_atoms))
+        names = [*self.constants, *self.functions, *self.predicates, *self.prop_atoms]
+        # An ASCII identifier is exactly what _IDENT matches; these passes
+        # run in C, and the walk below, only on failure, finds the offender.
+        if not (all(map(str.isidentifier, names)) and "".join(names).isascii()) \
+                or len(set(names)) < len(names):
+            self._raise_for_names()
+        arities = [*self.functions.values(), *self.predicates.values()]
+        if arities and (set(map(type, arities)) != {int} or min(arities) < 1):
+            for name, arity in [*self.functions.items(), *self.predicates.items()]:
+                if type(arity) is not int or arity < 1:
+                    raise SupkitError(f"arity of {name!r} must be a positive integer")
+
+    def _raise_for_names(self):
+        """Raise for the first illegal or twice-declared name."""
         seen = {}
-        groups = [
-            ("constant", self.constants),
-            ("function", self.functions),
-            ("predicate", self.predicates),
-            ("prop_atom", self.prop_atoms),
-        ]
-        for kind, names in groups:
+        for kind, names in (("constant", self.constants), ("function", self.functions),
+                            ("predicate", self.predicates), ("prop_atom", self.prop_atoms)):
             for name in names:
                 if not _IDENT.match(name):
                     raise SupkitError(f"illegal {kind} name {name!r}")
-                if name.startswith(PARAM_PREFIX):
-                    raise SupkitError(
-                        f"{kind} name {name!r} uses the reserved parameter prefix"
-                    )
                 if name in seen:
-                    raise SupkitError(
-                        f"name {name!r} declared both as {seen[name]} and {kind}"
-                    )
+                    raise SupkitError(f"name {name!r} declared both as {seen[name]} and {kind}")
                 seen[name] = kind
-        for name, arity in list(self.functions.items()) + list(self.predicates.items()):
-            if type(arity) is not int or arity < 1:
-                raise SupkitError(f"arity of {name!r} must be a positive integer")
 
     def is_prop_atom(self, name):
         if name in self.prop_atoms:
