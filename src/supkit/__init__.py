@@ -12,7 +12,6 @@ from .choice import (
     MissingEntryError,
     NotBasicError,
     OracleRequiredError,
-    PreferenceGraph,
     TruthTableOracle,
     check_class,
     choose,

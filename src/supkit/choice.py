@@ -1,7 +1,8 @@
 """Choice tables over unordered pairs of classical formulas, the collapsing
-map that eliminates sup nodes, membership/extendability checks for the
-table classes (all / regular / associative / regular+associative /
-negation-decreasing), and lazy enumeration of admissible tables.
+map that eliminates sup nodes, the equivalence oracles, the table classes
+(all / regular / associative / regular+associative / negation-decreasing),
+and the search trie, which enumerates admissible tables lazily and also
+decides class membership: ``extendable`` and ``check_class`` ask its step.
 
 Tables are immutable values; pair keys are canonicalized so symmetry and
 idempotence hold by construction.
@@ -362,44 +363,6 @@ class ClassVerdict:
         return self.ok
 
 
-@dataclass(frozen=True)
-class PreferenceGraph:
-    """Winner -> loser digraph induced by a table's entries."""
-
-    nodes: frozenset
-    edges: frozenset
-
-    @classmethod
-    def from_table(cls, table):
-        return cls(frozenset(k for pair in table.entries for k in pair),
-                   frozenset((kc, kb if kc == ka else ka)
-                             for (ka, kb), kc in table.entries.items()))
-
-    def has_cycle(self):
-        return _has_cycle(self.edges)
-
-
-def _has_cycle(edges):
-    """Whether the digraph with these edges has a cycle (a node without
-    edges lies on none)."""
-    succ = {}
-    for a, b in edges:
-        succ.setdefault(a, set()).add(b)
-    GREY, BLACK = 1, 2
-    color = {}
-
-    def visit(n):
-        color[n] = GREY
-        for m in succ.get(n, ()):
-            seen = color.get(m)
-            if seen == GREY or (seen is None and visit(m)):
-                return True
-        color[n] = BLACK
-        return False
-
-    return any(n not in color and visit(n) for n in succ)
-
-
 def class_representatives(oracle, formulas):
     """Map canonical key -> representative key (lexicographically least
     member of each equivalence class within the given collection)."""
@@ -411,60 +374,11 @@ def class_representatives(oracle, formulas):
     return {key: least[cid] for key, cid in ids.items()}
 
 
-def _reg_violation(table, oracle):
-    """Two entries whose class-pairs coincide must choose equivalent sides."""
-    seen = {}
-    for a, b, c in table.pairs():
-        ca, cb, cc = oracle.class_of(a), oracle.class_of(b), oracle.class_of(c)
-        if ca == cb:
-            continue
-        class_pair = (ca, cb) if ca < cb else (cb, ca)
-        prev = seen.get(class_pair)
-        if prev is not None and prev[0] != cc:
-            return (prev[1], (a, b, c))
-        seen[class_pair] = (cc, (a, b, c))
-    return None
-
-
-def _class_graphs(table, oracle, negations=False):
-    """Split entry constraints into an inter-class digraph over class ids
-    and per-class digraphs over member keys, returned after a map from each
-    member's class to its negation's class (for the duality closure), which
-    is built only with ``negations`` and is empty otherwise."""
-    ids = {key: oracle.class_of(f) for key, f in table.formulas.items()}
-    neg_class = {ids[key]: oracle.class_of(Not(f))
-                 for key, f in table.formulas.items()} if negations else {}
-    inter_edges, intra_edges = set(), set()
-    for (ka, kb), kc in table.entries.items():
-        loser = kb if kc == ka else ka
-        if ids[ka] == ids[kb]:
-            intra_edges.add((kc, loser))
-        else:
-            inter_edges.add((ids[kc], ids[loser]))
-    return neg_class, inter_edges, intra_edges
-
-
-def _dec_closure(inter_edges, neg_class):
-    """Close class edges under the duality rule: A beats B forces not-B to
-    beat not-A (inequivalent classes only; the involution is fixed-point
-    free classically)."""
-    closed = set(inter_edges)
-    frontier = list(inter_edges)
-    while frontier:
-        a, b = frontier.pop()
-        na, nb = neg_class.get(a), neg_class.get(b)
-        if na is None or nb is None or na == nb:
-            continue
-        dual = (nb, na)
-        if dual not in closed:
-            closed.add(dual)
-            frontier.append(dual)
-    return closed
-
-
 def check_class(table, spec, universe):
     """Membership of a table in a class, relative to a finite universe of
-    classical sentences.  Returns the first violation found as a witness."""
+    classical sentences.  Associativity is checked on every triple of the
+    universe, and a failing triple is returned as the witness; regularity,
+    and for dec the class graph, are decided by ``extendable``."""
     name = spec.name
     if name == "all":
         return ClassVerdict(True)
@@ -472,24 +386,14 @@ def check_class(table, spec, universe):
         verdict = _check_asso(table, universe)
         if not verdict:
             return verdict
-    if name in ("reg", "regstar", "dec"):
-        oracle = spec.require_oracle()
-        violation = _reg_violation(table, oracle)
-        if violation is not None:
-            return ClassVerdict(
-                False, kind="reg", witness=violation,
-                detail="entries on equivalent pairs choose inequivalent sides",
-            )
-    if name == "dec":
-        oracle = spec.require_oracle()
-        neg_class, inter, intra = _class_graphs(table, oracle, negations=True)
-        if _has_cycle(intra):
-            return ClassVerdict(False, kind="dec", detail="cyclic choices inside a class")
-        if _has_cycle(_dec_closure(inter, neg_class)):
-            return ClassVerdict(
-                False, kind="dec",
-                detail="duality-closed preference graph is cyclic",
-            )
+    if name in ("reg", "regstar", "dec") and \
+            not extendable(table, ClassSpec("reg", spec.require_oracle())):
+        return ClassVerdict(False, kind="reg",
+                            detail="entries on equivalent pairs choose inequivalent sides")
+    if name == "dec" and not extendable(table, spec):
+        return ClassVerdict(
+            False, kind="dec",
+            detail="cyclic choices inside a class or in the duality-closed class graph")
     return ClassVerdict(True)
 
 
@@ -506,33 +410,10 @@ def _check_asso(table, universe):
 
 
 def extendable(table, spec):
-    """Whether some total table in the class agrees with this partial table.
-
-    all: always; reg: class-pair choices consistent; asso: preference graph
-    acyclic; regstar: the inter-class and per-class graphs acyclic; dec:
-    additionally the duality-closed class graph is acyclic.
-
-    regstar and dec need no separate reg pass: two entries on the same pair
-    of classes that choose different classes are the edges A -> B and
-    B -> A of the inter-class graph, a 2-cycle, and the duality closure
-    contains that graph.
-
-    The search does not call this: it prunes by ``TableNode``'s incremental
-    step, which must agree with this check, rebuilt from scratch, on every
-    one-entry extension.
-    """
-    name = spec.name
-    if name == "all":
-        return True
-    if name == "asso":
-        return not PreferenceGraph.from_table(table).has_cycle()
-    oracle = spec.require_oracle()
-    if name == "reg":
-        return _reg_violation(table, oracle) is None
-    neg_class, inter, intra = _class_graphs(table, oracle, negations=name == "dec")
-    if name == "dec":
-        inter = _dec_closure(inter, neg_class)
-    return not (_has_cycle(intra) or _has_cycle(inter))
+    """Whether some total table in the class agrees with this partial table:
+    whether the trie's step admits its entries one by one (see
+    ``TableNode``)."""
+    return TableNode.root(spec, table).succ is not None
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +439,26 @@ class TableNode:
       classes and on keys inside one for reg, regstar and dec (keys are
       strings and ids integers, so the two parts never meet; reg keeps no
       edges inside a class).  dec adds with each edge A -> B between
-      classes its dual ~B -> ~A.  That is the whole duality closure of
-      ``_dec_closure``: negation is an involution on classes, so the dual
-      of a dual is the edge itself.
+      classes its dual ~B -> ~A.  That closes the graph under duality:
+      negation is an involution on classes, so the dual of a dual is the
+      edge itself.
 
-    A child is admissible, as ``extendable`` decides from scratch, iff its
-    new edges close no cycle in the parent's graph, that is, iff no loser
-    already reaches its winner; for reg, iff no loser already beats its
-    winner directly.  The trie holds no state on a ``ChoiceTable``, so
-    tables stay plain values that pickle and compare as before.
+    The step decides class membership, for the search and for
+    ``extendable``: a table is admissible iff each entry in turn closes no
+    cycle, that is, iff no loser already reaches its winner; for reg, iff
+    no loser already beats its winner directly, since regularity asks only
+    that entries on one pair of classes choose the same class.  regstar and
+    dec need no separate reg check: two entries on one pair of classes that
+    choose differently are a 2-cycle.  The block search
+    (``semantics.scan_models``) relies on two properties of the step, both
+    tested for every class:
+
+    * monotone: every sub-table of an admissible table is admissible;
+    * exact: an admissible table has an admissible one-entry extension on
+      every pair it lacks.
+
+    The trie holds no state on a ``ChoiceTable``, so tables stay plain
+    values that pickle and compare as before.
     """
 
     __slots__ = ("table", "spec", "negations", "succ", "children", "picks")
@@ -582,12 +474,17 @@ class TableNode:
     @classmethod
     def root(cls, spec, seed=None, mode=SENTENCE_MODE):
         """A new trie's root: the seed table (empty by default), its class
-        graph built from its entries."""
+        graph built from its entries.  Raises OracleRequiredError for a
+        class that needs an oracle and has none."""
+        spec.require_oracle()
         node = cls(seed if seed is not None else ChoiceTable(mode=mode), spec, {}, {}, {})
         table = node.table
+        if spec.name == "all":
+            return node
         for (ka, kb), kc in sorted(table.entries.items()):
             a, b = table.formulas[ka], table.formulas[kb]
-            node.succ = node._step(a, b, a if kc == ka else b)
+            # the root owns its graph, so it grows it in place
+            node.succ = node._step(a, b, a if kc == ka else b, node.succ)
             if node.succ is None:
                 break
         return node
@@ -602,33 +499,33 @@ class TableNode:
         except KeyError:
             pass
         node = None
-        succ = self._step(a, b, choice) if self.succ is not None else None
+        succ = self._step(a, b, choice, dict(self.succ)) if self.succ is not None else None
         if succ is not None:
             node = TableNode(self.table.with_entry(a, b, choice), self.spec,
                              self.negations, succ, dict(self.picks))
         self.children[key] = node
         return node
 
-    def _step(self, a, b, choice):
-        """The class graph with the entry ``{a, b} -> choice`` added, or
-        ``None`` when that closes a cycle."""
+    def _step(self, a, b, choice, succ):
+        """``succ``, a copy of this node's class graph or the graph itself,
+        with the entry ``{a, b} -> choice`` added in place, or ``None`` when
+        that closes a cycle (``succ`` may then hold part of the entry)."""
         name = self.spec.name
         if name == "all":
-            return self.succ
+            return succ
         ka, kb = canonical_key(a), canonical_key(b)
         if canonical_key(choice) != ka:
             a, b, ka, kb = b, a, kb, ka   # a wins, b loses
         edges = [(ka, kb)]
         if name != "asso":
-            oracle = self.spec.require_oracle()
+            oracle = self.spec.oracle
             ca, cb = oracle.class_of(a), oracle.class_of(b)
             if ca != cb:
                 edges = [(ca, cb)]
                 if name == "dec":
                     edges.append((self._negation(oracle, cb, b), self._negation(oracle, ca, a)))
             elif name == "reg":
-                return self.succ
-        succ = dict(self.succ)
+                return succ
         for winner, loser in edges:
             closes = winner in succ.get(loser, ()) if name == "reg" else \
                 _reaches(succ, loser, winner)
@@ -688,8 +585,8 @@ def enumerate_tables(task, spec, seed=None, mode=SENTENCE_MODE):
     extension of the seed table on the pairs the task actually reaches.
 
     Branch points are discovered lazily from MissingEntryError and walked
-    as a ``TableNode`` trie; each branch is pruned by the node's incremental
-    step, whose reference is ``extendable``.  Yields (table, result) pairs
+    as a ``TableNode`` trie, whose step prunes each branch the class rules
+    out.  Yields (table, result) pairs
     in deterministic order (canonically smaller choice first).
 
     The seed may also be a trie's node: the search then walks and extends

@@ -33,7 +33,6 @@ from .semantics import (
     DEFAULT_DOMAIN_BOUND,
     DEFAULT_ORACLE_BOUND,
     SearchSpace,
-    check_consequence,
     check_restricted_sentences,
     class_spec_for,
     eval_fcs,
@@ -168,18 +167,15 @@ def _verdict_output(args, verdict):
 
 
 def _search(premises, conclusion, spec, space, jobs, budget=DEFAULT_BUDGET):
-    """The verdict of check_consequence, with the space's models cut into
-    ``jobs`` equal shares (see ``shares``).  This process scans the first
-    share's blocks and one worker process scans each other share's, so no
-    process is started when one share holds every block.  The verdict, its
-    counts and the budget are exactly those of the serial search: the scans
-    are read in model order, and the workers still running once the verdict
-    is settled are killed, as they are on every other way out.  Each share's
-    scan builds its own table trie (see ``scan_models``); none is shared
-    between processes."""
-    if jobs <= 1:
-        return check_consequence(premises, conclusion, spec, space=space,
-                                 budget=budget)
+    """The verdict of ``semantics.check_consequence``, with the space's
+    models cut into ``jobs`` equal shares (see ``shares``).  This process
+    scans the first share's blocks and one worker process scans each other
+    share's, so no process is started with one job, or when one share
+    holds every block.  The verdict, its counts and the budget are exactly
+    those of the serial search: the scans are read in model order, and the
+    workers still running once the verdict is settled are killed, as they
+    are on every other way out.  Each share's scan builds its own table
+    trie (see ``scan_models``); none is shared between processes."""
     check_restricted_sentences(list(premises) + [conclusion])
     blocks = list(space.blocks())
     (first, stop), *rest = shares([width for _, _, width in blocks], jobs)

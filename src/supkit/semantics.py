@@ -24,7 +24,6 @@ from .choice import (
     TruthTableOracle,
     collapse,
     enumerate_tables,
-    pick,
 )
 from .models import (
     Block,
@@ -74,13 +73,13 @@ def eval_scs(model, table, phi):
             f"sentence-choice evaluation requires a restricted sentence: {to_text(phi)}")
     if table.mode != SENTENCE_MODE:
         raise EvalError("sentence-choice evaluation requires a sentence-mode table")
-    return bool(_truth(_OneModel(model), table, phi, 1))
+    return bool(_truth(_OneModel(model), TableNode.root(ClassSpec("all"), table), phi, 1))
 
 
-def _truth(block, table, phi, care):
+def _truth(block, node, phi, care):
     """The truth mask of a restricted sentence over a block of models (see
-    ``Block``), under a ``ChoiceTable`` or a search trie's ``TableNode``,
-    which picks at each ``sup`` node once per table.  Bits outside ``care``
+    ``Block``), under the table of a search trie's ``TableNode``, which
+    picks at each ``sup`` node once per table.  Bits outside ``care``
     may be wrong: they are models whose truth here no longer matters to the
     caller.
 
@@ -92,11 +91,10 @@ def _truth(block, table, phi, care):
     if is_classical(phi):
         return block.classical(phi)
     if isinstance(phi, Sup):
-        return block.classical(
-            table.pick(phi) if isinstance(table, TableNode) else pick(table, phi))
+        return block.classical(node.pick(phi))
     full = block.full
     if isinstance(phi, Not):
-        return full ^ _truth(block, table, phi.body, care)
+        return full ^ _truth(block, node, phi.body, care)
     if isinstance(phi, (Forall, Exists)):
         if block.domain is None:
             raise EvalError("quantified sentence requires a structure")
@@ -106,20 +104,20 @@ def _truth(block, table, phi, care):
             rest = care & (acc if universal else ~acc)
             if not rest:
                 break
-            truth = _truth(block, table, instantiate(phi, x), rest)
+            truth = _truth(block, node, instantiate(phi, x), rest)
             acc = acc & truth if universal else acc | truth
         return acc
-    left = _truth(block, table, phi.left, care)
+    left = _truth(block, node, phi.left, care)
     if isinstance(phi, Iff):
-        return full ^ left ^ _truth(block, table, phi.right, care)
+        return full ^ left ^ _truth(block, node, phi.right, care)
     if isinstance(phi, Or):
         rest = care & ~left
-        return left | _truth(block, table, phi.right, rest) if rest else left
+        return left | _truth(block, node, phi.right, rest) if rest else left
     rest = care & left
     if isinstance(phi, And):
-        return left & _truth(block, table, phi.right, rest) if rest else left
+        return left & _truth(block, node, phi.right, rest) if rest else left
     if isinstance(phi, Implies):
-        return (full ^ left) | (_truth(block, table, phi.right, rest) if rest else 0)
+        return (full ^ left) | (_truth(block, node, phi.right, rest) if rest else 0)
     raise EvalError(f"not a formula: {phi!r}")
 
 
@@ -189,24 +187,13 @@ class SearchSpace:
     def _sizes(self):
         return [None] if self.kind == "propositional" else range(1, self.max_domain + 1)
 
-    def block_count(self):
-        return sum(-(-self.layout(size).count // BLOCK_WIDTH) for size in self._sizes())
-
-    def blocks(self, first=0, stop=None):
-        """The blocks numbered ``first`` to ``stop - 1`` (all from ``first``
-        when ``stop`` is None), as ``(size, start, width)``: runs of at most
+    def blocks(self):
+        """The space's blocks, as ``(size, start, width)``: runs of at most
         ``BLOCK_WIDTH`` consecutive models of one size, in model order."""
-        number = 0
         for size in self._sizes():
-            if stop is not None and number >= stop:
-                return
             count = self.layout(size).count
-            blocks = -(-count // BLOCK_WIDTH)
-            last = blocks if stop is None else min(blocks, stop - number)
-            for b in range(max(first - number, 0), last):
-                start = b * BLOCK_WIDTH
+            for start in range(0, count, BLOCK_WIDTH):
                 yield size, start, min(BLOCK_WIDTH, count - start)
-            number += blocks
 
     def describe(self):
         if self.kind == "propositional":
@@ -292,14 +279,13 @@ def scan_models(space, blocks, premises, conclusion, spec, budget=DEFAULT_BUDGET
 
     A block's tables are searched once for all its models: ``_truth`` gives
     each leaf table's refuted models as a mask.  That finds what a search
-    per model would find, provided that ``choice.extendable`` is
+    per model would find, provided that the trie's step (see
+    ``choice.TableNode``) is
 
-    * monotone: every sub-table of an admissible table is admissible, so a
-      block leaf restricted to the pairs one model reaches is a leaf of that
-      model's own search; and
-    * exact: an admissible table has an admissible one-entry extension on
-      every new pair, so each leaf of one model's search is extended by some
-      leaf of its block's search.
+    * monotone, so a block leaf restricted to the pairs one model reaches
+      is a leaf of that model's own search; and
+    * exact, so each leaf of one model's search is extended by some leaf of
+      its block's search.
 
     Both are tested for every class on sampled tables.  The lowest refuted
     model is searched again as a block of its own, so the countermodel and

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supkit import cli, semantics
-from supkit.choice import enumerate_tables
+from supkit.choice import TableNode, enumerate_tables
 from supkit.cli import run
 from supkit.corpus import corpus_entries
 from supkit.models import Block, Layout, element_names, eval_classical, vocabulary_of
@@ -79,12 +79,13 @@ def _without_tables(out):
 
 def _outputs(capsys, monkeypatch, argv):
     """The output of the reference, of one-model blocks and of the default
-    blocks, with the exit codes."""
+    blocks, with the exit codes.  The command's search (``cli._search``)
+    scans with ``cli.scan_models``, so that is the name patched."""
     outputs = []
     for width, scan in ((None, ref_scan_models), (1, semantics.scan_models),
                         (semantics.BLOCK_WIDTH, semantics.scan_models)):
         with monkeypatch.context() as patch:
-            patch.setattr(semantics, "scan_models", scan)
+            patch.setattr(cli, "scan_models", scan)
             if width is not None:
                 patch.setattr(semantics, "BLOCK_WIDTH", width)
             code = run(argv)
@@ -119,13 +120,15 @@ def test_jobs_print_what_the_serial_search_prints(capsys, monkeypatch):
     """``--jobs 2`` and ``--jobs 3`` give the serial output and exit code on
     every rung, with blocks of one model, so that shares really split, and
     at the default width; the countermodels found fall in this process's
-    share and in workers' shares."""
+    share and in workers' shares.  The serial run scans through
+    ``cli.scan_models`` too, so only scans of ``--jobs`` runs are counted."""
     found_in = set()
+    in_jobs = False
     scan_models, received = cli.scan_models, cli._received
 
     def own_scan(*scan):
         result = scan_models(*scan)
-        if result[0] is not None:
+        if in_jobs and result[0] is not None:
             found_in.add("caller")
         return result
 
@@ -142,7 +145,9 @@ def test_jobs_print_what_the_serial_search_prints(capsys, monkeypatch):
     for width in (1, semantics.BLOCK_WIDTH):
         monkeypatch.setattr(semantics, "BLOCK_WIDTH", width)
         for argv in argvs:
+            in_jobs = False
             serial = (run(argv), capsys.readouterr().out)
+            in_jobs = True
             for jobs in ("2", "3"):
                 assert (run(argv + ["--jobs", jobs]), capsys.readouterr().out) == serial, \
                     (width, argv, jobs)
@@ -265,16 +270,17 @@ def test_blocks_reach_the_pairs_their_models_reach(phi, name):
         models = [layout.model_at(i) for i in range(layout.count)]
         for i, model in enumerate(models):
             block = Block(layout, i, 1)
-            leaves = [(table.entries, truth) for table, truth in enumerate_tables(
-                lambda t: semantics._truth(block, t, phi, 1), spec)]
+            leaves = [(node.table.entries, truth) for node, truth in enumerate_tables(
+                lambda node: semantics._truth(block, node, phi, 1), spec, TableNode.root(spec))]
             expected = [(table.entries, int(truth)) for table, truth in enumerate_tables(
                 lambda t: ref_scs(model, t, phi), spec)]
             assert leaves == expected, (model, leaves, expected)
         block = Block(layout, 0, layout.count)
-        for table, mask in enumerate_tables(
-                lambda t: semantics._truth(block, t, phi, block.full), spec):
+        for node, mask in enumerate_tables(
+                lambda node: semantics._truth(block, node, phi, block.full), spec,
+                TableNode.root(spec)):
             assert [mask >> i & 1 for i in range(len(models))] == \
-                [int(ref_scs(model, table, phi)) for model in models]
+                [int(ref_scs(model, node.table, phi)) for model in models]
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,7 +13,6 @@ from supkit.choice import (
     MissingEntryError,
     NotBasicError,
     OracleRequiredError,
-    PreferenceGraph,
     TruthTableOracle,
     check_class,
     choose,
@@ -37,6 +36,7 @@ from supkit.syntax import (
     is_classical,
     parse,
 )
+from test_extendable import ref_extendable
 
 p0, p1, p2 = PropAtom("p0"), PropAtom("p1"), PropAtom("p2")
 
@@ -241,11 +241,59 @@ def test_extendable_empty_table():
 
 def test_extendable_cycle_fails_asso():
     t = table_of((p0, p1, p0), (p1, p2, p1), (p0, p2, p2))
-    assert PreferenceGraph.from_table(t).has_cycle()
     assert not extendable(t, ClassSpec("asso"))
     # independent check: no total order of the three nodes extends the cycle
     for perm in itertools.permutations([p0, p1, p2]):
         assert min_table(list(perm)).entries != t.entries
+
+
+def test_extendable_long_chain_asso():
+    # p0 > p1 > ... > p5000: a recursive depth-first cycle search, started
+    # at its members in hash order, nests deeper than Python's default
+    # recursion limit on almost every hash seed
+    atoms = [PropAtom(f"p{i}") for i in range(5001)]
+    chain = ChoiceTable()
+    for a, b in zip(atoms, atoms[1:]):
+        chain = chain.with_entry(a, b, a)
+    assert len(chain) == 5000
+    assert extendable(chain, ClassSpec("asso"))
+    assert not extendable(chain.with_entry(atoms[0], atoms[-1], atoms[-1]), ClassSpec("asso"))
+
+
+def test_extendable_large_reg_table():
+    # one formula per nonempty truth table over p0, p1, p2 (its disjunctive
+    # normal form), ranked by the truth table's number; about 1,500 entries
+    # each prefer the lower rank, so every pair of classes is decided one
+    # way, and entries inside a class do not count for reg
+    def minterm(row):
+        lits = [p if row >> i & 1 else Not(p) for i, p in enumerate((p0, p1, p2))]
+        return And(And(lits[0], lits[1]), lits[2])
+
+    dnfs = []
+    for mask in range(1, 256):
+        rows = [minterm(row) for row in range(8) if mask >> row & 1]
+        phi = rows[0]
+        for row in rows[1:]:
+            phi = Or(phi, row)
+        dnfs.append(phi)
+    table = ChoiceTable()
+    for i, a in enumerate(dnfs):
+        for b in dnfs[i + 1:i + 7]:
+            table = table.with_entry(a, b, a)
+        table = table.with_entry(a, Not(Not(a)), Not(Not(a)))
+    assert len(table) > 1500
+    spec = ClassSpec("reg", TruthTableOracle())
+    assert extendable(table, spec)
+    assert check_class(table, spec, []).ok
+    flipped = table.with_entry(Not(Not(dnfs[0])), dnfs[1], dnfs[1])
+    assert not extendable(flipped, spec)
+    assert check_class(flipped, spec, []).kind == "reg"
+
+
+def test_extendable_requires_an_oracle_even_on_the_empty_table():
+    for name in ("reg", "regstar", "dec"):
+        with pytest.raises(OracleRequiredError):
+            extendable(ChoiceTable(), ClassSpec(name))
 
 
 def test_extendable_reg_consistency():
@@ -296,7 +344,7 @@ def test_enumerate_filters_through_extendable():
     asso = list(enumerate_tables(eval_task(phi), ClassSpec("asso")))
     assert all_count >= len(asso)
     for table, _ in asso:
-        assert not PreferenceGraph.from_table(table).has_cycle()
+        assert ref_extendable(table, ClassSpec("asso"))
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,17 @@ def test_consequence_interpolation(capsys):
     assert code == 0 and "valid" in out
 
 
+@pytest.mark.xfail(strict=True, reason="a sup-quantifier's instance @e0 is read as the "
+                   "parameter @e0 that the sentence names, so the quantifier can skip "
+                   "a domain element")
+def test_a_named_parameter_does_not_capture_a_quantifier_instance(capsys):
+    # P(v) sup P(v) always picks P(v), so the left disjunct is valid
+    code, _, _ = invoke(capsys, "taut", "--formula",
+                        "((forall v. (P(v) sup P(v))) -> forall v. P(v))"
+                        " \\/ (P(@e0) /\\ ~P(@e0))", "--max-domain", "2")
+    assert code == 0
+
+
 def test_jobs_flag_matches_serial(capsys):
     args = ("taut", "--class", "all", "--formula",
             "(forall v. P(v)) -> P(c1)", "--max-domain", "2")

@@ -1,13 +1,16 @@
-"""Differential tests of ``choice.extendable`` and the equivalence oracle.
+"""Differential tests of class membership and of the equivalence oracle.
 
-The reference below is the earlier algorithm: it partitions a table's
-members once for the ``reg`` check and again, with every member's negation,
-for the class graphs, whatever the class, each time by a pairwise scan that
-decides each comparison through ``pairwise_equivalent``, the oracle's
-structure-by-structure comparison before fingerprints.  The current
-``extendable`` builds one class graph per check, labels classes by the
-oracle's class ids and reads ``reg`` consistency off its 2-cycles; both must
-give the same answer on every table.
+``choice.extendable`` replays a table's entries through the search trie's
+step (``choice.TableNode``), which labels classes by the oracle's class ids,
+grows one class graph entry by entry and reads ``reg`` consistency off its
+2-cycles.  The reference below, ``ref_extendable``, shares none of that: it
+partitions a table's members once for the ``reg`` check and again, with
+every member's negation, for the class graphs, whatever the class, each time
+by a pairwise scan that decides each comparison through
+``pairwise_equivalent``, the oracle's structure-by-structure comparison
+before fingerprints; it builds each graph from scratch, closes the class
+graph under duality to a fixed point and looks for cycles by its own
+search.  Both must give the same answer on every table.
 """
 
 import itertools
@@ -17,14 +20,13 @@ from pathlib import Path
 
 import pytest
 
-from supkit import choice, models
+from supkit import models
 from supkit.choice import (
     BoundedModelOracle,
     ChoiceTable,
     ClassSpec,
-    PreferenceGraph,
+    TableNode,
     TruthTableOracle,
-    _dec_closure,
     class_representatives,
     extendable,
 )
@@ -63,6 +65,31 @@ def ref_has_cycle(nodes, edges):
         return False
 
     return any(color[n] == WHITE and visit(n) for n in list(color))
+
+
+def ref_preference_edges(table):
+    """A table's members and its winner -> loser edges."""
+    nodes = {k for pair in table.entries for k in pair}
+    edges = {(kc, kb if kc == ka else ka) for (ka, kb), kc in table.entries.items()}
+    return nodes, edges
+
+
+def ref_dec_closure(inter_edges, neg_class):
+    """Close class edges under the duality rule: A beats B forces not-B to
+    beat not-A (inequivalent classes only; the involution is fixed-point
+    free classically)."""
+    closed = set(inter_edges)
+    frontier = list(inter_edges)
+    while frontier:
+        a, b = frontier.pop()
+        na, nb = neg_class.get(a), neg_class.get(b)
+        if na is None or nb is None or na == nb:
+            continue
+        dual = (nb, na)
+        if dual not in closed:
+            closed.add(dual)
+            frontier.append(dual)
+    return closed
 
 
 def pairwise_equivalent(oracle, a, b):
@@ -162,8 +189,7 @@ def ref_extendable(table, spec):
     if name == "all":
         return True
     if name == "asso":
-        graph = PreferenceGraph.from_table(table)
-        return not ref_has_cycle(graph.nodes, graph.edges)
+        return not ref_has_cycle(*ref_preference_edges(table))
     oracle = spec.require_oracle()
     if ref_reg_violation(table, oracle) is not None:
         return False
@@ -174,7 +200,7 @@ def ref_extendable(table, spec):
         return False
     if name == "regstar":
         return True
-    return not ref_has_cycle(set(), _dec_closure(inter, neg_rep))
+    return not ref_has_cycle(set(), ref_dec_closure(inter, neg_rep))
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +419,20 @@ def _rung_argv(rung):
 
 @pytest.mark.parametrize("rung", workloads.FO_CLASSES, ids=lambda r: r.name)
 def test_class_rungs_report_what_the_reference_reports(capsys, monkeypatch, rung):
+    """Each class rung exits as expected, and prints the same when the
+    search's trie admits each child by ``ref_extendable`` on its table
+    instead of by its step."""
     argv = _rung_argv(rung)
     code = run(argv)
     out = capsys.readouterr().out
     assert code == (0 if rung.valid else 1)
-    monkeypatch.setattr(choice, "extendable", ref_extendable)
+
+    def ref_child(node, a, b, chosen):
+        table = node.table.with_entry(a, b, chosen)
+        if not ref_extendable(table, node.spec):
+            return None
+        return TableNode(table, node.spec, node.negations, node.succ, dict(node.picks))
+
+    monkeypatch.setattr(TableNode, "child", ref_child)
     assert run(argv) == code
     assert capsys.readouterr().out == out

@@ -1,10 +1,10 @@
 """Tests of the search trie (``choice.TableNode``).
 
-The incremental step must judge every one-entry extension as
-``choice.extendable`` does from scratch, and the trie must change nothing
+The trie's step must judge every one-entry extension as ``ref_extendable``
+(of ``test_extendable``) does from scratch, and the trie must change nothing
 that a verdict prints: the reference below searches each block on its own,
-from an empty table, pruning by ``extendable``, as the search did before the
-trie.
+from an empty table, pruning by ``ref_extendable``, as the search did before
+the trie.
 """
 
 import pickle
@@ -21,11 +21,8 @@ from supkit.choice import (
     MissingEntryError,
     TableNode,
     TruthTableOracle,
-    _class_graphs,
-    _dec_closure,
     _ordered,
     enumerate_tables,
-    extendable,
     pick,
 )
 from supkit.cli import run
@@ -33,7 +30,13 @@ from supkit.models import Valuation
 from supkit.semantics import SearchSpace, class_spec_for
 from supkit.syntax import PropAtom, parse
 from test_blocks import LATE, RUNGS
-from test_extendable import CLASSES, _rung_argv
+from test_extendable import (
+    CLASSES,
+    _rung_argv,
+    ref_class_graphs,
+    ref_dec_closure,
+    ref_extendable,
+)
 
 # Pools with equivalent members (so that edges inside a class occur) and
 # with negations of members (so that dec's dual edges meet other entries).
@@ -62,9 +65,9 @@ def _entries(pool):
 @given(st.sampled_from(sorted(ORACLES)), st.data())
 def test_each_step_judges_as_extendable_does(kind, data):
     """Along a drawn chain of one-entry extensions from a drawn seed table,
-    in every class, a child exists exactly when ``extendable`` admits its
-    table, and holds that table; the root's graph exists exactly when the
-    seed is admissible."""
+    in every class, a child exists exactly when ``ref_extendable`` admits
+    its table, and holds that table; the root's graph exists exactly when
+    the seed is admissible."""
     pool, make_oracle = ORACLES[kind]
     entries = _entries(pool)
     seed = ChoiceTable()
@@ -76,13 +79,14 @@ def test_each_step_judges_as_extendable_does(kind, data):
     for name in CLASSES:
         spec = ClassSpec(name, oracle)
         node = TableNode.root(spec, seed)
-        assert (node.succ is not None) == extendable(seed, spec), (name, seed.describe())
+        assert (node.succ is not None) == ref_extendable(seed, spec), (name, seed.describe())
         for a, b, chosen in chain:
             if node.table.defined_on(a, b):
                 continue
             extended = node.table.with_entry(a, b, chosen)
             child = node.child(a, b, chosen)
-            assert (child is not None) == (node.succ is not None and extendable(extended, spec)), \
+            assert (child is not None) == \
+                (node.succ is not None and ref_extendable(extended, spec)), \
                 (name, extended.describe())
             assert node.child(a, b, chosen) is child   # kept, pruned or not
             if child is not None:
@@ -99,14 +103,15 @@ def test_dec_closure_is_the_edges_and_their_duals(kind, data):
     edge ``A -> B`` is therefore ``neg(neg(A)) -> neg(neg(B))``, the edge
     itself, and the duality closure of the inter-class edges is those edges
     with the dual of each: the trie adds both with each entry and never
-    closes the graph."""
+    closes the graph.  Checked on the reference's class graphs, whose
+    classes are named by their least member's key."""
     pool, make_oracle = ORACLES[kind]
     table = ChoiceTable()
     for a, b, chosen in data.draw(st.lists(_entries(pool), max_size=10)):
         if not table.defined_on(a, b):
             table = table.with_entry(a, b, chosen)
-    neg_class, inter, _ = _class_graphs(table, make_oracle(), negations=True)
-    assert _dec_closure(inter, neg_class) == \
+    _, neg_class, inter, _ = ref_class_graphs(table, make_oracle())
+    assert ref_dec_closure(inter, neg_class) == \
         inter | {(neg_class[b], neg_class[a]) for a, b in inter}
     assert all(neg_class.get(neg_class[c], c) == c for c in neg_class)
 
@@ -125,7 +130,7 @@ def test_missing_entry_error_survives_pickling():
 
 def ref_enumerate_tables(task, spec, table=None):
     """The search before the trie: every branch a new table, pruned by
-    ``extendable`` from scratch."""
+    ``ref_extendable`` from scratch."""
     table = table if table is not None else ChoiceTable()
     try:
         result = task(table)
@@ -133,7 +138,7 @@ def ref_enumerate_tables(task, spec, table=None):
         a, b = exc.pair
         for chosen in (a, b):
             extended = table.with_entry(a, b, chosen)
-            if extendable(extended, spec):
+            if ref_extendable(extended, spec):
                 yield from ref_enumerate_tables(task, spec, extended)
         return
     yield table, result
@@ -141,16 +146,18 @@ def ref_enumerate_tables(task, spec, table=None):
 
 def ref_search_block(block, premises, conclusion, root, allowance):
     """``semantics._search_block`` before the trie: a fresh search per
-    block, on plain tables, ignoring the trie's root but for its class."""
+    block, on plain tables, ignoring the trie's root but for its class.
+    ``_truth`` reads each table through a trie of its own."""
     below = block.full
 
     def task(table):
+        node = TableNode.root(ClassSpec("all"), table)
         care = below
         for sigma in premises:
-            care &= semantics._truth(block, table, sigma, care)
+            care &= semantics._truth(block, node, sigma, care)
             if not care:
                 return 0
-        return care & ~semantics._truth(block, table, conclusion, care)
+        return care & ~semantics._truth(block, node, conclusion, care)
 
     found, leaves = None, 0
     for table, refuted in ref_enumerate_tables(task, root.spec):
@@ -272,7 +279,7 @@ def test_an_inadmissible_seed_has_no_admissible_child():
     p0, p1, p2 = (PropAtom(f"p{i}") for i in range(3))
     cycle = ChoiceTable().with_entry(p0, p1, p0).with_entry(p1, p2, p1).with_entry(p0, p2, p2)
     spec = ClassSpec("asso")
-    assert not extendable(cycle, spec)
+    assert not ref_extendable(cycle, spec)
     root = TableNode.root(spec, cycle)
     assert root.succ is None
     q = PropAtom("p3")
