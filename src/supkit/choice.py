@@ -100,6 +100,12 @@ class ChoiceTable:
 
     def with_entry(self, a, b, choice):
         """A new table extended by one entry; the choice must be a member."""
+        table = ChoiceTable(self.mode, dict(self.entries), dict(self.formulas))
+        return table if table._add(a, b, choice) else self
+
+    def _add(self, a, b, choice):
+        """Put one entry into this table's own dicts, for a table still being
+        built; False for a pair of equal members, which needs no entry."""
         self._check_member(a)
         self._check_member(b)
         (fa, ka), (fb, kb) = _ordered(a, b)
@@ -108,17 +114,15 @@ class ChoiceTable:
             raise ChoiceDomainError(
                 f"choice {to_text(choice)} is not a member of the pair")
         if ka == kb:
-            return self
+            return False
         old = self.entries.get((ka, kb))
         if old is not None and old != kc:
             raise ChoiceDomainError(
                 f"conflicting entry for pair {{{ka}, {kb}}}")
-        entries = dict(self.entries)
-        entries[(ka, kb)] = kc
-        formulas = dict(self.formulas)
-        formulas[ka] = fa
-        formulas[kb] = fb
-        return ChoiceTable(self.mode, entries, formulas)
+        self.entries[(ka, kb)] = kc
+        self.formulas[ka] = fa
+        self.formulas[kb] = fb
+        return True
 
     def pairs(self):
         """Iterate (member, member, chosen) triples in canonical order."""
@@ -151,7 +155,7 @@ class ChoiceTable:
                 raise SupkitError(f"malformed {source}: 'pair' must hold two formulas")
             a, b = (parse(text, sig, memo) for text in pair)
             choice = parse(json_field(entry, "choice", str, source), sig, memo)
-            table = table.with_entry(a, b, choice)
+            table._add(a, b, choice)
         return table
 
     def describe(self):

@@ -92,7 +92,7 @@ def _signature(args):
     return None  # parser falls back to the default signature
 
 
-def _load_model(path, sig):
+def _load_model(path):
     data = _load_json(path)
     if isinstance(data, dict) and "atoms" in data:
         return Valuation.from_json(data)
@@ -136,7 +136,7 @@ def cmd_collapse(args):
 def cmd_eval(args):
     sig = _signature(args)
     table = ChoiceTable.from_json(_load_json(args.table), sig)
-    model = _load_model(args.model, sig)
+    model = _load_model(args.model)
     phi = parse(args.formula, sig)
     if args.fcs:
         truth = eval_fcs(model, table, phi)

@@ -309,9 +309,6 @@ class TheoryFragment:
     def marked(self, phi):
         return self.markers[canonical_key(phi)]
 
-    def marked_in(self):
-        return [s for s in self.sentences if self.marked(s)]
-
     @classmethod
     def from_markings(cls, markings, signature=None):
         """Close the marked sentences under subformulas and single

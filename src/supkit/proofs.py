@@ -7,6 +7,11 @@ associativity axiom S4, K3 the negation-swap axiom S5.  The L systems add
 universal instantiation, quantifier distribution, the equality axioms and
 the generalization rule.
 
+Every axiom scheme is one pattern over metavariables, which stand for
+formulas, terms or bound variables' names, plus, for UI, D and I2-I5, a
+side condition on what they stand for; a formula is an instance when one
+unifier matches it to the pattern and the side condition holds.
+
 Formulas are compared modulo the definitional expansions
 a /\\ b := ~(a -> ~b), a \\/ b := ~a -> b, a <-> b := (a -> b) /\\ (b -> a)
 and exists v := ~forall v~, because the propositional basis is complete
@@ -25,15 +30,13 @@ from .syntax import (
     BinaryFormula,
     CaptureError,
     Equality,
-    Exists,
     Forall,
-    FuncApp,
     Iff,
     Implies,
+    Node,
     Not,
     Or,
     ParseError,
-    PredAtom,
     PropAtom,
     Sup,
     SupkitError,
@@ -89,6 +92,8 @@ BASE_SYSTEM = {"K": "K0", "L": "L0"}
 
 @dataclass(frozen=True)
 class MetaVar:
+    """A scheme's placeholder: it stands for a formula, a term or a bound
+    variable's name, whichever sits in its place in the instance."""
     name: str
 
 
@@ -105,6 +110,13 @@ def _iff(a, b):
 
 
 _A, _B, _C = MetaVar("phi"), MetaVar("psi"), MetaVar("sigma")
+_V, _U, _W = MetaVar("v"), MetaVar("u"), MetaVar("w")
+_S, _T = MetaVar("s"), MetaVar("t")
+
+
+def _eq(a, b):
+    return Equality(Variable(a), Variable(b))
+
 
 _PATTERNS = {
     "P1": Implies(_A, Implies(_B, _A)),
@@ -117,109 +129,50 @@ _PATTERNS = {
     "S3": Implies(Sup(_A, _B), Sup(_B, _A)),
     "S4": Implies(Sup(Sup(_A, _B), _C), Sup(_A, Sup(_B, _C))),
     "S5": Implies(_and(_A, Not(_B)), _iff(Sup(_A, _B), Sup(Not(_A), Not(_B)))),
+    "UI": Implies(Forall(_V, _A), _B),
+    "D": Implies(Forall(_V, Implies(_A, _B)), Implies(_A, Forall(_V, _B))),
+    "I1": Forall(_V, _eq(_V, _V)),
+    "I2": Forall(_V, Forall(_U, Implies(_eq(_V, _U), _eq(_U, _V)))),
+    "I3": Forall(_V, Forall(_U, Forall(_W, Implies(_and(_eq(_V, _U), _eq(_U, _W)),
+                                                   _eq(_V, _W))))),
+    "I4": Forall(_V, Forall(_U, Implies(_eq(_V, _U), Equality(_S, _T)))),
+    "I5": Forall(_V, Forall(_U, Implies(_eq(_V, _U), Implies(_A, _B)))),
 }
 
 
 def _unify(pattern, target, binding):
+    """Whether ``target`` instantiates ``pattern``, binding each metavariable
+    in ``binding`` to what it stands for; a walk over nodes, their field
+    tuples and names alike."""
     if isinstance(pattern, MetaVar):
         bound = binding.get(pattern.name)
         if bound is None:
             binding[pattern.name] = target
             return True
         return bound == target
-    if type(pattern) is not type(target):
-        return False
-    if isinstance(pattern, (PropAtom, PredAtom, Equality)):
+    if isinstance(pattern, Node):
+        if type(pattern) is not type(target):
+            return False
+        pattern, target = pattern._astuple(), target._astuple()
+    elif not (isinstance(pattern, tuple) and type(target) is tuple
+              and len(pattern) == len(target)):
         return pattern == target
-    if isinstance(pattern, Not):
-        return _unify(pattern.body, target.body, binding)
-    if isinstance(pattern, (And, Or, Implies, Iff, Sup)):
-        return (_unify(pattern.left, target.left, binding)
-                and _unify(pattern.right, target.right, binding))
-    if isinstance(pattern, (Forall, Exists)):
-        return pattern.var == target.var and _unify(pattern.body, target.body, binding)
-    return False
+    for p, t in zip(pattern, target):
+        if not _unify(p, t, binding):
+            return False
+    return True
 
 
-class _Mismatch(Exception):
-    pass
-
-
-def _infer_instantiation(body, var, target, bound=frozenset()):
-    """Terms substituted for free ``var`` to turn ``body`` into ``target``.
-
-    Returns the set of candidate terms (empty when ``var`` has no free
-    occurrence and the sides agree); raises _Mismatch otherwise.
-    """
-    out = set()
-
-    def walk_term(b, t, bound):
-        if isinstance(b, Variable) and b.name == var and var not in bound:
-            out.add(t)
-            return
-        if type(b) is not type(t):
-            raise _Mismatch
-        if isinstance(b, Variable):
-            if b.name != t.name:
-                raise _Mismatch
-        elif isinstance(b, (PropAtom,)):
-            pass
-        elif isinstance(b, FuncApp):
-            if b.name != t.name or len(b.args) != len(t.args):
-                raise _Mismatch
-            for x, y in zip(b.args, t.args):
-                walk_term(x, y, bound)
-        elif b != t:
-            raise _Mismatch
-
-    def walk(b, t, bound):
-        if type(b) is not type(t):
-            raise _Mismatch
-        if isinstance(b, PropAtom):
-            if b != t:
-                raise _Mismatch
-        elif isinstance(b, PredAtom):
-            if b.name != t.name or len(b.args) != len(t.args):
-                raise _Mismatch
-            for x, y in zip(b.args, t.args):
-                walk_term(x, y, bound)
-        elif isinstance(b, Equality):
-            walk_term(b.lhs, t.lhs, bound)
-            walk_term(b.rhs, t.rhs, bound)
-        elif isinstance(b, Not):
-            walk(b.body, t.body, bound)
-        elif isinstance(b, (And, Or, Implies, Iff, Sup)):
-            walk(b.left, t.left, bound)
-            walk(b.right, t.right, bound)
-        elif isinstance(b, (Forall, Exists)):
-            if b.var != t.var:
-                raise _Mismatch
-            walk(b.body, t.body, bound | {b.var})
-        else:
-            raise _Mismatch
-
-    walk(body, target, bound)
-    return out
-
-
-def _match_ui(prim):
-    if not isinstance(prim, Implies) or not isinstance(prim.left, Forall):
-        return None
-    var, body = prim.left.var, prim.left.body
-    if _free_in_sup_operand(body, var):
-        return None  # each instance of an open sup is a pair a table decides alone
-    try:
-        terms = _infer_instantiation(body, var, prim.right)
-    except _Mismatch:
-        return None
-    if len(terms) > 1:
-        return None
-    if not terms:
-        return {"phi": body, "var": var}  # vacuous: var not free in body
-    term = terms.pop()
-    if term_vars(term):
-        return None  # instantiating term must be closed
-    return {"phi": body, "var": var, "t": term}
+def _ui_instance(b):
+    """UI's side condition: ``psi`` is ``phi[v:=t]`` for one closed ``t``
+    (bound as ``t``), or ``phi`` itself when ``v`` is not free in it."""
+    if _free_in_sup_operand(b["phi"], b["v"]):
+        return False  # each instance of an open sup is a pair a table decides alone
+    # substitute replaces free occurrences only, and a MetaVar has no
+    # variables to capture, so the unifier reads off the one term put there
+    if not _unify(substitute(b["phi"], b["v"], _T), b["psi"], b):
+        return False
+    return "t" not in b or not term_vars(b["t"])  # the term must be closed
 
 
 def _free_in_sup_operand(phi, var):
@@ -236,100 +189,23 @@ def _free_in_sup_operand(phi, var):
     return _free_in_sup_operand(phi.body, var)
 
 
-def _match_d(prim):
-    if not isinstance(prim, Implies):
-        return None
-    left, right = prim.left, prim.right
-    if not (isinstance(left, Forall) and isinstance(left.body, Implies)):
-        return None
-    if not (isinstance(right, Implies) and isinstance(right.right, Forall)):
-        return None
-    v = left.var
-    a, b = left.body.left, left.body.right
-    if right.left != a or right.right.var != v or right.right.body != b:
-        return None
-    if v in free_vars(a):
-        return None  # side condition: v not free in the antecedent
-    return {"phi": a, "psi": b, "var": v}
-
-
-def _match_i1(prim):
-    if isinstance(prim, Forall) and prim.body == Equality(Variable(prim.var), Variable(prim.var)):
-        return {"var": prim.var}
-    return None
-
-
-def _match_i2(prim):
-    if not (isinstance(prim, Forall) and isinstance(prim.body, Forall)):
-        return None
-    v, u = prim.var, prim.body.var
-    if v == u:
-        return None
-    want = Implies(Equality(Variable(v), Variable(u)), Equality(Variable(u), Variable(v)))
-    return {"vars": (v, u)} if prim.body.body == want else None
-
-
-def _match_i3(prim):
-    if not (isinstance(prim, Forall) and isinstance(prim.body, Forall)
-            and isinstance(prim.body.body, Forall)):
-        return None
-    v, u, w = prim.var, prim.body.var, prim.body.body.var
-    if len({v, u, w}) != 3:
-        return None
-    want = Implies(
-        _and(Equality(Variable(v), Variable(u)), Equality(Variable(u), Variable(w))),
-        Equality(Variable(v), Variable(w)),
-    )
-    return {"vars": (v, u, w)} if prim.body.body.body == want else None
-
-
-def _match_i4(prim):
-    if not (isinstance(prim, Forall) and isinstance(prim.body, Forall)):
-        return None
-    v, u = prim.var, prim.body.var
-    inner = prim.body.body
-    if v == u or not isinstance(inner, Implies):
-        return None
-    if inner.left != Equality(Variable(v), Variable(u)):
-        return None
-    if not isinstance(inner.right, Equality):
-        return None
-    s, s_sub = inner.right.lhs, inner.right.rhs
-    if not term_vars(s) <= {v}:
-        return None
-    if substitute_term(s, {v: Variable(u)}) != s_sub:
-        return None
-    return {"vars": (v, u), "t": s}
-
-
-def _match_i5(prim):
-    if not (isinstance(prim, Forall) and isinstance(prim.body, Forall)):
-        return None
-    v, u = prim.var, prim.body.var
-    inner = prim.body.body
-    if v == u or not isinstance(inner, Implies):
-        return None
-    if inner.left != Equality(Variable(v), Variable(u)):
-        return None
-    if not isinstance(inner.right, Implies):
-        return None
-    f, f_sub = inner.right.left, inner.right.right
+def _i5_instance(b):
+    """I5's side condition: ``psi`` is ``phi[v:=u]``, no ``u`` captured."""
     try:
-        if substitute(f, v, Variable(u)) != f_sub:
-            return None
+        return b["v"] != b["u"] and substitute(b["phi"], b["v"], Variable(b["u"])) == b["psi"]
     except CaptureError:
-        return None
-    return {"vars": (v, u), "phi": f}
+        return False
 
 
-_CUSTOM_MATCHERS = {
-    "UI": _match_ui,
-    "D": _match_d,
-    "I1": _match_i1,
-    "I2": _match_i2,
-    "I3": _match_i3,
-    "I4": _match_i4,
-    "I5": _match_i5,
+# Each scheme's condition on a binding its pattern matched; it may bind more.
+_SIDE_CONDITIONS = {
+    "UI": _ui_instance,
+    "D": lambda b: b["v"] not in free_vars(b["phi"]),
+    "I2": lambda b: b["v"] != b["u"],
+    "I3": lambda b: len({b["v"], b["u"], b["w"]}) == 3,
+    "I4": lambda b: (b["v"] != b["u"] and term_vars(b["s"]) <= {b["v"]}
+                     and b["t"] == substitute_term(b["s"], {b["v"]: Variable(b["u"])})),
+    "I5": _i5_instance,
 }
 
 
@@ -337,25 +213,26 @@ def match_axiom(phi, scheme):
     """Metavariable bindings when ``phi`` instantiates the scheme (side
     conditions included); None when it does not."""
     prim = primitive_form(phi)
-    if scheme in _PATTERNS:
-        binding = {}
-        if _unify(_PATTERNS[scheme], prim, binding):
-            return binding
+    pattern = _PATTERNS.get(scheme)
+    if pattern is None:
+        raise SupkitError(f"unknown axiom scheme {scheme!r}")
+    binding = {}
+    if not _unify(pattern, prim, binding):
         return None
-    if scheme in _CUSTOM_MATCHERS:
-        return _CUSTOM_MATCHERS[scheme](prim)
-    raise SupkitError(f"unknown axiom scheme {scheme!r}")
+    side = _SIDE_CONDITIONS.get(scheme)
+    if side is not None and not side(binding):
+        return None
+    return binding
+
+
+_IFF = _iff(_A, _B)
 
 
 def _as_iff(prim):
     """Recover (left, right) from the primitive form of a biconditional."""
-    if (isinstance(prim, Not) and isinstance(prim.body, Implies)
-            and isinstance(prim.body.left, Implies)
-            and isinstance(prim.body.right, Not)
-            and isinstance(prim.body.right.body, Implies)):
-        fwd, bwd = prim.body.left, prim.body.right.body
-        if fwd.left == bwd.right and fwd.right == bwd.left:
-            return fwd.left, fwd.right
+    binding = {}
+    if _unify(_IFF, prim, binding):
+        return binding["phi"], binding["psi"]
     return None
 
 

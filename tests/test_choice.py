@@ -93,6 +93,36 @@ def test_table_json_roundtrip():
     assert ChoiceTable.from_json(data).entries == t.entries
 
 
+def test_table_json_load_equals_the_entry_by_entry_build():
+    atoms = [PropAtom(f"p{i}") for i in range(4001)]
+    chain = ChoiceTable()
+    for a, b in zip(atoms, atoms[1:]):
+        chain = chain.with_entry(a, b, a)
+    loaded = ChoiceTable.from_json(chain.to_json())
+    assert len(loaded) == 4000
+    assert (loaded.mode, loaded.entries, loaded.formulas) == (
+        chain.mode, chain.entries, chain.formulas)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"pair": ["p1", "p0"], "choice": "p1"}, "conflicting entry for pair {p0, p1}"),
+    ({"pair": ["p0", "p1"], "choice": "p2"}, "choice p2 is not a member of the pair"),
+    ({"pair": ["p0 sup p1", "p1"], "choice": "p1"},
+     "choice tables hold classical formulas, got p0 sup p1"),
+])
+def test_table_json_load_rejects_what_with_entry_rejects(entry, message):
+    data = {"entries": [{"pair": ["p0", "p1"], "choice": "p0"},
+                        {"pair": ["p0", "p0"], "choice": "p0"},
+                        entry]}
+    with pytest.raises(ChoiceDomainError) as caught:
+        ChoiceTable.from_json(data)
+    assert str(caught.value) == message
+    table = ChoiceTable().with_entry(p0, p1, p0)
+    with pytest.raises(ChoiceDomainError) as caught:
+        table.with_entry(*(parse(text) for text in entry["pair"]), parse(entry["choice"]))
+    assert str(caught.value) == message
+
+
 def test_collapse_classical_identity():
     t = ChoiceTable()
     alpha = And(p0, Not(p1))

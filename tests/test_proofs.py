@@ -4,6 +4,7 @@ import re
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supkit.choice import ChoiceTable, ClassSpec, TruthTableOracle, collapse, extendable
 from supkit.corpus import (
@@ -20,8 +21,11 @@ from supkit.proofs import (
     SV,
     Axiom,
     Hyp,
+    MetaVar,
     Proof,
     ProofLine,
+    _free_in_sup_operand,
+    _PATTERNS,
     check_proof,
     derives,
     match_axiom,
@@ -30,18 +34,30 @@ from supkit.proofs import (
 )
 from supkit.syntax import (
     And,
+    CaptureError,
     Constant,
+    Equality,
+    Exists,
     Forall,
+    FuncApp,
     Iff,
     Implies,
+    Node,
     Not,
     Or,
+    Parameter,
     PredAtom,
     PropAtom,
     Signature,
     Sup,
+    Term,
     Variable,
+    free_vars,
     parse,
+    primitive_form,
+    substitute,
+    substitute_term,
+    term_vars,
     to_text,
 )
 
@@ -74,13 +90,19 @@ def test_match_p_schemes_through_sugar():
 def test_match_ui():
     inst = parse("(forall v. P(v)) -> P(c1)")
     binding = match_axiom(inst, "UI")
-    assert binding["t"] == Constant("c1")
+    assert binding == {"v": "v", "phi": parse("P(v)"), "psi": parse("P(c1)"),
+                       "t": Constant("c1")}
     # the instantiating term must be closed
     assert match_axiom(parse("(forall v. P(v)) -> P(u)"), "UI") is None
     # vacuous instantiation is legal
     assert match_axiom(parse("(forall v. p0) -> p0"), "UI") is not None
     # mixed instantiation is not an instance
     assert match_axiom(parse("(forall v. R(v,v)) -> R(c1,c2)"), "UI") is None
+    # a term whose variable the instance would capture is open, so rejected
+    assert match_axiom(parse("(forall v. forall u. R(v,u)) -> forall u. R(u,u)"),
+                       "UI") is None
+    # a parameter is a closed term
+    assert match_axiom(parse("(forall v. P(v)) -> P(@e0)"), "UI")["t"] == Parameter("e0")
 
 
 def test_ui_rejects_open_sup_operands():
@@ -103,6 +125,15 @@ def test_match_d_side_condition():
     assert match_axiom(good, "D") is not None
     bad = parse("(forall v. (Q(v) -> Q(v))) -> (Q(v) -> forall v. Q(v))")
     assert match_axiom(bad, "D") is None
+    # v free under another quantifier of the antecedent still violates it
+    bad = parse("(forall v. ((forall u. R(u,v)) -> Q(v))) -> "
+                "((forall u. R(u,v)) -> forall v. Q(v))")
+    assert match_axiom(bad, "D") is None
+    # v bound again inside the antecedent does not
+    good = parse("(forall v. ((forall v. P(v)) -> Q(v))) -> "
+                 "((forall v. P(v)) -> forall v. Q(v))")
+    assert match_axiom(good, "D") == {"v": "v", "phi": parse("forall v. P(v)"),
+                                      "psi": parse("Q(v)")}
 
 
 def test_match_equality_schemes():
@@ -120,6 +151,368 @@ def test_match_equality_schemes():
     assert match_axiom(
         parse("forall v. forall u. (v = u -> (P(v) -> P(v)))"), "I5"
     ) is None
+    # each side condition rejects an instance of its pattern
+    for text, scheme in [
+        ("forall v. v = u", "I1"),
+        ("forall v. forall v. (v = v -> v = v)", "I2"),
+        ("forall v. forall u. forall v. (v = u /\\ u = v -> v = v)", "I3"),
+        ("forall v. forall u. (v = u -> g(w) = g(w))", "I4"),
+        ("forall v. forall v. (v = v -> g(v) = g(v))", "I4"),
+        ("forall v. forall u. (v = u -> ((forall u. P(v)) -> (forall u. P(u))))", "I5"),
+        ("forall v. forall v. (v = v -> (P(v) -> P(v)))", "I5"),
+    ]:
+        assert match_axiom(parse(text), scheme) is None, text
+
+
+# ---------------------------------------------------------------------------
+# The one scheme matcher against the hand-written matchers it replaced: a
+# unifier for the eight propositional schemes and one function per
+# first-order scheme, kept here as the reference.
+
+
+def _ref_and(a, b):
+    return Not(Implies(a, Not(b)))
+
+
+def _ref_iff(a, b):
+    return _ref_and(Implies(a, b), Implies(b, a))
+
+
+_RA, _RB, _RC = MetaVar("phi"), MetaVar("psi"), MetaVar("sigma")
+
+REF_PATTERNS = {
+    "P1": Implies(_RA, Implies(_RB, _RA)),
+    "P2": Implies(Implies(_RA, Implies(_RB, _RC)),
+                  Implies(Implies(_RA, _RB), Implies(_RA, _RC))),
+    "P3": Implies(Implies(Not(_RA), Not(_RB)),
+                  Implies(Implies(Not(_RA), _RB), _RA)),
+    "S1": Implies(_ref_and(_RA, _RB), Sup(_RA, _RB)),
+    "S2": Implies(Sup(_RA, _RB), Implies(Not(_RA), _RB)),
+    "S3": Implies(Sup(_RA, _RB), Sup(_RB, _RA)),
+    "S4": Implies(Sup(Sup(_RA, _RB), _RC), Sup(_RA, Sup(_RB, _RC))),
+    "S5": Implies(_ref_and(_RA, Not(_RB)),
+                  _ref_iff(Sup(_RA, _RB), Sup(Not(_RA), Not(_RB)))),
+}
+
+
+def ref_unify(pattern, target, binding):
+    if isinstance(pattern, MetaVar):
+        bound = binding.get(pattern.name)
+        if bound is None:
+            binding[pattern.name] = target
+            return True
+        return bound == target
+    if type(pattern) is not type(target):
+        return False
+    if isinstance(pattern, (PropAtom, PredAtom, Equality)):
+        return pattern == target
+    if isinstance(pattern, Not):
+        return ref_unify(pattern.body, target.body, binding)
+    if isinstance(pattern, (And, Or, Implies, Iff, Sup)):
+        return (ref_unify(pattern.left, target.left, binding)
+                and ref_unify(pattern.right, target.right, binding))
+    if isinstance(pattern, (Forall, Exists)):
+        return pattern.var == target.var and ref_unify(pattern.body, target.body, binding)
+    return False
+
+
+class _Mismatch(Exception):
+    pass
+
+
+def ref_infer_instantiation(body, var, target, bound=frozenset()):
+    """Terms substituted for free ``var`` to turn ``body`` into ``target``;
+    raises _Mismatch when no substitution does."""
+    out = set()
+
+    def walk_term(b, t, bound):
+        if isinstance(b, Variable) and b.name == var and var not in bound:
+            out.add(t)
+            return
+        if type(b) is not type(t):
+            raise _Mismatch
+        if isinstance(b, Variable):
+            if b.name != t.name:
+                raise _Mismatch
+        elif isinstance(b, (PropAtom,)):
+            pass
+        elif isinstance(b, FuncApp):
+            if b.name != t.name or len(b.args) != len(t.args):
+                raise _Mismatch
+            for x, y in zip(b.args, t.args):
+                walk_term(x, y, bound)
+        elif b != t:
+            raise _Mismatch
+
+    def walk(b, t, bound):
+        if type(b) is not type(t):
+            raise _Mismatch
+        if isinstance(b, PropAtom):
+            if b != t:
+                raise _Mismatch
+        elif isinstance(b, PredAtom):
+            if b.name != t.name or len(b.args) != len(t.args):
+                raise _Mismatch
+            for x, y in zip(b.args, t.args):
+                walk_term(x, y, bound)
+        elif isinstance(b, Equality):
+            walk_term(b.lhs, t.lhs, bound)
+            walk_term(b.rhs, t.rhs, bound)
+        elif isinstance(b, Not):
+            walk(b.body, t.body, bound)
+        elif isinstance(b, (And, Or, Implies, Iff, Sup)):
+            walk(b.left, t.left, bound)
+            walk(b.right, t.right, bound)
+        elif isinstance(b, (Forall, Exists)):
+            if b.var != t.var:
+                raise _Mismatch
+            walk(b.body, t.body, bound | {b.var})
+        else:
+            raise _Mismatch
+
+    walk(body, target, bound)
+    return out
+
+
+def ref_match_ui(prim):
+    if not isinstance(prim, Implies) or not isinstance(prim.left, Forall):
+        return None
+    var, body = prim.left.var, prim.left.body
+    if _free_in_sup_operand(body, var):
+        return None
+    try:
+        terms = ref_infer_instantiation(body, var, prim.right)
+    except _Mismatch:
+        return None
+    if len(terms) > 1:
+        return None
+    if not terms:
+        return {"phi": body, "var": var}
+    term = terms.pop()
+    if term_vars(term):
+        return None
+    return {"phi": body, "var": var, "t": term}
+
+
+def ref_match_d(prim):
+    if not isinstance(prim, Implies):
+        return None
+    left, right = prim.left, prim.right
+    if not (isinstance(left, Forall) and isinstance(left.body, Implies)):
+        return None
+    if not (isinstance(right, Implies) and isinstance(right.right, Forall)):
+        return None
+    v = left.var
+    a, b = left.body.left, left.body.right
+    if right.left != a or right.right.var != v or right.right.body != b:
+        return None
+    if v in free_vars(a):
+        return None
+    return {"phi": a, "psi": b, "var": v}
+
+
+def ref_match_i1(prim):
+    if isinstance(prim, Forall) and prim.body == Equality(Variable(prim.var), Variable(prim.var)):
+        return {"var": prim.var}
+    return None
+
+
+def ref_match_i2(prim):
+    if not (isinstance(prim, Forall) and isinstance(prim.body, Forall)):
+        return None
+    v, u = prim.var, prim.body.var
+    if v == u:
+        return None
+    want = Implies(Equality(Variable(v), Variable(u)), Equality(Variable(u), Variable(v)))
+    return {"vars": (v, u)} if prim.body.body == want else None
+
+
+def ref_match_i3(prim):
+    if not (isinstance(prim, Forall) and isinstance(prim.body, Forall)
+            and isinstance(prim.body.body, Forall)):
+        return None
+    v, u, w = prim.var, prim.body.var, prim.body.body.var
+    if len({v, u, w}) != 3:
+        return None
+    want = Implies(
+        _ref_and(Equality(Variable(v), Variable(u)), Equality(Variable(u), Variable(w))),
+        Equality(Variable(v), Variable(w)),
+    )
+    return {"vars": (v, u, w)} if prim.body.body.body == want else None
+
+
+def ref_match_i4(prim):
+    if not (isinstance(prim, Forall) and isinstance(prim.body, Forall)):
+        return None
+    v, u = prim.var, prim.body.var
+    inner = prim.body.body
+    if v == u or not isinstance(inner, Implies):
+        return None
+    if inner.left != Equality(Variable(v), Variable(u)):
+        return None
+    if not isinstance(inner.right, Equality):
+        return None
+    s, s_sub = inner.right.lhs, inner.right.rhs
+    if not term_vars(s) <= {v}:
+        return None
+    if substitute_term(s, {v: Variable(u)}) != s_sub:
+        return None
+    return {"vars": (v, u), "t": s}
+
+
+def ref_match_i5(prim):
+    if not (isinstance(prim, Forall) and isinstance(prim.body, Forall)):
+        return None
+    v, u = prim.var, prim.body.var
+    inner = prim.body.body
+    if v == u or not isinstance(inner, Implies):
+        return None
+    if inner.left != Equality(Variable(v), Variable(u)):
+        return None
+    if not isinstance(inner.right, Implies):
+        return None
+    f, f_sub = inner.right.left, inner.right.right
+    try:
+        if substitute(f, v, Variable(u)) != f_sub:
+            return None
+    except CaptureError:
+        return None
+    return {"vars": (v, u), "phi": f}
+
+
+REF_MATCHERS = {
+    "UI": ref_match_ui,
+    "D": ref_match_d,
+    "I1": ref_match_i1,
+    "I2": ref_match_i2,
+    "I3": ref_match_i3,
+    "I4": ref_match_i4,
+    "I5": ref_match_i5,
+}
+
+
+def ref_match_axiom(phi, scheme):
+    prim = primitive_form(phi)
+    if scheme in REF_PATTERNS:
+        binding = {}
+        return binding if ref_unify(REF_PATTERNS[scheme], prim, binding) else None
+    return REF_MATCHERS[scheme](prim)
+
+
+SCHEMES = tuple(REF_PATTERNS) + tuple(REF_MATCHERS)
+
+_NAMES = ("v", "u", "w", "x")
+_names = st.sampled_from(_NAMES)
+_terms = st.recursive(
+    st.one_of(_names.map(Variable),
+              st.sampled_from((Constant("c1"), Constant("c2"), Parameter("e0")))),
+    lambda sub: st.one_of(st.builds(lambda a: FuncApp("g", (a,)), sub),
+                          st.builds(lambda a, b: FuncApp("f", (a, b)), sub, sub)),
+    max_leaves=3)
+_atoms = st.one_of(
+    st.sampled_from((PropAtom("p0"), PropAtom("p1"))),
+    _terms.map(lambda t: PredAtom("P", (t,))),
+    st.builds(lambda a, b: PredAtom("R", (a, b)), _terms, _terms),
+    st.builds(Equality, _terms, _terms),
+)
+# primitive forms only: both matchers see a formula's primitive form
+_formulas = st.recursive(
+    _atoms,
+    lambda sub: st.one_of(st.builds(Not, sub), st.builds(Implies, sub, sub),
+                          st.builds(Sup, sub, sub), st.builds(Forall, _names, sub)),
+    max_leaves=4)
+
+
+def _fill(pattern, binding):
+    """The pattern with each metavariable replaced by its binding."""
+    if isinstance(pattern, MetaVar):
+        return binding[pattern.name]
+    if isinstance(pattern, tuple):
+        return tuple(_fill(x, binding) for x in pattern)
+    if isinstance(pattern, Node):
+        return type(pattern)(*_fill(pattern._astuple(), binding))
+    return pattern
+
+
+def _replace_free(x, var, term):
+    """``x`` with every free ``var`` replaced by ``term``, capture or not."""
+    if isinstance(x, Variable) and x.name == var:
+        return term
+    if isinstance(x, Forall) and x.var == var:
+        return x
+    if isinstance(x, tuple):
+        return tuple(_replace_free(y, var, term) for y in x)
+    if isinstance(x, Node):
+        return type(x)(*_replace_free(x._astuple(), var, term))
+    return x
+
+
+def _places(x, path=()):
+    """(path, node, name or metavariable) of every place in a node or
+    pattern, the root included."""
+    if isinstance(x, (Node, str, MetaVar)):
+        yield path, x
+    if isinstance(x, (Node, tuple)):
+        for i, child in enumerate(x._astuple() if isinstance(x, Node) else x):
+            yield from _places(child, path + (i,))
+
+
+def _replace_at(x, path, new):
+    if not path:
+        return new
+    fields = list(x._astuple() if isinstance(x, Node) else x)
+    fields[path[0]] = _replace_at(fields[path[0]], path[1:], new)
+    return type(x)(*fields) if isinstance(x, Node) else tuple(fields)
+
+
+@st.composite
+def _candidates(draw, scheme):
+    """An instance of the scheme's pattern whose parts are drawn at random,
+    with the dependent part built from the others where a side condition
+    ties them (UI's instance, I4's term and I5's formula, captured or not);
+    half the time one place of it is then replaced: a near-miss.  The bound
+    variables are distinct half the time, as the equality schemes ask, and
+    ``phi`` is often built so that a side condition on it fails."""
+    pattern = _PATTERNS[scheme]
+    kinds = {"phi": _formulas, "psi": _formulas, "sigma": _formulas,
+             "s": _terms, "t": _terms}
+    wanted = {x.name for _, x in _places(pattern) if isinstance(x, MetaVar)}
+    if scheme == "UI":
+        wanted.add("t")  # the term put into the instance
+    b = dict(zip(("v", "u", "w"), draw(st.one_of(
+        st.permutations(_NAMES), st.tuples(_names, _names, _names)))))
+    b.update((name, draw(kinds[name])) for name in sorted(wanted & kinds.keys()))
+    if "phi" in b:  # v free under a binder of u, or in a sup operand, more often
+        pv = PredAtom("P", (Variable(b["v"]),))
+        b["phi"] = draw(st.sampled_from(
+            (b["phi"], Forall(b["u"], Implies(pv, b["phi"])), Sup(pv, b["phi"]))))
+    if scheme == "UI":
+        b["psi"] = _replace_free(b["phi"], b["v"], b["t"])
+    elif scheme == "I4":
+        b["t"] = _replace_free(b["s"], b["v"], Variable(b["u"]))
+    elif scheme == "I5":
+        b["psi"] = _replace_free(b["phi"], b["v"], Variable(b["u"]))
+    phi = _fill(pattern, b)
+    if draw(st.booleans()):
+        path, old = draw(st.sampled_from(list(_places(phi))))
+        kind = _names if isinstance(old, str) else _terms if isinstance(old, Term) else _formulas
+        phi = _replace_at(phi, path, draw(kind.filter(lambda new: new != old)))
+    return phi
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_match_axiom_accepts_what_the_hand_written_matchers_accept(scheme):
+    seen = set()
+
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @given(_candidates(scheme))
+    def agree(phi):
+        rejected = ref_match_axiom(phi, scheme) is None
+        assert (match_axiom(phi, scheme) is None) == rejected, to_text(phi)
+        seen.add(rejected)
+
+    agree()
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import ast
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -384,3 +386,13 @@ def test_patterns_need_no_python_newer_than_3_10():
     for pattern in patterns:
         used = set(opcodes(_parser.parse(pattern.pattern).data))
         assert not used & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}, pattern.pattern
+
+
+def test_sources_need_no_python_newer_than_3_10():
+    # pyproject asks for Python 3.10: no source or test may use syntax
+    # that 3.10 cannot parse, such as except* or type parameter lists
+    root = Path(__file__).resolve().parent.parent
+    files = sorted((root / "src" / "supkit").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    assert len(files) >= 20
+    for path in files:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
