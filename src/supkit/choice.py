@@ -18,6 +18,7 @@ from .syntax import (
     Forall,
     Iff,
     Implies,
+    NO_SYMBOLS,
     Not,
     Or,
     Sup,
@@ -31,6 +32,7 @@ from .syntax import (
     json_field,
     json_names,
     parse,
+    symbols,
     to_text,
 )
 
@@ -250,7 +252,7 @@ class BoundedModelOracle:
         self.max_domain = max_domain
         self._ids = {}       # canonical key -> class id
         self._classes = {}   # fingerprint -> class id
-        self._vocab = models.Vocabulary()
+        self._syms = NO_SYMBOLS
         self._free = ()      # free variables read as constants, sorted
         self._blocks = ()    # one Block of every model per domain size
 
@@ -261,7 +263,7 @@ class BoundedModelOracle:
             if not is_classical(phi):
                 raise models.EvalError(
                     f"equivalence is decided for sup-free formulas only: {to_text(phi)}")
-            self._widen(models.vocabulary_of([phi]), free_vars(phi))
+            self._widen(symbols(phi), free_vars(phi))
             fingerprint = tuple(block.mask(phi) for block in self._blocks)
             cid = self._ids[key] = self._classes.setdefault(fingerprint, len(self._classes))
         return cid
@@ -269,11 +271,12 @@ class BoundedModelOracle:
     def equivalent(self, a, b):
         return self.class_of(a) == self.class_of(b)
 
-    def _widen(self, vocab, free):
-        """Cover a new formula's vocabulary and free variables."""
-        vocab = self._vocab.union(vocab)
-        if vocab is self._vocab and free.issubset(self._free):
+    def _widen(self, syms, free):
+        """Cover a new formula's symbols and free variables."""
+        syms = self._syms.union(syms)
+        if syms is self._syms and free.issubset(self._free):
             return
+        vocab = models.Vocabulary.of(syms)
         free = tuple(sorted(free.union(self._free)))
         if vocab.first_order:
             layouts = [models.Layout.of_structures(vocab, models.element_names(n), free)
@@ -288,7 +291,7 @@ class BoundedModelOracle:
                 tuple(_repeat(mask, before.count, layout.count // before.count)
                       for mask, before, layout in zip(fingerprint, old, layouts)): cid
                 for fingerprint, cid in self._classes.items()}
-        self._vocab, self._free = vocab, free
+        self._syms, self._free = syms, free
         self._blocks = [models.Block(layout, 0, layout.count) for layout in layouts]
 
     def describe(self):
@@ -315,10 +318,11 @@ def _repeat(mask, width, times):
 class TruthTableOracle(BoundedModelOracle):
     """Exact classical equivalence for propositional formulas."""
 
-    def _widen(self, vocab, free):
-        if vocab.first_order:
+    def _widen(self, syms, free):
+        # one that mixes atoms with first-order symbols is refused as mixed
+        if syms.first_order and not syms.prop_atoms:
             raise SupkitError("truth-table oracle supports propositional formulas only")
-        super()._widen(vocab, free)
+        super()._widen(syms, free)
 
     def describe(self):
         return {"kind": "truth-table"}

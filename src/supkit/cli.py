@@ -4,8 +4,8 @@ consequence/tautology checking, proof checking, and the demo suite.
 Exit codes: 0 success or valid; 1 countermodel found or proof rejected;
 2 usage or input errors, a formula nested too deeply included.  Verdict
 reports always embed the searched space, so nothing claims more than what
-was enumerated.  SUPKIT_ORACLE_BOUND
-overrides the default equivalence-oracle domain bound.
+was enumerated.  ``consequence`` and ``taut`` hand their search, ``--jobs``
+included, to ``semantics.check_consequence``.
 """
 
 import argparse
@@ -13,7 +13,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import os
 import random
 import sys
 
@@ -29,16 +28,13 @@ from .choice import (
 from .models import Structure, Valuation, valuations_over
 from .proofs import check_proof, proof_from_json
 from .semantics import (
-    DEFAULT_BUDGET,
     DEFAULT_DOMAIN_BOUND,
     DEFAULT_ORACLE_BOUND,
     SearchSpace,
-    check_restricted_sentences,
+    check_consequence,
     class_spec_for,
     eval_fcs,
     eval_scs,
-    scan_models,
-    verdict_of_scans,
 )
 from .syntax import (
     NESTED_TOO_DEEPLY,
@@ -69,16 +65,7 @@ def _positive(value, name):
 
 
 def _oracle_bound(args):
-    env = os.environ.get("SUPKIT_ORACLE_BOUND")
-    if getattr(args, "oracle_bound", None) is not None:
-        return _positive(args.oracle_bound, "--oracle-bound")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise SupkitError("SUPKIT_ORACLE_BOUND must be a positive integer") from None
-        return _positive(value, "SUPKIT_ORACLE_BOUND")
-    return DEFAULT_ORACLE_BOUND
+    return _positive(args.oracle_bound, "--oracle-bound")
 
 
 def _load_json(path):
@@ -166,85 +153,6 @@ def _verdict_output(args, verdict):
     return 0 if verdict.valid else 1
 
 
-def _search(premises, conclusion, spec, space, jobs, budget=DEFAULT_BUDGET):
-    """The verdict of ``semantics.check_consequence``, with the space's
-    models cut into ``jobs`` equal shares (see ``shares``).  This process
-    scans the first share's blocks and one worker process scans each other
-    share's, so no process is started with one job, or when one share
-    holds every block.  The verdict, its counts and the budget are exactly
-    those of the serial search: the scans are read in model order, and the
-    workers still running once the verdict is settled are killed, as they
-    are on every other way out.  Each share's scan builds its own table
-    trie (see ``scan_models``); none is shared between processes."""
-    check_restricted_sentences(list(premises) + [conclusion])
-    blocks = list(space.blocks())
-    (first, stop), *rest = shares([width for _, _, width in blocks], jobs)
-    task = (premises, conclusion, spec, budget)
-    workers = []
-    try:
-        if rest:
-            import multiprocessing   # only here: importing cli stays cheap
-            for start, end in rest:
-                receive, send = multiprocessing.Pipe(duplex=False)
-                worker = multiprocessing.Process(
-                    target=_scan_share, args=(send, space, blocks[start:end], *task),
-                    daemon=True)
-                worker.start()
-                workers.append((worker, receive))
-                send.close()
-        scans = itertools.chain([scan_models(space, blocks[first:stop], *task)],
-                                itertools.starmap(_received, workers))
-        return verdict_of_scans(premises, conclusion, spec, space, scans, budget)
-    finally:
-        for worker, receive in workers:
-            worker.kill()
-            worker.join()
-            receive.close()
-
-
-def shares(widths, jobs):
-    """Runs of consecutive blocks, given their widths in model order, as
-    ``(first, stop)`` block numbers: block ``b`` joins run
-    ``jobs * m_b // total``, where ``m_b`` is the number of its first model.
-    So there are at most ``jobs`` runs, and each holds within one block
-    width of ``total / jobs`` models."""
-    total = sum(widths)
-    runs, share, start = [], None, 0
-    for b, width in enumerate(widths):
-        if jobs * start // total != share:
-            share = jobs * start // total
-            runs.append([b, b])
-        runs[-1][1] = b + 1
-        start += width
-    return [tuple(run) for run in runs]
-
-
-def _scan_share(send, *scan):
-    """A worker's body: sends ``(True, scan_models(...))``, or ``(False,
-    exception)`` if it raised.  Interrupts are left to the caller, which
-    kills its workers."""
-    import signal
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        result = True, scan_models(*scan)
-    except Exception as exc:
-        result = False, exc
-    send.send(result)
-
-
-def _received(worker, receive):
-    """A worker's scan, or its exception raised again here."""
-    try:
-        ok, result = receive.recv()
-    except EOFError:
-        worker.join()
-        raise SupkitError(f"a search worker ended without a result "
-                          f"(exit code {worker.exitcode})") from None
-    if not ok:
-        raise result
-    return result
-
-
 def cmd_consequence(args):
     sig = _signature(args)
     premises = [parse(text.strip(), sig)
@@ -254,8 +162,8 @@ def cmd_consequence(args):
     spec = class_spec_for(args.table_class, formulas, _oracle_bound(args))
     space = SearchSpace.for_task(
         formulas, max_domain=_positive(args.max_domain, "--max-domain"))
-    verdict = _search(premises, conclusion, spec, space,
-                      _positive(args.jobs, "--jobs"))
+    verdict = check_consequence(premises, conclusion, spec, space,
+                                jobs=_positive(args.jobs, "--jobs"))
     return _verdict_output(args, verdict)
 
 
@@ -503,7 +411,7 @@ def build_parser():
                              required=True)
             cmd.set_defaults(premises="")
         cmd.add_argument("--max-domain", type=int, default=DEFAULT_DOMAIN_BOUND)
-        cmd.add_argument("--oracle-bound", type=int, default=None)
+        cmd.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
         cmd.add_argument("--jobs", type=int, default=1,
                          help="cut the models into N equal shares: this process scans "
                               "the first, one more process each other share "
@@ -528,7 +436,7 @@ def build_parser():
     cmd.add_argument("--class", dest="table_class", choices=("all", "reg"),
                      default="all")
     cmd.add_argument("--max-domain", type=int, default=DEFAULT_DOMAIN_BOUND)
-    cmd.add_argument("--oracle-bound", type=int, default=None)
+    cmd.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
     cmd.add_argument("--seed", type=int, default=0)
     cmd.add_argument("--samples", type=int, default=50,
                      help="extra random deeper pairs for the interpolation sweep")

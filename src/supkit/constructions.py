@@ -38,6 +38,7 @@ from .syntax import (
     Forall,
     Iff,
     Implies,
+    Node,
     Not,
     Or,
     Parameter,
@@ -650,27 +651,14 @@ def _canonical_constants(model):
     return canon
 
 
-def _to_constants(phi, canon):
-    def term(t):
-        if isinstance(t, Parameter):
-            return Constant(canon[t.element])
-        if hasattr(t, "args"):
-            return type(t)(t.name, tuple(term(a) for a in t.args))
-        return t
-
-    if isinstance(phi, PredAtom):
-        return PredAtom(phi.name, tuple(term(a) for a in phi.args))
-    if isinstance(phi, Equality):
-        return Equality(term(phi.lhs), term(phi.rhs))
-    if isinstance(phi, PropAtom):
-        return phi
-    if isinstance(phi, Not):
-        return Not(_to_constants(phi.body, canon))
-    if isinstance(phi, (And, Or, Implies, Iff, Sup)):
-        return type(phi)(_to_constants(phi.left, canon), _to_constants(phi.right, canon))
-    if isinstance(phi, (Forall, Exists)):
-        return type(phi)(phi.var, _to_constants(phi.body, canon))
-    raise SupkitError(f"not a formula: {phi!r}")
+def _to_constants(x, canon):
+    """``x`` with each parameter replaced by its canonical constant; a walk
+    over nodes, their field tuples and names alike."""
+    if isinstance(x, Parameter):
+        return Constant(canon[x.element])
+    if isinstance(x, Node):
+        return type(x)(*_to_constants(x._astuple(), canon))
+    return tuple(_to_constants(y, canon) for y in x) if isinstance(x, tuple) else x
 
 
 def _add_parameter_entries(fragment, model, table):

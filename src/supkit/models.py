@@ -22,6 +22,7 @@ from .syntax import (
     FuncApp,
     Iff,
     Implies,
+    NO_SYMBOLS,
     Not,
     Or,
     PARAM_PREFIX,
@@ -30,11 +31,13 @@ from .syntax import (
     PropAtom,
     Sup,
     SupkitError,
+    Symbols,
     Variable,
     canonical_key,
     is_classical,
     json_field,
     json_names,
+    symbols,
     to_text_term,
 )
 
@@ -227,7 +230,6 @@ def _eval(model, phi, env):
 
 _MIXED = ("vocabulary mixes propositional atoms with first-order symbols; "
           "search spaces support one kind at a time")
-_SYMBOL_FIELDS = ("prop_atoms", "constants", "functions", "predicates", "parameters")
 
 
 @dataclass(frozen=True)
@@ -237,29 +239,15 @@ class Vocabulary:
     functions: tuple = ()   # (name, arity) pairs
     predicates: tuple = ()  # (name, arity) pairs
     parameters: tuple = ()
-    fo_syntax: bool = False  # equality/quantifiers/variables seen
+    first_order: bool = False   # a predicate, an equality or a quantifier occurs
 
-    @property
-    def first_order(self):
-        return bool(self.constants or self.functions or self.predicates
-                    or self.parameters or self.fo_syntax)
-
-    def union(self, other):
-        """The vocabulary of the formulas of both (``self`` when it covers
-        ``other``); like ``vocabulary_of``, it raises EvalError when atoms
-        meet first-order symbols."""
-        fo_syntax = self.fo_syntax or other.fo_syntax
-        merged = {}
-        for name in _SYMBOL_FIELDS:
-            mine, theirs = getattr(self, name), getattr(other, name)
-            merged[name] = mine if set(theirs) <= set(mine) else \
-                tuple(sorted(set(mine).union(theirs)))
-        if fo_syntax == self.fo_syntax and all(
-                merged[name] is getattr(self, name) for name in _SYMBOL_FIELDS):
-            return self
-        if merged["prop_atoms"] and fo_syntax:
+    @classmethod
+    def of(cls, syms):
+        """The vocabulary of some ``syntax.Symbols``; it raises EvalError
+        when atoms meet first-order symbols."""
+        if syms.prop_atoms and syms.first_order:
             raise EvalError(_MIXED)
-        return Vocabulary(**merged, fo_syntax=fo_syntax)
+        return cls(*(tuple(sorted(names)) for names in syms[:-1]), syms.first_order)
 
     def describe(self):
         return {
@@ -272,52 +260,8 @@ class Vocabulary:
 
 
 def vocabulary_of(formulas):
-    atoms, consts, funcs, preds, params = set(), set(), set(), set(), set()
-    fo_syntax = [False]
-
-    def walk_term(t):
-        if isinstance(t, Constant):
-            consts.add(t.name)
-        elif isinstance(t, Parameter):
-            params.add(t.element)
-        elif isinstance(t, FuncApp):
-            funcs.add((t.name, len(t.args)))
-            for a in t.args:
-                walk_term(a)
-
-    def walk(phi):
-        if isinstance(phi, PropAtom):
-            atoms.add(phi.name)
-        elif isinstance(phi, PredAtom):
-            fo_syntax[0] = True
-            preds.add((phi.name, len(phi.args)))
-            for a in phi.args:
-                walk_term(a)
-        elif isinstance(phi, Equality):
-            fo_syntax[0] = True
-            walk_term(phi.lhs)
-            walk_term(phi.rhs)
-        elif isinstance(phi, Not):
-            walk(phi.body)
-        elif isinstance(phi, (And, Or, Implies, Iff, Sup)):
-            walk(phi.left)
-            walk(phi.right)
-        elif isinstance(phi, (Forall, Exists)):
-            fo_syntax[0] = True
-            walk(phi.body)
-
-    for phi in formulas:
-        walk(phi)
-    if atoms and fo_syntax[0]:
-        raise EvalError(_MIXED)
-    return Vocabulary(
-        prop_atoms=tuple(sorted(atoms)),
-        constants=tuple(sorted(consts)),
-        functions=tuple(sorted(funcs)),
-        predicates=tuple(sorted(preds)),
-        parameters=tuple(sorted(params)),
-        fo_syntax=fo_syntax[0],
-    )
+    """The vocabulary of the formulas' symbols together."""
+    return Vocabulary.of(functools.reduce(Symbols.union, map(symbols, formulas), NO_SYMBOLS))
 
 
 # The prefix under which a free variable read as a constant is interpreted
@@ -575,14 +519,12 @@ def element_names(n):
     return tuple(f"e{i}" for i in range(n))
 
 
-def structures_over(vocab, max_domain=3, domain=None):
+def structures_over(vocab, max_domain=3):
     """All structures interpreting the vocabulary, domains of size 1..max.
 
     Parameters are interpreted like constants under their printed ``@`` name.
     Enumeration order is deterministic: domain size ascending, then the
     structures of one size in ``Layout`` number order.
     """
-    domains = [tuple(domain)] if domain is not None else \
-        [element_names(n) for n in range(1, max_domain + 1)]
-    for elems in domains:
-        yield from Layout.of_structures(vocab, elems).models()
+    for n in range(1, max_domain + 1):
+        yield from Layout.of_structures(vocab, element_names(n)).models()

@@ -26,18 +26,14 @@ line classifies as restricted, and SV operands must be basic); the
 from dataclasses import dataclass
 
 from .syntax import (
-    And,
     BinaryFormula,
     CaptureError,
     Equality,
     Forall,
-    Iff,
     Implies,
     Node,
     Not,
-    Or,
     ParseError,
-    PropAtom,
     Sup,
     SupkitError,
     SyntaxClass,
@@ -50,6 +46,7 @@ from .syntax import (
     primitive_form,
     substitute,
     substitute_term,
+    symbols,
     term_vars,
     to_text,
 )
@@ -183,7 +180,7 @@ def _free_in_sup_operand(phi, var):
         return True
     if isinstance(phi, Not):
         return _free_in_sup_operand(phi.body, var)
-    if isinstance(phi, (And, Or, Implies, Iff)):
+    if isinstance(phi, BinaryFormula):
         return (_free_in_sup_operand(phi.left, var)
                 or _free_in_sup_operand(phi.right, var))
     return _free_in_sup_operand(phi.body, var)
@@ -242,34 +239,30 @@ def _as_iff(prim):
 
 @dataclass(frozen=True)
 class Hyp:
-    kind = "hyp"
+    pass
 
 
 @dataclass(frozen=True)
 class Axiom:
     scheme: str
-    kind = "axiom"
 
 
 @dataclass(frozen=True)
 class MP:
     premise: int      # line numbers, 1-based
     implication: int
-    kind = "mp"
 
 
 @dataclass(frozen=True)
 class GR:
     premise: int
     var: str
-    kind = "gr"
 
 
 @dataclass(frozen=True)
 class SV:
     premise: int
     cert: object      # a Proof in the base system, no hypotheses
-    kind = "sv"
 
 
 @dataclass(frozen=True)
@@ -300,33 +293,8 @@ class ProofVerdict:
         return self.ok
 
 
-def _is_propositional(phi, known):
-    """Whether ``phi`` is built from propositional atoms by connectives.
-    ``known`` maps the ids of nodes decided before to their answers; a
-    proof keeps its nodes alive while it is checked, so no id is reused."""
-    answer = known.get(id(phi))
-    if answer is None:
-        if isinstance(phi, PropAtom):
-            answer = True
-        elif isinstance(phi, Not):
-            answer = _is_propositional(phi.body, known)
-        elif isinstance(phi, BinaryFormula):
-            answer = (_is_propositional(phi.left, known)
-                      and _is_propositional(phi.right, known))
-        else:
-            answer = False
-        known[id(phi)] = answer
-    return answer
-
-
 def check_proof(proof):
     """Validate every line; returns ok or the first failing line + reason."""
-    return _check_proof(proof, {})
-
-
-def _check_proof(proof, propositional):
-    """check_proof, sharing the ``propositional`` answers of _is_propositional
-    with the certificates the proof embeds."""
     system = SYSTEMS.get(proof.system)
     if system is None:
         return ProofVerdict(False, 0, f"unknown system {proof.system!r}")
@@ -335,17 +303,17 @@ def _check_proof(proof, propositional):
     hyp_prims = [primitive_form(h) for h in proof.hypotheses]
     prims = []
     for number, line in enumerate(proof.lines, start=1):
-        reason = _check_line(system, proof, hyp_prims, prims, number, line, propositional)
+        reason = _check_line(system, proof, hyp_prims, prims, number, line)
         if reason is not None:
             return ProofVerdict(False, number, reason)
         prims.append(primitive_form(line.formula))
     return ProofVerdict(True)
 
 
-def _check_line(system, proof, hyp_prims, prims, number, line, propositional):
+def _check_line(system, proof, hyp_prims, prims, number, line):
     phi = line.formula
     just = line.just
-    if not system.first_order and not _is_propositional(phi, propositional):
+    if not system.first_order and symbols(phi).first_order:
         return "first-order syntax in a propositional system"
     if system.first_order and not proof.unrestricted:
         if classify(phi) > SyntaxClass.RESTRICTED:
@@ -420,7 +388,7 @@ def _check_line(system, proof, hyp_prims, prims, number, line, propositional):
             return f"SV certificate must be a {base} proof, got {cert.system}"
         if cert.hypotheses:
             return "SV certificate must not use hypotheses"
-        sub = _check_proof(cert, propositional)
+        sub = check_proof(cert)
         if not sub.ok:
             return f"SV certificate invalid at its line {sub.line}: {sub.reason}"
         if _as_iff(primitive_form(cert.conclusion())) != (sup_phi, sup_psi):
@@ -531,8 +499,8 @@ def _proof_from_json(data, sig, memo, where=None):
         hypotheses=tuple(_parse_at(text, sig, memo, place(f"hypothesis {number}"))
                          for number, text in hypotheses),
         lines=tuple(lines),
-        unrestricted=bool(data.get("unrestricted", False)),
-        allow_open_hypotheses=bool(data.get("allow_open_hypotheses", False)),
+        unrestricted=field(data, "unrestricted", bool, where, False),
+        allow_open_hypotheses=field(data, "allow_open_hypotheses", bool, where, False),
     )
 
 

@@ -10,8 +10,12 @@ checking.
 Consequence/tautology verdicts quantify over an explicit finite search
 space (valuations or structures up to a domain bound, crossed with every
 admissible choice table on the reachable pairs) and say nothing beyond it.
+``check_consequence`` is the one search driver: serial runs and ``--jobs``
+runs, which scan shares of the models in worker processes, both go
+through it.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from .choice import (
@@ -259,16 +263,90 @@ def check_restricted_sentences(formulas):
             raise EvalError(f"not a sentence: {to_text(phi)}")
 
 
-def check_consequence(premises, conclusion, spec, space=None, budget=DEFAULT_BUDGET):
+def check_consequence(premises, conclusion, spec, space=None, budget=DEFAULT_BUDGET, jobs=1):
     """Search the space for a (model, admissible table) pair satisfying every
-    premise but not the conclusion; valid-over-space when none exists."""
+    premise but not the conclusion; valid-over-space when none exists.
+
+    The space's models are cut into ``jobs`` equal shares (see ``shares``).
+    This process scans the first share's blocks and one worker process
+    scans each other share's, so no process is started with one job, or
+    when one share holds every block.  The verdict, its counts and the
+    budget are exactly those of one scan over all the blocks: the scans are
+    read in model order, and the workers still running once the verdict is
+    settled are killed, as they are on every other way out.  Each share's
+    scan builds its own table trie (see ``scan_models``); none is shared
+    between processes."""
     premises = tuple(premises)
     formulas = list(premises) + [conclusion]
     check_restricted_sentences(formulas)
     if space is None:
         space = SearchSpace.for_task(formulas)
-    scan = scan_models(space, space.blocks(), premises, conclusion, spec, budget)
-    return verdict_of_scans(premises, conclusion, spec, space, [scan], budget)
+    blocks = list(space.blocks())
+    (first, stop), *rest = shares([width for _, _, width in blocks], jobs)
+    task = (premises, conclusion, spec, budget)
+    workers = []
+    try:
+        if rest:
+            import multiprocessing   # only here: importing the package stays cheap
+            for start, end in rest:
+                receive, send = multiprocessing.Pipe(duplex=False)
+                worker = multiprocessing.Process(
+                    target=_scan_share, args=(send, space, blocks[start:end], *task),
+                    daemon=True)
+                worker.start()
+                workers.append((worker, receive))
+                send.close()
+        scans = itertools.chain([scan_models(space, blocks[first:stop], *task)],
+                                itertools.starmap(_received, workers))
+        return verdict_of_scans(premises, conclusion, spec, space, scans, budget)
+    finally:
+        for worker, receive in workers:
+            worker.kill()
+            worker.join()
+            receive.close()
+
+
+def shares(widths, jobs):
+    """Runs of consecutive blocks, given their widths in model order, as
+    ``(first, stop)`` block numbers: block ``b`` joins run
+    ``jobs * m_b // total``, where ``m_b`` is the number of its first model.
+    So there are at most ``jobs`` runs, and each holds within one block
+    width of ``total / jobs`` models; no blocks make one empty run."""
+    total = sum(widths)
+    runs, share, start = [[0, 0]], 0, 0
+    for b, width in enumerate(widths):
+        if jobs * start // total != share:
+            share = jobs * start // total
+            runs.append([b, b])
+        runs[-1][1] = b + 1
+        start += width
+    return [tuple(run) for run in runs]
+
+
+def _scan_share(send, *scan):
+    """A worker's body: sends ``(True, scan_models(...))``, or ``(False,
+    exception)`` if it raised.  Interrupts are left to the caller, which
+    kills its workers."""
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        result = True, scan_models(*scan)
+    except Exception as exc:
+        result = False, exc
+    send.send(result)
+
+
+def _received(worker, receive):
+    """A worker's scan, or its exception raised again here."""
+    try:
+        ok, result = receive.recv()
+    except EOFError:
+        worker.join()
+        raise SupkitError(f"a search worker ended without a result "
+                          f"(exit code {worker.exitcode})") from None
+    if not ok:
+        raise result
+    return result
 
 
 def scan_models(space, blocks, premises, conclusion, spec, budget=DEFAULT_BUDGET):

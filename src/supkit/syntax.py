@@ -3,12 +3,14 @@
 Terms and formulas are slotted classes that are never changed once built,
 and they are compared structurally (no alpha-equivalence, no
 normalization).  Each formula node also carries its own facts: free
-variables, syntax class, canonical text, primitive form and, on a
+variables, syntax class, canonical text, primitive form, symbols and, on a
 quantifier, its instances by domain element.  Each fact is computed the
 first time it is asked for, from the children's facts, and read afterwards.
 Equality, hashing and pickling look at the fields only.  The superposition
 connective is written ``sup`` infix in text form; ``|`` is accepted as an
-input alias.
+input alias.  One table of binding levels (``_LEVELS`` and ``_INFIX``)
+decides where the printer puts parentheses and how the parser groups
+connectives.
 
 Formulas fall into four nested well-formedness classes:
 
@@ -23,13 +25,15 @@ Formulas fall into four nested well-formedness classes:
 import re
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 
 class SupkitError(Exception):
     """Base class for all errors raised by this package."""
 
 
-_JSON_KINDS = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+_JSON_KINDS = {str: "a string", int: "an integer", bool: "a boolean", list: "a list",
+               dict: "an object"}
 _REQUIRED = object()
 
 
@@ -42,7 +46,7 @@ def json_field(data, key, kind, source, default=_REQUIRED):
     if key not in data and default is not _REQUIRED:
         return default
     value = data.get(key)
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise SupkitError(f"malformed {source}: {key!r} must be {_JSON_KINDS[kind]}")
     return value
 
@@ -187,16 +191,17 @@ class Parameter(Term):
 # ---------------------------------------------------------------------------
 # Formulas
 #
-# Besides its fields, every formula node has four fact slots, and a
-# quantifier node a fifth: free variables, syntax class, canonical text,
-# primitive form and instances by domain element.  Each starts as None and
-# is filled by its accessor below (free_vars, classify, to_text,
-# primitive_form, instantiate) the first time it is asked for.  A node is
-# never changed after it is built, so a fact once computed stays true.
+# Besides its fields, every formula node has five fact slots, and a
+# quantifier node a sixth: free variables, syntax class, canonical text,
+# primitive form, symbols and instances by domain element.  Each starts as
+# None and is filled by its accessor below (free_vars, classify, to_text,
+# primitive_form, symbols, instantiate) the first time it is asked for.  A
+# node is never changed after it is built, so a fact once computed stays
+# true.
 
 
 class Formula(Node):
-    __slots__ = ("_free", "_class", "_text", "_prim")
+    __slots__ = ("_free", "_class", "_text", "_prim", "_syms")
 
 
 class PropAtom(Formula):
@@ -204,7 +209,7 @@ class PropAtom(Formula):
 
     def __init__(self, name):
         self.name = name
-        self._free = self._class = self._text = self._prim = None
+        self._free = self._class = self._text = self._prim = self._syms = None
 
     def _astuple(self):
         return (self.name,)
@@ -216,7 +221,7 @@ class PredAtom(Formula):
     def __init__(self, name, args):
         self.name = name
         self.args = args
-        self._free = self._class = self._text = self._prim = None
+        self._free = self._class = self._text = self._prim = self._syms = None
 
     def _astuple(self):
         return (self.name, self.args)
@@ -228,7 +233,7 @@ class Equality(Formula):
     def __init__(self, lhs, rhs):
         self.lhs = lhs
         self.rhs = rhs
-        self._free = self._class = self._text = self._prim = None
+        self._free = self._class = self._text = self._prim = self._syms = None
 
     def _astuple(self):
         return (self.lhs, self.rhs)
@@ -239,7 +244,7 @@ class Not(Formula):
 
     def __init__(self, body):
         self.body = body
-        self._free = self._class = self._text = self._prim = None
+        self._free = self._class = self._text = self._prim = self._syms = None
 
     def _astuple(self):
         return (self.body,)
@@ -251,7 +256,7 @@ class BinaryFormula(Formula):
     def __init__(self, left, right):
         self.left = left
         self.right = right
-        self._free = self._class = self._text = self._prim = None
+        self._free = self._class = self._text = self._prim = self._syms = None
 
     def _astuple(self):
         return (self.left, self.right)
@@ -287,7 +292,7 @@ class QuantifiedFormula(Formula):
     def __init__(self, var, body):
         self.var = var
         self.body = body
-        self._free = self._class = self._text = self._prim = self._inst = None
+        self._free = self._class = self._text = self._prim = self._syms = self._inst = None
 
     def _astuple(self):
         return (self.var, self.body)
@@ -507,6 +512,64 @@ def instantiate(phi, element):
 
 
 # ---------------------------------------------------------------------------
+# Symbols
+
+
+class Symbols(NamedTuple):
+    """The non-logical symbols of a formula, each field a frozenset but the
+    last; ``models.vocabulary_of`` unites them over a task's formulas."""
+
+    prop_atoms: frozenset
+    constants: frozenset
+    functions: frozenset    # (name, arity) pairs
+    predicates: frozenset   # (name, arity) pairs
+    parameters: frozenset
+    first_order: bool       # a predicate, an equality or a quantifier occurs
+
+    def union(self, other):
+        """The symbols of both, ``self`` when it covers ``other``; a field
+        that one of them covers is shared."""
+        if other == self:   # the common case, as most operands share their symbols
+            return self
+        merged = Symbols(*[b if a <= b else a if b <= a else a | b for a, b in zip(self, other)])
+        return self if merged == self else merged
+
+
+NO_SYMBOLS = Symbols(_NO_VARS, _NO_VARS, _NO_VARS, _NO_VARS, _NO_VARS, False)
+
+
+def symbols(phi):
+    """The formula's symbols, from its terms or its children's symbols."""
+    try:
+        syms = phi._syms
+    except AttributeError:
+        raise _not_a_formula(phi) from None
+    if syms is None:
+        syms = phi._syms = _symbols_of(phi)
+    return syms
+
+
+def _symbols_of(phi):
+    if isinstance(phi, PropAtom):
+        return Symbols(frozenset((phi.name,)), _NO_VARS, _NO_VARS, _NO_VARS, _NO_VARS, False)
+    if isinstance(phi, Not):
+        return symbols(phi.body)
+    if isinstance(phi, BinaryFormula):
+        return symbols(phi.left).union(symbols(phi.right))
+    if isinstance(phi, QuantifiedFormula):
+        return symbols(phi.body)._replace(first_order=True)
+    pred = isinstance(phi, PredAtom)
+    terms = list(phi.args) if pred else [phi.lhs, phi.rhs]
+    for t in terms:   # the loop reaches the arguments it appends too
+        if type(t) is FuncApp:
+            terms += t.args
+    return Symbols(_NO_VARS, frozenset([t.name for t in terms if type(t) is Constant]),
+                   frozenset([(t.name, len(t.args)) for t in terms if type(t) is FuncApp]),
+                   frozenset([(phi.name, len(phi.args))] if pred else ()),
+                   frozenset([t.element for t in terms if type(t) is Parameter]), True)
+
+
+# ---------------------------------------------------------------------------
 # Well-formedness classes (basic / restricted hierarchy)
 
 _CLASSICAL = SyntaxClass.CLASSICAL
@@ -583,7 +646,8 @@ _LEVELS = {
     Forall: _LEVEL_QUANT, Exists: _LEVEL_QUANT,
 }
 
-# infix text, least level of the left operand, least level of the right one
+# infix text, least level of the left operand, least level of the right one;
+# the parser reads each right operand at its least level
 _INFIX = {
     Sup: (" sup ", _LEVEL_SUP, _LEVEL_SUP + 1),
     And: (" /\\ ", _LEVEL_AND, _LEVEL_AND + 1),
@@ -739,6 +803,8 @@ _TOKEN_RE = re.compile(rf"\s*(?:{_TOKENS}|(?P<EOF>\Z))")
 
 _KEYWORDS = {"forall", "exists", "sup"}
 _KIND_OF_WORD = {"forall": "FORALL", "exists": "EXISTS", "sup": "SUP", "|": "SUP"}
+# the binary connective each token writes
+_CONNECTIVES = {"ARROW2": Iff, "ARROW": Implies, "OR": Or, "AND": And, "SUP": Sup}
 
 
 def _balanced_pattern(depth):
@@ -819,52 +885,26 @@ class _Parser:
             return self.text[pos + 1:end]
         return None
 
-    def formula(self):
-        return self.iff()
-
-    def iff(self):
-        left = self.implies()
-        if self.tok[0] == "ARROW2":
+    def formula(self, least=_LEVEL_IFF):
+        """A formula whose connectives outside parentheses bind at least as
+        tightly as level ``least``.  Each connective's right operand is read
+        at the least level ``_INFIX`` gives it, so the printer's table
+        decides binding strength and associativity for the parser too."""
+        left = self.atom()
+        cls = _CONNECTIVES.get(self.tok[0])
+        while cls is not None and _LEVELS[cls] >= least:
             self.next()
-            return Iff(left, self.iff())
+            left = cls(left, self.formula(_INFIX[cls][2]))
+            cls = _CONNECTIVES.get(self.tok[0])
         return left
-
-    def implies(self):
-        left = self.disj()
-        if self.tok[0] == "ARROW":
-            self.next()
-            return Implies(left, self.implies())
-        return left
-
-    def disj(self):
-        left = self.conj()
-        while self.tok[0] == "OR":
-            self.next()
-            left = Or(left, self.conj())
-        return left
-
-    def conj(self):
-        left = self.sup()
-        while self.tok[0] == "AND":
-            self.next()
-            left = And(left, self.sup())
-        return left
-
-    def sup(self):
-        left = self.neg()
-        while self.tok[0] == "SUP":
-            self.next()
-            left = Sup(left, self.neg())
-        return left
-
-    def neg(self):
-        if self.tok[0] == "NOT":
-            self.next()
-            return Not(self.neg())
-        return self.atom()
 
     def atom(self):
+        """An operand of the binary connectives: a negation, a formula in
+        parentheses, a quantified formula or an atomic formula."""
         kind, value, pos = self.tok
+        if kind == "NOT":
+            self.next()
+            return Not(self.atom())
         if kind == "LPAR":
             span = self._span(pos)
             if span is not None:
@@ -898,10 +938,7 @@ class _Parser:
             if self.sig.is_prop_atom(value) and self.ahead()[0] not in ("EQ", "LPAR"):
                 self.next()
                 return PropAtom(value)
-            lhs = self.term()
-            self.expect("EQ")
-            return Equality(lhs, self.term())
-        if kind == "PARAM":
+        if kind in ("IDENT", "PARAM"):
             lhs = self.term()
             self.expect("EQ")
             return Equality(lhs, self.term())

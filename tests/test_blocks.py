@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supkit import cli, semantics
+from supkit import semantics
 from supkit.choice import TableNode, enumerate_tables
 from supkit.cli import run
 from supkit.corpus import corpus_entries
@@ -79,13 +79,14 @@ def _without_tables(out):
 
 def _outputs(capsys, monkeypatch, argv):
     """The output of the reference, of one-model blocks and of the default
-    blocks, with the exit codes.  The command's search (``cli._search``)
-    scans with ``cli.scan_models``, so that is the name patched."""
+    blocks, with the exit codes.  The command's search
+    (``semantics.check_consequence``) scans with ``semantics.scan_models``,
+    so that is the name patched."""
     outputs = []
     for width, scan in ((None, ref_scan_models), (1, semantics.scan_models),
                         (semantics.BLOCK_WIDTH, semantics.scan_models)):
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "scan_models", scan)
+            patch.setattr(semantics, "scan_models", scan)
             if width is not None:
                 patch.setattr(semantics, "BLOCK_WIDTH", width)
             code = run(argv)
@@ -121,10 +122,11 @@ def test_jobs_print_what_the_serial_search_prints(capsys, monkeypatch):
     every rung, with blocks of one model, so that shares really split, and
     at the default width; the countermodels found fall in this process's
     share and in workers' shares.  The serial run scans through
-    ``cli.scan_models`` too, so only scans of ``--jobs`` runs are counted."""
+    ``semantics.scan_models`` too, so only scans of ``--jobs`` runs are
+    counted."""
     found_in = set()
     in_jobs = False
-    scan_models, received = cli.scan_models, cli._received
+    scan_models, received = semantics.scan_models, semantics._received
 
     def own_scan(*scan):
         result = scan_models(*scan)
@@ -138,8 +140,8 @@ def test_jobs_print_what_the_serial_search_prints(capsys, monkeypatch):
             found_in.add("worker")
         return result
 
-    monkeypatch.setattr(cli, "scan_models", own_scan)
-    monkeypatch.setattr(cli, "_received", workers_scan)
+    monkeypatch.setattr(semantics, "scan_models", own_scan)
+    monkeypatch.setattr(semantics, "_received", workers_scan)
     argvs = [_rung_argv(rung) for rung in RUNGS] + \
         [["taut", "--formula", text, "--json"] for text in LATE]
     for width in (1, semantics.BLOCK_WIDTH):

@@ -10,10 +10,16 @@ import pytest
 
 from supkit import cli, semantics
 from supkit.choice import ChoiceTable
-from supkit.cli import _search, run
+from supkit.cli import run
 from supkit.models import Valuation
 from supkit.proofs import proof_to_json
-from supkit.semantics import SearchBudgetError, SearchSpace, class_spec_for, eval_scs
+from supkit.semantics import (
+    SearchBudgetError,
+    SearchSpace,
+    check_consequence,
+    class_spec_for,
+    eval_scs,
+)
 from supkit.syntax import PropAtom, parse
 
 
@@ -142,14 +148,16 @@ def test_jobs_keeps_the_budget():
     space = SearchSpace.for_task([phi])
     for jobs in (1, 2, 3):
         with pytest.raises(SearchBudgetError):
-            _search([], phi, spec, space, jobs, budget=10)
-    serial = _search([], phi, spec, SearchSpace.for_task([phi], max_domain=2), 1)
+            check_consequence([], phi, spec, space, jobs=jobs, budget=10)
+    serial = check_consequence([], phi, spec, SearchSpace.for_task([phi], max_domain=2))
     for jobs in (2, 3):
-        parallel = _search([], phi, spec, SearchSpace.for_task([phi], max_domain=2), jobs,
+        parallel = check_consequence([], phi, spec, SearchSpace.for_task([phi], max_domain=2),
+                                     jobs=jobs,
                            budget=serial.tables_checked)
         assert parallel.to_json() == serial.to_json()
         with pytest.raises(SearchBudgetError):
-            _search([], phi, spec, SearchSpace.for_task([phi], max_domain=2), jobs,
+            check_consequence([], phi, spec, SearchSpace.for_task([phi], max_domain=2),
+                              jobs=jobs,
                     budget=serial.tables_checked - 1)
 
 
@@ -159,13 +167,6 @@ def test_jobs_rejects_input_as_serial_does(capsys, formula):
     parallel = invoke(capsys, "taut", "--formula", formula, "--jobs", "2")
     assert serial[0] == 2 and serial[2].startswith("error: ")
     assert parallel == serial
-
-
-def test_oracle_bound_env_not_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("SUPKIT_ORACLE_BOUND", "abc")
-    code, out, err = invoke(capsys, "taut", "--formula", "p0 -> p0")
-    assert code == 2 and out == ""
-    assert err == "error: SUPKIT_ORACLE_BOUND must be a positive integer\n"
 
 
 _P1_LINE = {"formula": "p0 -> p1 -> p0", "just": {"kind": "axiom", "scheme": "P1"}}
@@ -298,9 +299,8 @@ def test_demo_interpolation_small(capsys):
     assert json.loads(out)["violations"] == 0
 
 
-def test_oracle_bound_env(capsys, monkeypatch):
-    monkeypatch.setenv("SUPKIT_ORACLE_BOUND", "2")
-    code, out, _ = invoke(capsys, "demo", "no-uniform")
+def test_oracle_bound_env(capsys):
+    code, out, _ = invoke(capsys, "demo", "no-uniform", "--oracle-bound", "2")
     assert code == 0
 
 
@@ -331,6 +331,44 @@ def test_check_proof_unrestricted_flag(capsys, tmp_path):
     assert code == 1 and "restricted" in out
     code, out, _ = invoke(capsys, "check-proof", str(path), "--unrestricted")
     assert code == 0
+
+
+# For each flag, an L0 proof that is rejected without it and accepted with it.
+_FLAGGED = {
+    "unrestricted": {"system": "L0", "hypotheses": ["(forall v. P(v) sup Q(v)) sup P(c1)"],
+                     "lines": [{"formula": "(forall v. P(v) sup Q(v)) sup P(c1)",
+                                "just": {"kind": "hyp"}}]},
+    "allow_open_hypotheses": {"system": "L0", "hypotheses": ["P(v)"], "lines": [
+        {"formula": "P(v)", "just": {"kind": "hyp"}},
+        {"formula": "forall u. P(v)", "just": {"kind": "gr", "from": 1, "var": "u"}}]},
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_FLAGGED))
+def test_check_proof_flags_must_be_json_booleans(capsys, tmp_path, flag):
+    from supkit.corpus import corpus_entries
+    path = tmp_path / "proof.json"
+
+    def check(data):
+        path.write_text(json.dumps(data))
+        return invoke(capsys, "check-proof", str(path), "--json")
+
+    proof = _FLAGGED[flag]
+    assert check(proof)[0] == check(proof | {flag: False})[0] == 1
+    assert check(proof | {flag: True})[0] == 0
+    for value in ("false", "true", 1, 0, None, []):
+        assert check(proof | {flag: value}) == (
+            2, "", f"error: malformed proof JSON: {flag!r} must be a boolean\n")
+    sv_proof = next(e.proof for e in corpus_entries() if e.name == "k1_sv_double_negation")
+    sv_line = len(sv_proof.lines)
+    data = proof_to_json(sv_proof)
+    cert = data["lines"][sv_line - 1]["just"]["cert"]
+    for value in (True, False):
+        cert[flag] = value
+        assert check(data)[0] == 0
+    cert[flag] = "false"
+    assert check(data) == (2, "", f"error: malformed proof JSON: certificate of line "
+                                  f"{sv_line}: {flag!r} must be a boolean\n")
 
 
 def test_demo_build_model_reg(capsys, tmp_path):
@@ -546,7 +584,8 @@ def test_import_builds_no_parser():
 def test_import_loads_no_process_machinery():
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, supkit.cli; print(sorted({'multiprocessing', 'concurrent.futures'}"
+         "import sys, supkit, supkit.semantics, supkit.cli;"
+         " print(sorted({'multiprocessing', 'concurrent.futures'}"
          " & set(sys.modules)))"],
         env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True, text=True, timeout=60)
     assert done.stdout == "[]\n"

@@ -326,7 +326,7 @@ def test_widening_keeps_the_classes_found_before():
     oracle = BoundedModelOracle(2)
     assert [oracle.class_of(f) for f in early] == [0, 0, 1, 2]
     assert [oracle.class_of(f) for f in late] == [0, 2, 0, 3, 4, 1]
-    assert oracle._vocab.parameters == ("e0",) and oracle._free == ("v",)
+    assert oracle._syms.parameters == {"e0"} and oracle._free == ("v",)
     wide_first = BoundedModelOracle(2)
     for f in late + early:
         wide_first.class_of(f)

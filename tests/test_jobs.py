@@ -15,9 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supkit import semantics
-from supkit.cli import _search, run, shares
+from supkit.cli import run
 from supkit.models import EvalError
-from supkit.semantics import SearchBudgetError, SearchSpace, class_spec_for
+from supkit.semantics import (
+    SearchBudgetError,
+    SearchSpace,
+    check_consequence,
+    class_spec_for,
+    shares,
+)
 from supkit.syntax import parse
 
 fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -51,8 +57,8 @@ def test_shares_of_the_binary_relation_rung(started):
     assert _share_sizes(3, 2) == [1570]
     assert _share_sizes(4, 2) == [132_642, 131_072]
     assert _share_sizes(4, 3) == [132_642, 65_536, 65_536]
-    _search([], R_PAIR, class_spec_for("all", [R_PAIR]),
-            SearchSpace.for_task([R_PAIR], max_domain=3), 2)
+    check_consequence([], R_PAIR, class_spec_for("all", [R_PAIR]),
+                      SearchSpace.for_task([R_PAIR], max_domain=3), jobs=2)
     assert started == []   # one share holds every block: no process
 
 
@@ -122,7 +128,7 @@ def test_a_workers_error_is_raised_as_the_serial_search_raises_it(
     phi = parse(VALID[2])
     space = SearchSpace.for_task([phi], max_domain=2)
     with pytest.raises(EvalError, match="^no evaluation of the last structure$"):
-        _search([], phi, class_spec_for("all", [phi]), space, jobs)
+        check_consequence([], phi, class_spec_for("all", [phi]), space, jobs=jobs)
     assert len(started) == 2 * (jobs - 1) and _all_ended(started)
 
 
@@ -145,7 +151,8 @@ def test_split_shares_keep_the_budget(one_model_blocks, started):
     spec = class_spec_for("all", [phi])
 
     def search(jobs, budget=semantics.DEFAULT_BUDGET):
-        return _search([], phi, spec, SearchSpace.for_task([phi], max_domain=2), jobs, budget)
+        return check_consequence([], phi, spec, SearchSpace.for_task([phi], max_domain=2),
+                                 budget, jobs)
 
     serial = search(1)
     for jobs in (2, 3):
@@ -184,11 +191,11 @@ def test_no_worker_outlives_the_call(monkeypatch, one_model_blocks, started, way
                 "worker-error": EvalError, "interrupt": KeyboardInterrupt}[way_out]
     begun = time.monotonic()
     if expected is None:
-        verdict = _search([], phi, class_spec_for("all", [phi]), space, 3)
+        verdict = check_consequence([], phi, class_spec_for("all", [phi]), space, jobs=3)
         assert verdict.countermodel is not None and verdict.models_checked == 2
     else:
         with pytest.raises(expected):
-            _search([], phi, class_spec_for("all", [phi]), space, 3,
+            check_consequence([], phi, class_spec_for("all", [phi]), space, jobs=3,
                     budget=2 if way_out == "budget" else semantics.DEFAULT_BUDGET)
     assert time.monotonic() - begun < 30
     assert len(started) == 2 and _all_ended(started)

@@ -5,7 +5,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from supkit import syntax
+from supkit.models import EvalError, Vocabulary, vocabulary_of
 from supkit.syntax import (
+    NESTED_TOO_DEEPLY,
     And,
     ArityError,
     CaptureError,
@@ -40,6 +43,7 @@ from supkit.syntax import (
     primitive_form,
     substitute,
     substitute_map,
+    symbols,
     to_text,
 )
 
@@ -198,9 +202,9 @@ def _terms():
     )
 
 
-def _formulas():
+def _formulas(prop_atoms=True):
     atoms = st.one_of(
-        st.sampled_from([PropAtom("p0"), PropAtom("p1")]),
+        st.sampled_from([PropAtom("p0"), PropAtom("p1")] if prop_atoms else [P("v")]),
         st.builds(lambda t: PredAtom("P", (t,)), _terms()),
         st.builds(PredAtom, st.just("R"), st.tuples(_terms(), _terms())),
         st.builds(Equality, _terms(), _terms()),
@@ -302,6 +306,259 @@ def test_memoised_parse_matches_plain_parse(parts, data):
         else:
             assert to_text(memoised) == to_text(plain)
             assert parse(text, SIG, memo) is memoised
+
+
+# ---------------------------------------------------------------------------
+# Parser: the precedence-climbing parser against the parser that had one
+# method per binding level
+
+
+class RefParser(syntax._Parser):
+    """The parser before precedence climbing: ``iff`` down to ``sup`` each
+    read one level, and ``neg`` and ``atom`` are as they were."""
+
+    def formula(self):
+        return self.iff()
+
+    def iff(self):
+        left = self.implies()
+        if self.tok[0] == "ARROW2":
+            self.next()
+            return Iff(left, self.iff())
+        return left
+
+    def implies(self):
+        left = self.disj()
+        if self.tok[0] == "ARROW":
+            self.next()
+            return Implies(left, self.implies())
+        return left
+
+    def disj(self):
+        left = self.conj()
+        while self.tok[0] == "OR":
+            self.next()
+            left = Or(left, self.conj())
+        return left
+
+    def conj(self):
+        left = self.sup()
+        while self.tok[0] == "AND":
+            self.next()
+            left = And(left, self.sup())
+        return left
+
+    def sup(self):
+        left = self.neg()
+        while self.tok[0] == "SUP":
+            self.next()
+            left = Sup(left, self.neg())
+        return left
+
+    def neg(self):
+        if self.tok[0] == "NOT":
+            self.next()
+            return Not(self.neg())
+        return self.atom()
+
+    def atom(self):
+        kind, value, pos = self.tok
+        if kind == "LPAR":
+            span = self._span(pos)
+            if span is not None:
+                phi = self.memo.get(span)
+                if phi is not None:
+                    self.end, self.after = pos + len(span) + 2, None
+                    self.tok = self._lex()
+                    return phi
+            self.next()
+            phi = self.formula()
+            # a successful production reads balanced parentheses, so this
+            # is the ``)`` that closes the span
+            self.expect("RPAR")
+            if span is not None:
+                self.memo[span] = phi
+            return phi
+        if kind in ("FORALL", "EXISTS"):
+            self.next()
+            var_tok = self.expect("IDENT")
+            var = var_tok[1]
+            if var in syntax._KEYWORDS or not self._is_free_name(var):
+                raise ParseError(f"cannot bind declared symbol {var!r}", var_tok[2])
+            self.expect("DOT")
+            body = self.formula()
+            return (Forall if kind == "FORALL" else Exists)(var, body)
+        if kind == "IDENT":
+            if value in self.sig.predicates and self.ahead()[0] == "LPAR":
+                self.next()
+                args = self.args(value, self.sig.predicates[value], pos)
+                return PredAtom(value, args)
+            if self.sig.is_prop_atom(value) and self.ahead()[0] not in ("EQ", "LPAR"):
+                self.next()
+                return PropAtom(value)
+            lhs = self.term()
+            self.expect("EQ")
+            return Equality(lhs, self.term())
+        if kind == "PARAM":
+            lhs = self.term()
+            self.expect("EQ")
+            return Equality(lhs, self.term())
+        raise ParseError(f"expected a formula, found {value!r}", pos)
+
+
+def _ref_outcome(text, memo=None):
+    """``_outcome`` of the reference parser: ``parse`` and ``_parse_whole``
+    as they were, over ``RefParser``."""
+    try:
+        phi = memo.get(text) if memo is not None else None
+        if phi is None:
+            try:
+                parser = RefParser(text, SIG, memo)
+                phi = parser.formula()
+                kind, value, pos = parser.tok
+                if kind != "EOF":
+                    raise ParseError(f"trailing input {value!r}", pos)
+            except RecursionError:
+                raise syntax._unreadable(text) or ParseError(NESTED_TOO_DEEPLY) from None
+            except ParseError as exc:
+                raise syntax._unreadable(text) or exc from None
+            if memo is not None:
+                memo[text] = phi
+        return phi
+    except ParseError as exc:
+        return type(exc), str(exc), exc.pos
+
+
+def _assert_parsers_agree(texts):
+    """Each text gives the same node, or the same error class, message and
+    position, from both parsers, each with and without its own memo."""
+    memo, ref_memo = {}, {}
+    for text in texts:
+        want = _ref_outcome(text)
+        assert _outcome(text) == want, text
+        assert _outcome(text, memo) == _ref_outcome(text, ref_memo) == want, text
+
+
+_TOKENS = ("p0", "p1", "P", "R", "c1", "g", "v", "forall", "exists", "sup", "|", "~",
+           "->", "<->", "\\/", "/\\", "(", "(", ")", ")", ",", ".", "=", "@e0", "$")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_TOKENS), max_size=14), min_size=1, max_size=3),
+       st.sampled_from((" ", "")))
+def test_parser_matches_the_level_by_level_parser_on_token_strings(strings, joint):
+    _assert_parsers_agree([joint.join(tokens) for tokens in strings])
+
+
+def _loose_text(phi, rng):
+    """``phi``'s text with each subformula in parentheses or not, at
+    random, so that many texts group otherwise than their formula."""
+    if isinstance(phi, syntax.ATOM_NODES):
+        out = to_text(phi)
+    elif isinstance(phi, Not):
+        out = "~" + _loose_text(phi.body, rng)
+    elif isinstance(phi, syntax.BinaryFormula):
+        out = _loose_text(phi.left, rng) + syntax._INFIX[type(phi)][0] + \
+            _loose_text(phi.right, rng)
+    else:
+        out = f"{syntax._QUANTIFIER_WORDS[type(phi)]} {phi.var}. {_loose_text(phi.body, rng)}"
+    return f"({out})" if rng.random() < 0.5 else out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_formulas(), st.randoms(use_true_random=False)),
+                min_size=1, max_size=3))
+def test_parser_matches_the_level_by_level_parser_on_formulas(drawn):
+    _assert_parsers_agree([_loose_text(phi, rng) for phi, rng in drawn])
+
+
+def test_parser_groups_by_the_printers_levels():
+    assert parse("p0 -> p1 -> p2 <-> p0 <-> p1", SIG) == Iff(
+        Implies(PropAtom("p0"), Implies(PropAtom("p1"), PropAtom("p2"))),
+        Iff(PropAtom("p0"), PropAtom("p1")))
+    assert parse("~p0 sup p1 /\\ p2 sup p0 \\/ p1 /\\ p2", SIG) == Or(
+        And(Sup(Not(PropAtom("p0")), PropAtom("p1")), Sup(PropAtom("p2"), PropAtom("p0"))),
+        And(PropAtom("p1"), PropAtom("p2")))
+
+
+# ---------------------------------------------------------------------------
+# Symbols: the node fact against the walk that vocabulary_of made
+
+
+def ref_vocabulary_of(formulas):
+    """``models.vocabulary_of`` as it was: one walk over every formula."""
+    atoms, consts, funcs, preds, params = set(), set(), set(), set(), set()
+    fo_syntax = [False]
+
+    def walk_term(t):
+        if isinstance(t, Constant):
+            consts.add(t.name)
+        elif isinstance(t, Parameter):
+            params.add(t.element)
+        elif isinstance(t, FuncApp):
+            funcs.add((t.name, len(t.args)))
+            for a in t.args:
+                walk_term(a)
+
+    def walk(phi):
+        if isinstance(phi, PropAtom):
+            atoms.add(phi.name)
+        elif isinstance(phi, PredAtom):
+            fo_syntax[0] = True
+            preds.add((phi.name, len(phi.args)))
+            for a in phi.args:
+                walk_term(a)
+        elif isinstance(phi, Equality):
+            fo_syntax[0] = True
+            walk_term(phi.lhs)
+            walk_term(phi.rhs)
+        elif isinstance(phi, Not):
+            walk(phi.body)
+        elif isinstance(phi, (And, Or, Implies, Iff, Sup)):
+            walk(phi.left)
+            walk(phi.right)
+        elif isinstance(phi, (Forall, Exists)):
+            fo_syntax[0] = True
+            walk(phi.body)
+
+    for phi in formulas:
+        walk(phi)
+    if atoms and fo_syntax[0]:
+        raise EvalError("vocabulary mixes propositional atoms with first-order symbols; "
+                        "search spaces support one kind at a time")
+    return Vocabulary(tuple(sorted(atoms)), tuple(sorted(consts)), tuple(sorted(funcs)),
+                      tuple(sorted(preds)), tuple(sorted(params)), fo_syntax[0])
+
+
+def ref_is_propositional(phi):
+    """``proofs._is_propositional`` as it was, without its memo."""
+    if isinstance(phi, PropAtom):
+        return True
+    if isinstance(phi, Not):
+        return ref_is_propositional(phi.body)
+    if isinstance(phi, syntax.BinaryFormula):
+        return ref_is_propositional(phi.left) and ref_is_propositional(phi.right)
+    return False
+
+
+def _vocabulary_outcome(vocabulary, formulas):
+    try:
+        return vocabulary(formulas)
+    except EvalError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_formulas(), _formulas(prop_atoms=False)), max_size=3))
+def test_symbols_give_the_vocabulary_the_walk_gave(formulas):
+    want = _vocabulary_outcome(ref_vocabulary_of, formulas)
+    assert _vocabulary_outcome(vocabulary_of, formulas) == want
+    # once more from the facts the first call stored, and one formula at a time
+    assert _vocabulary_outcome(vocabulary_of, formulas) == want
+    for phi in formulas:
+        assert _vocabulary_outcome(vocabulary_of, [phi]) == \
+            _vocabulary_outcome(ref_vocabulary_of, [phi])
+        assert symbols(phi).first_order is not ref_is_propositional(phi)
 
 
 @pytest.mark.parametrize("text", ["(p0 -> p1)) -> p0 $", "p0 sup $", "P((c1)) $",

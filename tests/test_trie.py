@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supkit import cli, semantics
+from supkit import semantics
 from supkit.choice import (
     BoundedModelOracle,
     ChoiceTable,
@@ -27,7 +27,7 @@ from supkit.choice import (
 )
 from supkit.cli import run
 from supkit.models import Valuation
-from supkit.semantics import SearchSpace, class_spec_for
+from supkit.semantics import SearchSpace, check_consequence, class_spec_for
 from supkit.syntax import PropAtom, parse
 from test_blocks import LATE, RUNGS
 from test_extendable import (
@@ -198,14 +198,14 @@ def test_countermodel_tables_hold_no_trie_state(monkeypatch):
     entries, and the same whatever the number of jobs."""
     monkeypatch.setattr(semantics, "BLOCK_WIDTH", 1)
     from_workers = []
-    received = cli._received
+    received = semantics._received
 
     def spy(*worker):
         scan = received(*worker)
         from_workers.append(scan[0] is not None)
         return scan
 
-    monkeypatch.setattr(cli, "_received", spy)
+    monkeypatch.setattr(semantics, "_received", spy)
     texts = [((), text, "all") for text in LATE] + \
         [(rung.premises, rung.conclusion, rung.table_class)
          for rung in RUNGS if not rung.valid]
@@ -218,7 +218,8 @@ def test_countermodel_tables_hold_no_trie_state(monkeypatch):
         tables = []
         for jobs in (1, 2, 3):
             spec = class_spec_for(name, formulas)
-            table = cli._search(premises, conclusion, spec, space, jobs).countermodel.table
+            table = check_consequence(premises, conclusion, spec, space,
+                                      jobs=jobs).countermodel.table
             assert type(table) is ChoiceTable and set(vars(table)) == {
                 "mode", "entries", "formulas"}
             assert table == _fresh(table)
