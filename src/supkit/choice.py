@@ -9,7 +9,6 @@ idempotence hold by construction.
 """
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import models
 from .syntax import (
@@ -21,6 +20,7 @@ from .syntax import (
     NO_SYMBOLS,
     Not,
     Or,
+    Record,
     Sup,
     SupkitError,
     SyntaxClass,
@@ -32,6 +32,7 @@ from .syntax import (
     json_field,
     json_names,
     parse,
+    set_field,
     symbols,
     to_text,
 )
@@ -74,19 +75,20 @@ def _ordered(a, b):
     return ((a, ka), (b, kb)) if ka <= kb else ((b, kb), (a, ka))
 
 
-@dataclass(frozen=True)
-class ChoiceTable:
+class ChoiceTable(Record):
     """Finite partial map from unordered pairs of classical formulas to a
     chosen member.  Sentence-mode tables hold closed formulas only;
     formula-mode tables may hold open formulas."""
 
-    mode: str = SENTENCE_MODE
-    entries: dict = field(default_factory=dict)   # (key1,key2) -> chosen key
-    formulas: dict = field(default_factory=dict)  # key -> Formula
+    __slots__ = __match_args__ = ("mode", "entries", "formulas")
 
-    def __post_init__(self):
-        if self.mode not in (SENTENCE_MODE, FORMULA_MODE):
-            raise ChoiceDomainError(f"unknown table mode {self.mode!r}")
+    def __init__(self, mode=SENTENCE_MODE, entries=None, formulas=None):
+        if mode not in (SENTENCE_MODE, FORMULA_MODE):
+            raise ChoiceDomainError(f"unknown table mode {mode!r}")
+        set_field(self, "mode", mode)
+        # (key1, key2) -> chosen key, and key -> formula
+        set_field(self, "entries", {} if entries is None else entries)
+        set_field(self, "formulas", {} if formulas is None else formulas)
 
     def _check_member(self, phi):
         if not is_classical(phi):
@@ -336,16 +338,16 @@ CLASS_NAMES = ("all", "reg", "asso", "regstar", "dec")
 _NEEDS_ORACLE = {"reg": True, "regstar": True, "dec": True, "all": False, "asso": False}
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(Record):
     """A table class plus the equivalence oracle needed to decide it."""
 
-    name: str
-    oracle: object = None
+    __slots__ = __match_args__ = ("name", "oracle")
 
-    def __post_init__(self):
-        if self.name not in CLASS_NAMES:
-            raise SupkitError(f"unknown table class {self.name!r}")
+    def __init__(self, name, oracle=None):
+        if name not in CLASS_NAMES:
+            raise SupkitError(f"unknown table class {name!r}")
+        set_field(self, "name", name)
+        set_field(self, "oracle", oracle)
 
     def require_oracle(self):
         if _NEEDS_ORACLE[self.name] and self.oracle is None:
@@ -360,12 +362,14 @@ class ClassSpec:
         return out
 
 
-@dataclass(frozen=True)
-class ClassVerdict:
-    ok: bool
-    kind: str = ""
-    witness: tuple = ()
-    detail: str = ""
+class ClassVerdict(Record):
+    __slots__ = __match_args__ = ("ok", "kind", "witness", "detail")
+
+    def __init__(self, ok, kind="", witness=(), detail=""):
+        set_field(self, "ok", ok)
+        set_field(self, "kind", kind)
+        set_field(self, "witness", witness)
+        set_field(self, "detail", detail)
 
     def __bool__(self):
         return self.ok

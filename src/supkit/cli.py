@@ -6,17 +6,19 @@ Exit codes: 0 success or valid; 1 countermodel found or proof rejected;
 reports always embed the searched space, so nothing claims more than what
 was enumerated.  ``consequence`` and ``taut`` hand their search, ``--jobs``
 included, to ``semantics.check_consequence``.
+
+Importing this module loads what a search runs (``syntax``, ``models``,
+``choice`` and ``semantics``); ``check-proof`` imports ``proofs``, and the
+demos ``constructions`` or ``random``, when they run, so no command pays at
+start-up for another's modules.
 """
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
-import random
 import sys
 
-from . import constructions
 from .choice import (
     CLASS_NAMES,
     BoundedModelOracle,
@@ -26,7 +28,6 @@ from .choice import (
     enumerate_tables,
 )
 from .models import Structure, Valuation, valuations_over
-from .proofs import check_proof, proof_from_json
 from .semantics import (
     DEFAULT_DOMAIN_BOUND,
     DEFAULT_ORACLE_BOUND,
@@ -168,10 +169,11 @@ def cmd_consequence(args):
 
 
 def cmd_check_proof(args):
+    from .proofs import check_proof, proof_from_json
     data = _load_json(args.proof)
     proof = proof_from_json(data, _signature(args))
     if args.unrestricted:
-        proof = dataclasses.replace(proof, unrestricted=True)
+        proof = proof.replace(unrestricted=True)
     verdict = check_proof(proof)
     if verdict.ok:
         _emit(args, {"ok": True, "lines": len(proof.lines), "system": proof.system},
@@ -187,6 +189,7 @@ def cmd_check_proof(args):
 
 
 def demo_ui_failure(args):
+    from . import constructions
     sig = _signature(args)
     alpha = parse(args.alpha, sig) if args.alpha else parse("v = c3", sig)
     t1, t2 = parse_term(args.t1, sig), parse_term(args.t2, sig)
@@ -214,6 +217,7 @@ def demo_ui_failure(args):
 
 
 def demo_ui_failure_general(args):
+    from . import constructions
     sig = Signature(predicates={"R": 2}, constants={"c1", "c2"})
     alpha, beta = parse("R(v1,v2)", sig), parse("R(v2,v1)", sig)
     t = (Constant("c1"), Constant("c2"))
@@ -232,6 +236,7 @@ def demo_ui_failure_general(args):
 
 
 def demo_no_uniform(args):
+    from . import constructions
     oracle = BoundedModelOracle(max_domain=_oracle_bound(args))
     alpha = parse(args.alpha or "P(v)")
     result = constructions.refute_uniformity(alpha, "v1", "v2", oracle)
@@ -250,6 +255,7 @@ def demo_no_uniform(args):
 
 
 def demo_object_superposition(args):
+    from . import constructions
     structure = Structure(domain=("a", "b"))
     report = constructions.object_superposition_report(
         structure, "a", "b", BoundedModelOracle(max_domain=_oracle_bound(args)))
@@ -266,6 +272,7 @@ def demo_object_superposition(args):
 
 
 def demo_build_model(args):
+    from . import constructions
     if args.theory is None:
         raise SupkitError("build-model needs --theory")
     max_domain = _positive(args.max_domain, "--max-domain")
@@ -305,6 +312,7 @@ def _depth1_sentences():
 
 
 def demo_interpolation(args):
+    import random
     if args.samples < 0:
         raise SupkitError("--samples must be a non-negative integer")
     rng = random.Random(args.seed)

@@ -13,7 +13,6 @@
 """
 
 import itertools
-from dataclasses import dataclass
 
 from .choice import (
     FORMULA_MODE,
@@ -44,7 +43,7 @@ from .syntax import (
     Parameter,
     PredAtom,
     PropAtom,
-    Signature,
+    Record,
     Sup,
     SupkitError,
     SyntaxClass,
@@ -54,6 +53,7 @@ from .syntax import (
     free_vars,
     is_basic,
     is_classical,
+    set_field,
     substitute,
     substitute_map,
     term_vars,
@@ -74,14 +74,16 @@ class FragmentError(SupkitError):
 # Universal-instantiation failure
 
 
-@dataclass(frozen=True)
-class UiWitness:
-    structure: Structure
-    table: ChoiceTable
-    psi: object            # open formula in the listed variables
-    variables: tuple
-    terms: tuple           # closed terms of the failing instance, in order
-    case_id: int
+class UiWitness(Record):
+    __slots__ = __match_args__ = ("structure", "table", "psi", "variables", "terms", "case_id")
+
+    def __init__(self, structure, table, psi, variables, terms, case_id):
+        set_field(self, "structure", structure)
+        set_field(self, "table", table)
+        set_field(self, "psi", psi)   # open formula in the listed variables
+        set_field(self, "variables", variables)
+        set_field(self, "terms", terms)   # closed terms of the failing instance, in order
+        set_field(self, "case_id", case_id)
 
     @property
     def universal(self):
@@ -223,13 +225,17 @@ def ui_case_table(alpha, beta, t_terms, case_id):
 # No uniform choice function
 
 
-@dataclass(frozen=True)
-class UniformityBranch:
-    assumed_choice: object
-    substituted: object     # [choice](v2,v1)
-    symmetric_choice: object
-    required_equivalence: tuple
-    equivalence_holds: bool
+class UniformityBranch(Record):
+    __slots__ = __match_args__ = ("assumed_choice", "substituted", "symmetric_choice",
+                                  "required_equivalence", "equivalence_holds")
+
+    def __init__(self, assumed_choice, substituted, symmetric_choice, required_equivalence,
+                 equivalence_holds):
+        set_field(self, "assumed_choice", assumed_choice)
+        set_field(self, "substituted", substituted)   # [choice](v2,v1)
+        set_field(self, "symmetric_choice", symmetric_choice)
+        set_field(self, "required_equivalence", required_equivalence)
+        set_field(self, "equivalence_holds", equivalence_holds)
 
     def describe(self):
         lhs, rhs = self.required_equivalence
@@ -242,12 +248,15 @@ class UniformityBranch:
         }
 
 
-@dataclass(frozen=True)
-class UniformityRefutation:
-    alpha1: object
-    alpha2: object
-    branches: tuple
-    exhaustive: bool   # no 2-entry table satisfies the uniformity equation
+class UniformityRefutation(Record):
+    __slots__ = __match_args__ = ("alpha1", "alpha2", "branches", "exhaustive")
+
+    def __init__(self, alpha1, alpha2, branches, exhaustive):
+        set_field(self, "alpha1", alpha1)
+        set_field(self, "alpha2", alpha2)
+        set_field(self, "branches", branches)
+        # no 2-entry table satisfies the uniformity equation
+        set_field(self, "exhaustive", exhaustive)
 
     def contradiction(self):
         return all(not b.equivalence_holds for b in self.branches) and self.exhaustive
@@ -297,15 +306,17 @@ def refute_uniformity(alpha, v1, v2, oracle):
 # Theory fragments
 
 
-@dataclass(frozen=True)
-class TheoryFragment:
+class TheoryFragment(Record):
     """A finite, negation-paired, subformula-closed set of restricted
     sentences with a complete in/out marking (the finite stand-in for a
     complete theory and its complement)."""
 
-    sentences: tuple          # closure in canonical order
-    markers: dict             # canonical key -> bool
-    signature: Signature = None
+    __slots__ = __match_args__ = ("sentences", "markers", "signature")
+
+    def __init__(self, sentences, markers, signature=None):
+        set_field(self, "sentences", sentences)   # closure in canonical order
+        set_field(self, "markers", markers)       # canonical key -> bool
+        set_field(self, "signature", signature)   # a Signature or None
 
     def marked(self, phi):
         return self.markers[canonical_key(phi)]
@@ -390,12 +401,14 @@ def _derive_marker(phi, known):
     return None  # atoms, sup nodes and quantified sentences are free bits
 
 
-@dataclass(frozen=True)
-class FragmentVerdict:
-    ok: bool
-    case: str = ""
-    reason: str = ""
-    witness: tuple = ()
+class FragmentVerdict(Record):
+    __slots__ = __match_args__ = ("ok", "case", "reason", "witness")
+
+    def __init__(self, ok, case="", reason="", witness=()):
+        set_field(self, "ok", ok)
+        set_field(self, "case", case)
+        set_field(self, "reason", reason)
+        set_field(self, "witness", witness)
 
     def __bool__(self):
         return self.ok
@@ -539,11 +552,13 @@ def _find_fragment_model(fragment, max_domain):
 # Choice-table construction from a fragment
 
 
-@dataclass(frozen=True)
-class BuildResult:
-    model: object
-    table: ChoiceTable
-    report: dict
+class BuildResult(Record):
+    __slots__ = __match_args__ = ("model", "table", "report")
+
+    def __init__(self, model, table, report):
+        set_field(self, "model", model)
+        set_field(self, "table", table)   # a ChoiceTable
+        set_field(self, "report", report)
 
 
 def _sup_nodes(fragment):
@@ -738,12 +753,15 @@ def enumerate_fragment_markings(base_sentences, signature=None, max_free=12):
 # Object superposition
 
 
-@dataclass(frozen=True)
-class ObjectSuperpositionReport:
-    structure: Structure
-    element_a: str
-    element_b: str
-    rows: tuple   # (table, witnesses tuple, unique flag, regular flag)
+class ObjectSuperpositionReport(Record):
+    __slots__ = __match_args__ = ("structure", "element_a", "element_b", "rows")
+
+    def __init__(self, structure, element_a, element_b, rows):
+        set_field(self, "structure", structure)
+        set_field(self, "element_a", element_a)
+        set_field(self, "element_b", element_b)
+        # (table, witnesses tuple, unique flag, regular flag) per table
+        set_field(self, "rows", rows)
 
     def unique_count(self):
         return sum(1 for _, _, unique, _ in self.rows if unique)

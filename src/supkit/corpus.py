@@ -14,9 +14,7 @@ derivations into plain P1-P3/MP proofs of the base system.  Every other
 entry is a JSON file under ``corpus/`` named after the entry.
 """
 
-import dataclasses
 import json
-from dataclasses import dataclass
 from importlib import resources
 
 from .proofs import (
@@ -29,7 +27,18 @@ from .proofs import (
     ProofLine,
     proof_from_json,
 )
-from .syntax import Iff, Implies, Not, PropAtom, Sup, parse, primitive_form, to_text
+from .syntax import (
+    Iff,
+    Implies,
+    Not,
+    PropAtom,
+    Record,
+    Sup,
+    parse,
+    primitive_form,
+    set_field,
+    to_text,
+)
 
 SYSTEM_CLASS = {
     "K0": "all", "L0": "all",
@@ -70,19 +79,23 @@ GENERATED = {
 }
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    table_class: str
-    proof: Proof
+class CorpusEntry(Record):
+    __slots__ = __match_args__ = ("name", "table_class", "proof")
+
+    def __init__(self, name, table_class, proof):
+        set_field(self, "name", name)
+        set_field(self, "table_class", table_class)
+        set_field(self, "proof", proof)
 
 
-@dataclass(frozen=True)
-class MutantEntry:
-    name: str
-    proof: Proof
-    expect_line: int
-    expect_reason: str  # substring of the diagnosis
+class MutantEntry(Record):
+    __slots__ = __match_args__ = ("name", "proof", "expect_line", "expect_reason")
+
+    def __init__(self, name, proof, expect_line, expect_reason):
+        set_field(self, "name", name)
+        set_field(self, "proof", proof)
+        set_field(self, "expect_line", expect_line)
+        set_field(self, "expect_reason", expect_reason)  # substring of the diagnosis
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +326,7 @@ def _replace_line(proof, number, formula=None, just=None):
         formula if formula is not None else old.formula,
         just if just is not None else old.just,
     )
-    return dataclasses.replace(proof, lines=tuple(lines))
+    return proof.replace(lines=tuple(lines))
 
 
 def mutant_entries():
@@ -325,7 +338,7 @@ def mutant_entries():
 
     mutants.append(MutantEntry(
         "sv_line_submitted_in_k0",
-        dataclasses.replace(sv_proof, system="K0"),
+        sv_proof.replace(system="K0"),
         sv_line, "SV not available in K0",
     ))
 
@@ -337,7 +350,7 @@ def mutant_entries():
 
     mutants.append(MutantEntry(
         "s4_below_k2",
-        dataclasses.replace(_by_name(entries, "k2_s4_instance"), system="K1"),
+        _by_name(entries, "k2_s4_instance").replace(system="K1"),
         1, "axiom S4 not available in K1",
     ))
 
@@ -365,7 +378,7 @@ def mutant_entries():
 
     broken_cert_just = None
     old_just = sv_proof.lines[-1].just
-    broken_cert = dataclasses.replace(old_just.cert, lines=old_just.cert.lines[1:])
+    broken_cert = old_just.cert.replace(lines=old_just.cert.lines[1:])
     broken_cert_just = SV(old_just.premise, broken_cert)
     mutants.append(MutantEntry(
         "sv_certificate_truncated",

@@ -11,7 +11,6 @@ e.g. inside the bounded equivalence oracle).
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 from .syntax import (
     And,
@@ -29,6 +28,7 @@ from .syntax import (
     Parameter,
     PredAtom,
     PropAtom,
+    Record,
     Sup,
     SupkitError,
     Symbols,
@@ -37,6 +37,7 @@ from .syntax import (
     is_classical,
     json_field,
     json_names,
+    set_field,
     symbols,
     to_text_term,
 )
@@ -46,11 +47,13 @@ class EvalError(SupkitError):
     pass
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(Record):
     """Truth assignment for propositional atoms."""
 
-    assignment: dict
+    __slots__ = __match_args__ = ("assignment",)
+
+    def __init__(self, assignment):
+        set_field(self, "assignment", assignment)
 
     def truth(self, name):
         if name not in self.assignment:
@@ -71,22 +74,22 @@ class Valuation:
         return ", ".join(f"{k}={int(v)}" for k, v in sorted(self.assignment.items()))
 
 
-@dataclass(frozen=True)
-class Structure:
+class Structure(Record):
     """Finite first-order structure with named elements.
 
     functions maps a name to a dict from argument tuples to an element;
     predicates maps a name to the set of tuples where it holds.
     """
 
-    domain: tuple
-    constants: dict = field(default_factory=dict)
-    functions: dict = field(default_factory=dict)
-    predicates: dict = field(default_factory=dict)
+    __slots__ = __match_args__ = ("domain", "constants", "functions", "predicates")
 
-    def __post_init__(self):
-        if not self.domain:
+    def __init__(self, domain, constants=None, functions=None, predicates=None):
+        if not domain:
             raise SupkitError("structure domain must be nonempty")
+        set_field(self, "domain", domain)
+        set_field(self, "constants", {} if constants is None else constants)
+        set_field(self, "functions", {} if functions is None else functions)
+        set_field(self, "predicates", {} if predicates is None else predicates)
 
     def to_json(self):
         return {
@@ -232,14 +235,19 @@ _MIXED = ("vocabulary mixes propositional atoms with first-order symbols; "
           "search spaces support one kind at a time")
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    prop_atoms: tuple = ()
-    constants: tuple = ()
-    functions: tuple = ()   # (name, arity) pairs
-    predicates: tuple = ()  # (name, arity) pairs
-    parameters: tuple = ()
-    first_order: bool = False   # a predicate, an equality or a quantifier occurs
+class Vocabulary(Record):
+    __slots__ = __match_args__ = ("prop_atoms", "constants", "functions", "predicates",
+                                  "parameters", "first_order")
+
+    def __init__(self, prop_atoms=(), constants=(), functions=(), predicates=(),
+                 parameters=(), first_order=False):
+        set_field(self, "prop_atoms", prop_atoms)
+        set_field(self, "constants", constants)
+        set_field(self, "functions", functions)     # (name, arity) pairs
+        set_field(self, "predicates", predicates)   # (name, arity) pairs
+        set_field(self, "parameters", parameters)
+        # a predicate, an equality or a quantifier occurs
+        set_field(self, "first_order", first_order)
 
     @classmethod
     def of(cls, syms):

@@ -23,8 +23,6 @@ line classifies as restricted, and SV operands must be basic); the
 ``unrestricted`` flag lifts the line check for experimentation.
 """
 
-from dataclasses import dataclass
-
 from .syntax import (
     BinaryFormula,
     CaptureError,
@@ -34,6 +32,7 @@ from .syntax import (
     Node,
     Not,
     ParseError,
+    Record,
     Sup,
     SupkitError,
     SyntaxClass,
@@ -44,6 +43,7 @@ from .syntax import (
     json_field,
     parse,
     primitive_form,
+    set_field,
     substitute,
     substitute_term,
     symbols,
@@ -52,12 +52,14 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class System:
-    name: str
-    axioms: frozenset
-    rules: frozenset
-    first_order: bool
+class System(Record):
+    __slots__ = __match_args__ = ("name", "axioms", "rules", "first_order")
+
+    def __init__(self, name, axioms, rules, first_order):
+        set_field(self, "name", name)
+        set_field(self, "axioms", axioms)
+        set_field(self, "rules", rules)
+        set_field(self, "first_order", first_order)
 
 
 _PROP_AX = ("P1", "P2", "P3", "S1", "S2", "S3")
@@ -87,11 +89,14 @@ BASE_SYSTEM = {"K": "K0", "L": "L0"}
 # Axiom scheme matching (on primitive forms)
 
 
-@dataclass(frozen=True)
-class MetaVar:
+class MetaVar(Record):
     """A scheme's placeholder: it stands for a formula, a term or a bound
     variable's name, whichever sits in its place in the instance."""
-    name: str
+
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name):
+        set_field(self, "name", name)
 
 
 def _and(a, b):
@@ -237,57 +242,72 @@ def _as_iff(prim):
 # Proof objects
 
 
-@dataclass(frozen=True)
-class Hyp:
-    pass
+class Hyp(Record):
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True)
-class Axiom:
-    scheme: str
+class Axiom(Record):
+    __slots__ = __match_args__ = ("scheme",)
+
+    def __init__(self, scheme):
+        set_field(self, "scheme", scheme)
 
 
-@dataclass(frozen=True)
-class MP:
-    premise: int      # line numbers, 1-based
-    implication: int
+class MP(Record):
+    __slots__ = __match_args__ = ("premise", "implication")
+
+    def __init__(self, premise, implication):
+        set_field(self, "premise", premise)   # line numbers, 1-based
+        set_field(self, "implication", implication)
 
 
-@dataclass(frozen=True)
-class GR:
-    premise: int
-    var: str
+class GR(Record):
+    __slots__ = __match_args__ = ("premise", "var")
+
+    def __init__(self, premise, var):
+        set_field(self, "premise", premise)
+        set_field(self, "var", var)
 
 
-@dataclass(frozen=True)
-class SV:
-    premise: int
-    cert: object      # a Proof in the base system, no hypotheses
+class SV(Record):
+    __slots__ = __match_args__ = ("premise", "cert")
+
+    def __init__(self, premise, cert):
+        set_field(self, "premise", premise)
+        set_field(self, "cert", cert)   # a Proof in the base system, no hypotheses
 
 
-@dataclass(frozen=True)
-class ProofLine:
-    formula: object
-    just: object
+class ProofLine(Record):
+    __slots__ = __match_args__ = ("formula", "just")
+
+    def __init__(self, formula, just):
+        set_field(self, "formula", formula)
+        set_field(self, "just", just)
 
 
-@dataclass(frozen=True)
-class Proof:
-    system: str
-    hypotheses: tuple = ()
-    lines: tuple = ()
-    unrestricted: bool = False
-    allow_open_hypotheses: bool = False
+class Proof(Record):
+    __slots__ = __match_args__ = ("system", "hypotheses", "lines", "unrestricted",
+                                  "allow_open_hypotheses")
+
+    def __init__(self, system, hypotheses=(), lines=(), unrestricted=False,
+                 allow_open_hypotheses=False):
+        set_field(self, "system", system)
+        set_field(self, "hypotheses", hypotheses)
+        set_field(self, "lines", lines)
+        set_field(self, "unrestricted", unrestricted)
+        set_field(self, "allow_open_hypotheses", allow_open_hypotheses)
 
     def conclusion(self):
         return self.lines[-1].formula if self.lines else None
 
 
-@dataclass(frozen=True)
-class ProofVerdict:
-    ok: bool
-    line: int = 0       # 1-based index of the first failing line
-    reason: str = ""
+class ProofVerdict(Record):
+    __slots__ = __match_args__ = ("ok", "line", "reason")
+
+    def __init__(self, ok, line=0, reason=""):
+        set_field(self, "ok", ok)
+        set_field(self, "line", line)   # 1-based index of the first failing line
+        set_field(self, "reason", reason)
 
     def __bool__(self):
         return self.ok
@@ -295,6 +315,16 @@ class ProofVerdict:
 
 def check_proof(proof):
     """Validate every line; returns ok or the first failing line + reason."""
+    return _check_proof(proof, {})
+
+
+def _check_proof(proof, matched):
+    """``check_proof``, with ``matched`` holding whether each axiom line's
+    formula instantiates its scheme, by the formula's ``id`` and the
+    scheme.  One dict serves a proof and its certificates, whose lines
+    are mostly the proof's own formula nodes, so each is matched once.
+    Every keyed formula is held by a line of the proof, so its ``id`` is
+    not reused while the check runs."""
     system = SYSTEMS.get(proof.system)
     if system is None:
         return ProofVerdict(False, 0, f"unknown system {proof.system!r}")
@@ -303,14 +333,14 @@ def check_proof(proof):
     hyp_prims = [primitive_form(h) for h in proof.hypotheses]
     prims = []
     for number, line in enumerate(proof.lines, start=1):
-        reason = _check_line(system, proof, hyp_prims, prims, number, line)
+        reason = _check_line(system, proof, hyp_prims, prims, number, line, matched)
         if reason is not None:
             return ProofVerdict(False, number, reason)
         prims.append(primitive_form(line.formula))
     return ProofVerdict(True)
 
 
-def _check_line(system, proof, hyp_prims, prims, number, line):
+def _check_line(system, proof, hyp_prims, prims, number, line, matched):
     phi = line.formula
     just = line.just
     if not system.first_order and symbols(phi).first_order:
@@ -328,7 +358,10 @@ def _check_line(system, proof, hyp_prims, prims, number, line):
     if isinstance(just, Axiom):
         if just.scheme not in system.axioms:
             return f"axiom {just.scheme} not available in {system.name}"
-        if match_axiom(phi, just.scheme) is None:
+        key = id(phi), just.scheme
+        if key not in matched:
+            matched[key] = match_axiom(phi, just.scheme) is not None
+        if not matched[key]:
             return f"formula does not instantiate scheme {just.scheme}"
         return None
 
@@ -388,7 +421,7 @@ def _check_line(system, proof, hyp_prims, prims, number, line):
             return f"SV certificate must be a {base} proof, got {cert.system}"
         if cert.hypotheses:
             return "SV certificate must not use hypotheses"
-        sub = check_proof(cert)
+        sub = _check_proof(cert, matched)
         if not sub.ok:
             return f"SV certificate invalid at its line {sub.line}: {sub.reason}"
         if _as_iff(primitive_form(cert.conclusion())) != (sup_phi, sup_psi):

@@ -16,13 +16,11 @@ through it.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from .choice import (
     FORMULA_MODE,
     SENTENCE_MODE,
     BoundedModelOracle,
-    ChoiceTable,
     ClassSpec,
     TableNode,
     TruthTableOracle,
@@ -49,6 +47,7 @@ from .syntax import (
     Implies,
     Not,
     Or,
+    Record,
     Sup,
     SupkitError,
     SyntaxClass,
@@ -56,6 +55,7 @@ from .syntax import (
     free_vars,
     instantiate,
     is_classical,
+    set_field,
     to_text,
 )
 
@@ -161,14 +161,16 @@ DEFAULT_BUDGET = 2_000_000
 BLOCK_WIDTH = 1 << 16
 
 
-@dataclass(frozen=True)
-class SearchSpace:
+class SearchSpace(Record):
     """The finite class of models a verdict quantifies over."""
 
-    kind: str                  # "propositional" | "first-order"
-    atoms: tuple = ()
-    vocabulary: object = None
-    max_domain: int = DEFAULT_DOMAIN_BOUND
+    __slots__ = __match_args__ = ("kind", "atoms", "vocabulary", "max_domain")
+
+    def __init__(self, kind, atoms=(), vocabulary=None, max_domain=DEFAULT_DOMAIN_BOUND):
+        set_field(self, "kind", kind)   # "propositional" | "first-order"
+        set_field(self, "atoms", atoms)
+        set_field(self, "vocabulary", vocabulary)
+        set_field(self, "max_domain", max_domain)
 
     @classmethod
     def for_task(cls, formulas, max_domain=DEFAULT_DOMAIN_BOUND):
@@ -209,10 +211,12 @@ class SearchSpace:
         }
 
 
-@dataclass(frozen=True)
-class Countermodel:
-    model: object
-    table: ChoiceTable
+class Countermodel(Record):
+    __slots__ = __match_args__ = ("model", "table")
+
+    def __init__(self, model, table):
+        set_field(self, "model", model)
+        set_field(self, "table", table)   # a ChoiceTable
 
     def to_json(self):
         key = "valuation" if isinstance(self.model, Valuation) else "structure"
@@ -222,15 +226,19 @@ class Countermodel:
         return f"{self.model.describe()} with table [{self.table.describe()}]"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    valid: bool
-    premises: tuple
-    conclusion: object
-    space: dict
-    countermodel: Countermodel = None
-    models_checked: int = 0
-    tables_checked: int = 0
+class Verdict(Record):
+    __slots__ = __match_args__ = ("valid", "premises", "conclusion", "space", "countermodel",
+                                  "models_checked", "tables_checked")
+
+    def __init__(self, valid, premises, conclusion, space, countermodel=None,
+                 models_checked=0, tables_checked=0):
+        set_field(self, "valid", valid)
+        set_field(self, "premises", premises)
+        set_field(self, "conclusion", conclusion)
+        set_field(self, "space", space)
+        set_field(self, "countermodel", countermodel)
+        set_field(self, "models_checked", models_checked)
+        set_field(self, "tables_checked", tables_checked)
 
     def verify(self):
         """Re-check the verdict's countermodel by direct evaluation."""
@@ -267,22 +275,29 @@ def check_consequence(premises, conclusion, spec, space=None, budget=DEFAULT_BUD
     """Search the space for a (model, admissible table) pair satisfying every
     premise but not the conclusion; valid-over-space when none exists.
 
-    The space's models are cut into ``jobs`` equal shares (see ``shares``).
-    This process scans the first share's blocks and one worker process
-    scans each other share's, so no process is started with one job, or
-    when one share holds every block.  The verdict, its counts and the
-    budget are exactly those of one scan over all the blocks: the scans are
-    read in model order, and the workers still running once the verdict is
-    settled are killed, as they are on every other way out.  Each share's
-    scan builds its own table trie (see ``scan_models``); none is shared
-    between processes."""
+    Each block's search sees at least one leaf table, so a scan stops
+    within the space's first ``budget + 1`` blocks, and no later block is
+    drawn.  With one job this process scans those blocks as it draws them.
+    With more, it lists them and cuts their models into ``jobs`` equal
+    shares (see ``shares``): this process scans the first share's blocks
+    and one worker process scans each other share's, so no process is
+    started when one share holds every block.  The verdict, its counts and
+    the budget are exactly those of one scan over all the blocks: the scans
+    are read in model order, and the workers still running once the
+    verdict is settled are killed, as they are on every other way out.
+    Each share's scan builds its own table trie (see ``scan_models``); none
+    is shared between processes."""
     premises = tuple(premises)
     formulas = list(premises) + [conclusion]
     check_restricted_sentences(formulas)
     if space is None:
         space = SearchSpace.for_task(formulas)
-    blocks = list(space.blocks())
-    (first, stop), *rest = shares([width for _, _, width in blocks], jobs)
+    blocks = mine = itertools.islice(space.blocks(), max(budget, 0) + 1)
+    rest = []
+    if jobs > 1:
+        blocks = list(blocks)
+        (first, stop), *rest = shares([width for _, _, width in blocks], jobs)
+        mine = blocks[first:stop]
     task = (premises, conclusion, spec, budget)
     workers = []
     try:
@@ -296,7 +311,7 @@ def check_consequence(premises, conclusion, spec, space=None, budget=DEFAULT_BUD
                 worker.start()
                 workers.append((worker, receive))
                 send.close()
-        scans = itertools.chain([scan_models(space, blocks[first:stop], *task)],
+        scans = itertools.chain([scan_models(space, mine, *task)],
                                 itertools.starmap(_received, workers))
         return verdict_of_scans(premises, conclusion, spec, space, scans, budget)
     finally:

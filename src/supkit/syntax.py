@@ -6,11 +6,12 @@ normalization).  Each formula node also carries its own facts: free
 variables, syntax class, canonical text, primitive form, symbols and, on a
 quantifier, its instances by domain element.  Each fact is computed the
 first time it is asked for, from the children's facts, and read afterwards.
-Equality, hashing and pickling look at the fields only.  The superposition
-connective is written ``sup`` infix in text form; ``|`` is accepted as an
-input alias.  One table of binding levels (``_LEVELS`` and ``_INFIX``)
-decides where the printer puts parentheses and how the parser groups
-connectives.
+Equality, hashing and pickling look at the fields only; the package's other
+immutable values, from signatures to proofs, are records (``Record``) on
+the same base.  The superposition connective is written ``sup`` infix in
+text form; ``|`` is accepted as an input alias.  One table of binding
+levels (``_LEVELS`` and ``_INFIX``) decides where the printer puts
+parentheses and how the parser groups connectives.
 
 Formulas fall into four nested well-formedness classes:
 
@@ -23,9 +24,8 @@ Formulas fall into four nested well-formedness classes:
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import IntEnum
-from typing import NamedTuple
 
 
 class SupkitError(Exception):
@@ -100,7 +100,7 @@ class CaptureError(SupkitError):
 
 
 class Node:
-    """Shared behaviour of terms and formulas.
+    """Shared behaviour of terms, formulas and records (see ``Record``).
 
     ``__match_args__`` names a node's fields.  Equality compares the class
     and the fields, the hash is the hash of the field tuple, the repr
@@ -129,6 +129,40 @@ class Node:
 
     def __reduce__(self):
         return type(self), self._astuple()
+
+
+# A record's ``__init__`` sets each field through this, past
+# ``Record.__setattr__``.
+set_field = object.__setattr__
+
+
+class Record(Node):
+    """Shared behaviour of the package's immutable values other than terms
+    and formulas: signatures, structures, tables, verdicts, proofs and the
+    like.
+
+    Each record class names its fields in ``__slots__ = __match_args__``
+    and sets them in its own ``__init__`` with ``set_field``; equality,
+    hashing, the repr and pickling are a node's.  Assigning or deleting an
+    attribute raises AttributeError, and ``replace`` gives a copy with some
+    fields changed.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self):
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A copy of this record with the named fields changed; an unknown
+        name raises TypeError."""
+        return type(self)(**dict(zip(self.__match_args__, self._astuple()), **changes))
 
 
 # ---------------------------------------------------------------------------
@@ -326,24 +360,21 @@ _IMPLICIT_PROP_ATOM = re.compile(r"p[0-9]+\Z")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Declares the non-logical vocabulary used by the parser.
 
     Names of the form ``p<digits>`` are treated as propositional atoms even
     when not declared, unless claimed by another category.
     """
 
-    constants: frozenset = frozenset()
-    functions: dict = None
-    predicates: dict = None
-    prop_atoms: frozenset = frozenset()
+    __slots__ = __match_args__ = ("constants", "functions", "predicates", "prop_atoms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "constants", frozenset(self.constants))
-        object.__setattr__(self, "functions", dict(self.functions or {}))
-        object.__setattr__(self, "predicates", dict(self.predicates or {}))
-        object.__setattr__(self, "prop_atoms", frozenset(self.prop_atoms))
+    def __init__(self, constants=frozenset(), functions=None, predicates=None,
+                 prop_atoms=frozenset()):
+        set_field(self, "constants", frozenset(constants))
+        set_field(self, "functions", dict(functions or {}))
+        set_field(self, "predicates", dict(predicates or {}))
+        set_field(self, "prop_atoms", frozenset(prop_atoms))
         names = [*self.constants, *self.functions, *self.predicates, *self.prop_atoms]
         # An ASCII identifier is exactly what _IDENT matches; these passes
         # run in C, and the walk below, only on failure, finds the offender.
@@ -515,16 +546,15 @@ def instantiate(phi, element):
 # Symbols
 
 
-class Symbols(NamedTuple):
+class Symbols(namedtuple("Symbols", ("prop_atoms", "constants", "functions", "predicates",
+                                      "parameters", "first_order"))):
     """The non-logical symbols of a formula, each field a frozenset but the
-    last; ``models.vocabulary_of`` unites them over a task's formulas."""
+    last; ``models.vocabulary_of`` unites them over a task's formulas.
+    ``functions`` and ``predicates`` hold (name, arity) pairs, and
+    ``first_order`` says whether a predicate, an equality or a quantifier
+    occurs."""
 
-    prop_atoms: frozenset
-    constants: frozenset
-    functions: frozenset    # (name, arity) pairs
-    predicates: frozenset   # (name, arity) pairs
-    parameters: frozenset
-    first_order: bool       # a predicate, an equality or a quantifier occurs
+    __slots__ = ()
 
     def union(self, other):
         """The symbols of both, ``self`` when it covers ``other``; a field

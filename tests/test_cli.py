@@ -11,6 +11,7 @@ import pytest
 from supkit import cli, semantics
 from supkit.choice import ChoiceTable
 from supkit.cli import run
+from supkit.corpus import corpus_entries, mutant_entries
 from supkit.models import Valuation
 from supkit.proofs import proof_to_json
 from supkit.semantics import (
@@ -581,7 +582,12 @@ def test_import_builds_no_parser():
     assert done.stdout == "0\n"
 
 
-def test_import_loads_no_process_machinery():
+def test_import_loads_no_process_machinery(tmp_path):
+    """A fresh import of the package and of what a search command runs loads
+    no process pool, nor ``dataclasses`` and ``inspect``, nor the proof,
+    construction and corpus modules; each exported name still resolves, and
+    the commands that need those modules load them and keep their exit
+    codes."""
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys, supkit, supkit.semantics, supkit.cli;"
@@ -589,3 +595,33 @@ def test_import_loads_no_process_machinery():
          " & set(sys.modules)))"],
         env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True, text=True, timeout=60)
     assert done.stdout == "[]\n"
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, supkit, supkit.semantics, supkit.cli;"
+         " print(sorted({'dataclasses', 'inspect', 'supkit.proofs', 'supkit.constructions',"
+         " 'supkit.corpus'} & set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True, text=True, timeout=60)
+    assert done.stdout == "[]\n"
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import supkit; print(len(supkit.__all__), sorted(set(supkit.__all__) - set(dir(supkit))));"
+         " from supkit import *; print(sorted(set(supkit.__all__) - set(globals())));"
+         " print(all(getattr(supkit, name) is globals()[name] for name in supkit.__all__))"],
+        env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True, text=True, timeout=60)
+    assert done.stdout == "66 []\n[]\nTrue\n"
+    accepted, rejected, theory = (tmp_path / name for name in ("ok.json", "bad.json", "t.json"))
+    accepted.write_text(json.dumps(proof_to_json(corpus_entries()[-1].proof)))
+    rejected.write_text(json.dumps(proof_to_json(mutant_entries()[0].proof)))
+    theory.write_text(json.dumps({"markings": {"p0 sup p1": True, "p0": True, "p1": False}}))
+    for argv, code in [
+        (["check-proof", str(accepted)], 0),
+        (["check-proof", str(rejected)], 1),
+        (["demo", "ui-failure"], 0),
+        (["demo", "ui-failure-general"], 0),
+        (["demo", "no-uniform"], 0),
+        (["demo", "object-superposition"], 0),
+        (["demo", "build-model", "--theory", str(theory)], 0),
+        (["demo", "build-model"], 2),
+        (["demo", "interpolation", "--samples", "5"], 0),
+    ]:
+        assert _fresh_process(argv)[0] == code, argv

@@ -162,6 +162,31 @@ def test_split_shares_keep_the_budget(one_model_blocks, started):
     assert len(started) == 6 and _all_ended(started)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_budget_bounds_the_blocks_drawn(monkeypatch, one_model_blocks, started, jobs):
+    """Each block's search sees a leaf table, so a scan stops within the
+    first ``budget + 1`` blocks and no later block is drawn; one job draws
+    the blocks as it scans them, so a countermodel in the first stops it."""
+    drawn = []
+    blocks = SearchSpace.blocks
+
+    def spy(space):
+        for block in blocks(space):
+            drawn.append(block)
+            yield block
+
+    monkeypatch.setattr(SearchSpace, "blocks", spy)
+    valid, refuted = parse("P(c1) sup P(c1) -> P(c1)"), parse("P(c1)")
+    space = SearchSpace.for_task([valid], max_domain=3)   # 2 + 8 + 24 one-model blocks
+    with pytest.raises(SearchBudgetError):
+        check_consequence([], valid, class_spec_for("all", [valid]), space, 3, jobs)
+    assert len(drawn) == 4
+    drawn.clear()
+    verdict = check_consequence([], refuted, class_spec_for("all", [refuted]), space, 3, jobs)
+    assert verdict.models_checked == 1 and not verdict.valid
+    assert len(drawn) == (1 if jobs == 1 else 4)
+
+
 def _hang():
     time.sleep(90)
 
@@ -176,6 +201,11 @@ def test_no_worker_outlives_the_call(monkeypatch, one_model_blocks, started, way
         phi = parse("(forall v. P(v) sup Q(v)) -> exists v. (P(v) sup Q(v))")   # valid
     space = SearchSpace.for_task([phi], max_domain=2)   # 4 + 16 one-model blocks
     first_of_last, first_of_middle = (2, 10, 1), (2, 3, 1)   # of 3 shares
+    budget = semantics.DEFAULT_BUDGET
+    if way_out == "budget":
+        # two leaf tables a block: the scan exceeds a budget of 5 in the
+        # middle share of the 6 blocks it can reach, and the last starts at (2, 0)
+        first_of_last, budget = (2, 0, 1), 5
     caller = os.getpid()
     _on_block(monkeypatch, first_of_last, _hang)
     if way_out == "worker-error":
@@ -196,7 +226,7 @@ def test_no_worker_outlives_the_call(monkeypatch, one_model_blocks, started, way
     else:
         with pytest.raises(expected):
             check_consequence([], phi, class_spec_for("all", [phi]), space, jobs=3,
-                    budget=2 if way_out == "budget" else semantics.DEFAULT_BUDGET)
+                              budget=budget)
     assert time.monotonic() - begun < 30
     assert len(started) == 2 and _all_ended(started)
     assert started[-1].exitcode == -signal.SIGKILL   # killed, not awaited

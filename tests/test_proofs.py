@@ -746,6 +746,27 @@ def test_a_load_shares_nodes_across_lines_and_certificates():
     assert all(a.formula is b.formula for a, b in zip(cert.lines, loaded.lines))
 
 
+@pytest.mark.parametrize("name", ["k1_sv_double_negation", "l1_sv_double_negation_fo"])
+def test_an_sv_certificate_adds_no_axiom_matches(monkeypatch, name):
+    """One check matches each axiom line's formula once, and a loaded
+    certificate's lines are the proof's own nodes: the SV proof takes as
+    many matches as its certificate alone."""
+    entries = {entry.name: entry.proof for entry in corpus_entries()}
+    loaded = proof_from_json(proof_to_json(entries[name]))
+    schemes = []
+
+    def counted(phi, scheme):
+        schemes.append(scheme)
+        return match_axiom(phi, scheme)
+
+    monkeypatch.setattr("supkit.proofs.match_axiom", counted)
+    assert check_proof(loaded.lines[-1].just.cert).ok
+    alone = len(schemes)
+    schemes.clear()
+    assert check_proof(loaded).ok
+    assert len(schemes) == alone > 0
+
+
 def test_loads_under_different_signatures_read_text_differently():
     text = "(P(c) -> P(c)) -> P(c)"
     data = {"system": "L0", "hypotheses": [text],

@@ -220,8 +220,9 @@ def test_countermodel_tables_hold_no_trie_state(monkeypatch):
             spec = class_spec_for(name, formulas)
             table = check_consequence(premises, conclusion, spec, space,
                                       jobs=jobs).countermodel.table
-            assert type(table) is ChoiceTable and set(vars(table)) == {
-                "mode", "entries", "formulas"}
+            # a slotted record: it can hold its three fields and nothing else
+            assert type(table) is ChoiceTable and not hasattr(table, "__dict__")
+            assert type(table).__slots__ == ("mode", "entries", "formulas")
             assert table == _fresh(table)
             assert pickle.dumps(table) == pickle.dumps(_fresh(table))
             tables.append(pickle.dumps(table))
