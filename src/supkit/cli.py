@@ -25,9 +25,8 @@ from .choice import (
     ChoiceTable,
     ClassSpec,
     collapse,
-    enumerate_tables,
 )
-from .models import Structure, Valuation, valuations_over
+from .models import Structure, Valuation
 from .semantics import (
     DEFAULT_DOMAIN_BOUND,
     DEFAULT_ORACLE_BOUND,
@@ -326,21 +325,14 @@ def demo_interpolation(args):
     spec = ClassSpec("all")
     for phi, psi in pairs + extra:
         conj, sup, disj = And(phi, psi), Sup(phi, psi), Or(phi, psi)
-        for valuation in valuations_over(("p0", "p1")):
-
-            def task(table):
-                return (eval_scs(valuation, table, conj),
-                        eval_scs(valuation, table, sup),
-                        eval_scs(valuation, table, disj))
-
-            for _table, (a, b, c) in enumerate_tables(task, spec):
-                checked += 1
-                if (a and not b) or (b and not c):
-                    violations += 1
+        for premise, conclusion in ((conj, sup), (sup, disj)):   # laws S1 and S2
+            verdict = check_consequence([premise], conclusion, spec)
+            checked += verdict.tables_checked
+            violations += not verdict.valid
     payload = {"pairs": len(pairs) + len(extra), "evaluations": checked,
                "violations": violations}
     lines = [f"interpolation sweep: {payload['pairs']} pairs, "
-             f"{checked} (valuation, table) evaluations, "
+             f"{checked} leaf tables searched, "
              f"{violations} violations"]
     _emit(args, payload, lines)
     return 0 if violations == 0 else 1

@@ -27,8 +27,8 @@ from .choice import (
     class_representatives,
     extendable,
 )
-from .models import Structure, Valuation, eval_classical, structures_over, vocabulary_of
-from .semantics import DEFAULT_DOMAIN_BOUND, eval_fcs, eval_scs
+from .models import Structure, eval_classical, vocabulary_of
+from .semantics import DEFAULT_DOMAIN_BOUND, SearchSpace, eval_fcs, eval_scs
 from .syntax import (
     And,
     Constant,
@@ -123,11 +123,11 @@ class UiWitness(Record):
 
 
 def _find_structure(condition, max_domain=DEFAULT_DOMAIN_BOUND):
-    vocab = vocabulary_of([condition])
-    for structure in structures_over(vocab, max_domain):
-        if eval_classical(structure, condition):
-            return structure
-    return None
+    """The first structure of the condition's space where it holds: the
+    first set bit of its mask over the blocks of each size."""
+    space = SearchSpace(kind="first-order", vocabulary=vocabulary_of([condition]),
+                        max_domain=max_domain)
+    return next(space.models_where(lambda block: block.mask(condition)), None)
 
 
 def _eq_prefix(variables, terms):
@@ -504,7 +504,7 @@ def check_theory_fragment(fragment, max_domain=DEFAULT_DOMAIN_BOUND):
                     False, case="henkin",
                     reason=f"{to_text(s)} is out but every present instance is in")
 
-    if _find_fragment_model(fragment, max_domain) is None:
+    if next(_candidate_models(fragment, max_domain), None) is None:
         return FragmentVerdict(
             False, case="consistency",
             reason=f"classical part has no model with domain size <= {max_domain}")
@@ -521,31 +521,29 @@ def _needs_covering(fragment):
 
 
 def _candidate_models(fragment, max_domain):
-    classical = _classical_members(fragment)
-    vocab = vocabulary_of(fragment.sentences)
-    if not vocab.first_order:
-        assignment = {s.name: fragment.marked(s)
-                      for s in fragment.sentences if isinstance(s, PropAtom)}
-        yield Valuation(assignment)
-        return
+    """The models that give each classical member its marking, in model
+    order; when a quantified member needs it, only the structures whose
+    every element some constant (or parameter) denotes."""
+    literals = [s if fragment.marked(s) else Not(s) for s in _classical_members(fragment)]
     covering = _needs_covering(fragment)
-    for structure in structures_over(vocab, max_domain):
+
+    def mask_of(block):
+        mask = block.full
         if covering:
-            denoted = set(structure.constants.values())
-            if set(structure.domain) - denoted:
-                continue
-        if all(eval_classical(structure, s) == fragment.marked(s) for s in classical):
-            yield structure
+            constants = [k for k, (key, _) in enumerate(block.layout.digits) if key[0] == "c"]
+            for element in range(len(block.domain)):
+                denoted = 0
+                for k in constants:
+                    denoted |= block.digit_mask(k, element)
+                mask &= denoted
+        for literal in literals:
+            if not mask:
+                break
+            mask &= block.mask(literal)
+        return mask
 
-
-def _find_fragment_model(fragment, max_domain):
-    for model in _candidate_models(fragment, max_domain):
-        if isinstance(model, Valuation):
-            classical = _classical_members(fragment)
-            if not all(eval_classical(model, s) == fragment.marked(s) for s in classical):
-                return None
-        return model
-    return None
+    space = SearchSpace.for_task(fragment.sentences, max_domain)
+    return space.models_where(mask_of)
 
 
 # ---------------------------------------------------------------------------

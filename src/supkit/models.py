@@ -1,12 +1,13 @@
-"""Finite structures, propositional valuations, classical evaluation, and
-the numbered models of one domain size with their truth masks.
+"""Finite structures and propositional valuations, the numbered models of
+one domain size (``Layout``), and classical truth over a run of them as one
+bit mask (``Block``).  ``Block`` is the one classical evaluator:
+``eval_classical`` reads a model's truth off the block of that model alone.
 
-Structures have named domain elements; equality is always identity.
-Parameter terms denote themselves, so they are only meaningful against a
-structure whose domain contains the element — except that an enumerated
-structure may carry an explicit interpretation for a parameter under its
-printed name (used when parameters must range over candidate structures,
-e.g. inside the bounded equivalence oracle).
+Structures have named domain elements; equality is always identity.  A
+parameter term ``@x`` denotes the element ``x``, unless the structure
+interprets a constant under the parameter's printed name, as the models of
+a task that mentions the parameter do (and those inside the bounded
+equivalence oracle); that constant then decides.
 """
 
 import functools
@@ -29,7 +30,6 @@ from .syntax import (
     PredAtom,
     PropAtom,
     Record,
-    Sup,
     SupkitError,
     Symbols,
     Variable,
@@ -54,11 +54,6 @@ class Valuation(Record):
 
     def __init__(self, assignment):
         set_field(self, "assignment", assignment)
-
-    def truth(self, name):
-        if name not in self.assignment:
-            raise EvalError(f"valuation does not cover atom {name!r}")
-        return bool(self.assignment[name])
 
     def to_json(self):
         return {"atoms": {k: int(v) for k, v in sorted(self.assignment.items())}}
@@ -155,76 +150,6 @@ class Structure(Record):
             inner = ",".join("(" + ",".join(t) + ")" for t in sorted(tuples))
             bits.append(f"{name}={{{inner}}}")
         return " ".join(bits)
-
-
-def eval_term(structure, term, env):
-    if isinstance(term, Variable):
-        if term.name not in env:
-            raise EvalError(f"unbound variable {term.name!r}")
-        return env[term.name]
-    if isinstance(term, Constant):
-        if term.name not in structure.constants:
-            raise EvalError(f"structure does not interpret constant {term.name!r}")
-        return structure.constants[term.name]
-    if isinstance(term, Parameter):
-        pseudo = PARAM_PREFIX + term.element
-        if pseudo in structure.constants:
-            return structure.constants[pseudo]
-        if term.element in structure.domain:
-            return term.element
-        raise EvalError(f"parameter {to_text_term(term)} not in domain")
-    if isinstance(term, FuncApp):
-        if term.name not in structure.functions:
-            raise EvalError(f"structure does not interpret function {term.name!r}")
-        args = tuple(eval_term(structure, a, env) for a in term.args)
-        table = structure.functions[term.name]
-        if args not in table:
-            raise EvalError(f"function {term.name!r} undefined on {args}")
-        return table[args]
-    raise EvalError(f"not a term: {term!r}")
-
-
-def eval_classical(model, phi, env=None):
-    """Standard Tarskian truth of a classical formula.
-
-    ``model`` is a Structure (first-order formulas) or a Valuation
-    (propositional formulas); ``env`` maps free variables to elements.
-    """
-    if not is_classical(phi):
-        raise EvalError("eval_classical requires a sup-free formula")
-    env = env or {}
-    return _eval(model, phi, env)
-
-
-def _eval(model, phi, env):
-    if isinstance(phi, PropAtom):
-        if not isinstance(model, Valuation):
-            raise EvalError("propositional atom requires a valuation")
-        return model.truth(phi.name)
-    if isinstance(model, Valuation) and not isinstance(phi, (Not, And, Or, Implies, Iff, PropAtom)):
-        raise EvalError(f"valuations cannot evaluate {type(phi).__name__} nodes")
-    if isinstance(phi, PredAtom):
-        args = tuple(eval_term(model, a, env) for a in phi.args)
-        return args in model.predicates.get(phi.name, frozenset())
-    if isinstance(phi, Equality):
-        return eval_term(model, phi.lhs, env) == eval_term(model, phi.rhs, env)
-    if isinstance(phi, Not):
-        return not _eval(model, phi.body, env)
-    if isinstance(phi, And):
-        return _eval(model, phi.left, env) and _eval(model, phi.right, env)
-    if isinstance(phi, Or):
-        return _eval(model, phi.left, env) or _eval(model, phi.right, env)
-    if isinstance(phi, Implies):
-        return (not _eval(model, phi.left, env)) or _eval(model, phi.right, env)
-    if isinstance(phi, Iff):
-        return _eval(model, phi.left, env) == _eval(model, phi.right, env)
-    if isinstance(phi, Forall):
-        return all(_eval(model, phi.body, {**env, phi.var: x}) for x in model.domain)
-    if isinstance(phi, Exists):
-        return any(_eval(model, phi.body, {**env, phi.var: x}) for x in model.domain)
-    if isinstance(phi, Sup):
-        raise EvalError("classical evaluation reached a sup node")
-    raise EvalError(f"not a formula: {phi!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +249,50 @@ class Layout:
                            for args in itertools.product(range(n), repeat=arity)]
         return cls(tuple(domain), digits)
 
+    @classmethod
+    def of_model(cls, model, syms=NO_SYMBOLS):
+        """The models over one model's domain and interpreted symbols: a
+        valuation's atoms, or a structure's constants (``@`` and
+        free-variable names included), function-table entries and
+        predicates, and the predicates of ``syms``.  A symbol of ``syms``
+        that the structure leaves uninterpreted raises EvalError."""
+        if isinstance(model, Valuation):
+            return cls.of_valuations(model.assignment)
+        if syms.prop_atoms:
+            raise EvalError("propositional atom requires a valuation")
+        for kind, names, interpreted in (
+                ("constant", syms.constants, model.constants),
+                ("function", {name for name, _ in syms.functions}, model.functions)):
+            missing = sorted(names - interpreted.keys())
+            if missing:
+                raise EvalError(f"structure does not interpret {kind} {missing[0]!r}")
+        n = len(model.domain)
+        index = {element: i for i, element in enumerate(model.domain)}
+        digits = [(("c", name), n) for name in sorted(model.constants)]
+        digits += [(("f", name, args), n) for name, table in sorted(model.functions.items())
+                   for args in sorted(tuple(map(index.get, key)) for key in table)]
+        arities = set(syms.predicates).union(
+            *({(name, len(t)) for t in tuples} for name, tuples in model.predicates.items()))
+        digits += [(("p", name, args), 2) for name, arity in sorted(arities)
+                   for args in itertools.product(range(n), repeat=arity)]
+        return cls(tuple(model.domain), digits)
+
+    def number_of(self, model):
+        """The model's number: the inverse of ``model_at``."""
+        index = {element: i for i, element in enumerate(self.domain or ())}
+        number = 0
+        for (kind, name, *args), radix in self.digits:
+            if kind == "a":
+                value = bool(model.assignment[name])
+            elif kind == "c":
+                value = index[model.constants[name]]
+            else:
+                names = tuple(self.domain[i] for i in args[0])
+                value = index[model.functions[name][names]] if kind == "f" \
+                    else names in model.predicates.get(name, ())
+            number = number * radix + value
+        return number
+
     def model_at(self, number):
         """The model with this number."""
         values = [0] * len(self.digits)
@@ -374,6 +343,13 @@ class Block:
     operations, and a quantifier is the AND/OR of its body's masks with the
     variable bound to each element in turn.  A free variable is read as a
     constant where the layout has a digit for it (``Layout.of_structures``).
+
+    It is the only code that computes classical truth: the search takes
+    masks over blocks of up to ``semantics.BLOCK_WIDTH`` models, and one
+    given model is a block of width 1 (``of_model``).  A connective reads
+    its right operand only when its left one leaves some model's truth
+    open, so a block of one model reads the subformulas that short-circuit
+    evaluation reads, and raises where it would.
     """
 
     def __init__(self, layout, start, width):
@@ -386,6 +362,12 @@ class Block:
             self._elements = {name: i for i, name in enumerate(layout.domain)}
         self._digits = {}
         self._masks = {}
+
+    @classmethod
+    def of_model(cls, model, syms=NO_SYMBOLS):
+        """The block of one model, over ``Layout.of_model(model, syms)``."""
+        layout = Layout.of_model(model, syms)
+        return cls(layout, layout.number_of(model), 1)
 
     def digit_mask(self, k, v):
         """The models whose digit ``k`` has value ``v``."""
@@ -406,13 +388,18 @@ class Block:
             mask = self._masks[key] = self.mask(phi)
         return mask
 
-    def mask(self, phi):
-        """``phi``'s mask, not kept."""
-        return self._eval(phi, {})
+    def mask(self, phi, env=None):
+        """``phi``'s mask, not kept, with its free variables bound by
+        ``env`` to elements."""
+        if env and self.domain is not None:
+            env = {var: self._elements[x] for var, x in env.items()}
+        return self._eval(phi, env or {})
 
     def _eval(self, phi, env):
         """``phi``'s mask with its free variables bound by ``env`` to
-        element indices, as ``eval_classical`` binds them."""
+        element indices."""
+        if self.domain is None and not isinstance(phi, (PropAtom, Not, And, Or, Implies, Iff)):
+            raise EvalError(f"valuations cannot evaluate {type(phi).__name__} nodes")
         if isinstance(phi, PredAtom):
             mask = 0
             for args, within in self._combinations(phi.args, env):
@@ -420,9 +407,9 @@ class Block:
                     self.layout.digit[("p", phi.name, args)], 1)
             return mask
         if isinstance(phi, Equality):
-            rhs = self._term(phi.rhs, env)
+            lhs, rhs = self._term(phi.lhs, env), self._term(phi.rhs, env)
             mask = 0
-            for v, within in self._term(phi.lhs, env).items():
+            for v, within in lhs.items():
                 mask |= within & rhs.get(v, 0)
             return mask
         if isinstance(phi, PropAtom):
@@ -447,15 +434,15 @@ class Block:
                 if mask == full:
                     break
             return mask
-        left, right = self._eval(phi.left, env), self._eval(phi.right, env)
+        left = self._eval(phi.left, env)
         if isinstance(phi, And):
-            return left & right
+            return left & self._eval(phi.right, env) if left else 0
         if isinstance(phi, Or):
-            return left | right
+            return left | self._eval(phi.right, env) if left != full else full
         if isinstance(phi, Implies):
-            return (full ^ left) | right
+            return (full ^ left) | self._eval(phi.right, env) if left else full
         if isinstance(phi, Iff):
-            return full ^ left ^ right
+            return full ^ left ^ self._eval(phi.right, env)
         raise EvalError(f"not a formula: {phi!r}")
 
     def _combinations(self, terms, env):
@@ -480,7 +467,10 @@ class Block:
             out = {}
             n = len(self.domain)
             for args, within in self._combinations(term.args, env):
-                k = self.layout.digit[("f", term.name, args)]
+                k = self.layout.digit.get(("f", term.name, args))
+                if k is None:   # a partial table of ``Layout.of_model``
+                    names = tuple(self.domain[i] for i in args)
+                    raise EvalError(f"function {term.name!r} undefined on {names}")
                 for v in range(n):
                     m = within & self.digit_mask(k, v)
                     if m:
@@ -516,6 +506,18 @@ def _periodic(start, width, period, offset, run):
         tiled |= tiled << size
         size *= 2
     return (tiled >> (start - first)) & ((1 << width) - 1)
+
+
+def eval_classical(model, phi, env=None):
+    """Standard Tarskian truth of a classical formula: its mask over the
+    block of the one model (see ``Block.of_model``).
+
+    ``model`` is a Structure (first-order formulas) or a Valuation
+    (propositional formulas); ``env`` maps free variables to elements.
+    """
+    if not is_classical(phi):
+        raise EvalError("eval_classical requires a sup-free formula")
+    return bool(Block.of_model(model, symbols(phi)).mask(phi, env))
 
 
 def valuations_over(atoms):

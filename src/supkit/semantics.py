@@ -31,12 +31,9 @@ from .models import (
     Block,
     EvalError,
     Layout,
-    Structure,
     Valuation,
     element_names,
     eval_classical,
-    structures_over,
-    valuations_over,
     vocabulary_of,
 )
 from .syntax import (
@@ -56,6 +53,7 @@ from .syntax import (
     instantiate,
     is_classical,
     set_field,
+    symbols,
     to_text,
 )
 
@@ -77,7 +75,8 @@ def eval_scs(model, table, phi):
             f"sentence-choice evaluation requires a restricted sentence: {to_text(phi)}")
     if table.mode != SENTENCE_MODE:
         raise EvalError("sentence-choice evaluation requires a sentence-mode table")
-    return bool(_truth(_OneModel(model), TableNode.root(ClassSpec("all"), table), phi, 1))
+    block = Block.of_model(model, symbols(phi))
+    return bool(_truth(block, TableNode.root(ClassSpec("all"), table), phi, 1))
 
 
 def _truth(block, node, phi, care):
@@ -125,20 +124,6 @@ def _truth(block, node, phi, care):
     raise EvalError(f"not a formula: {phi!r}")
 
 
-class _OneModel:
-    """A block of one given model, whatever its domain's names; classical
-    truth comes from ``eval_classical``."""
-
-    full = 1
-
-    def __init__(self, model):
-        self.model = model
-        self.domain = model.domain if isinstance(model, Structure) else None
-
-    def classical(self, phi):
-        return int(eval_classical(self.model, phi))
-
-
 def eval_fcs(structure, table, phi):
     """Formula-choice truth: collapse with quantifier commuting, then
     classical evaluation of the resulting sentence."""
@@ -180,9 +165,7 @@ class SearchSpace(Record):
         return cls(kind="propositional", atoms=vocab.prop_atoms)
 
     def models(self):
-        if self.kind == "propositional":
-            return valuations_over(self.atoms)
-        return structures_over(self.vocabulary, self.max_domain)
+        return self.models_where(lambda block: block.full)
 
     def layout(self, size):
         """The numbered models of one domain size (``None`` for valuations)."""
@@ -193,13 +176,36 @@ class SearchSpace(Record):
     def _sizes(self):
         return [None] if self.kind == "propositional" else range(1, self.max_domain + 1)
 
-    def blocks(self):
-        """The space's blocks, as ``(size, start, width)``: runs of at most
-        ``BLOCK_WIDTH`` consecutive models of one size, in model order."""
+    def blocks(self, first=0, stop=float("inf")):
+        """The space's blocks numbered ``first`` up to ``stop``, as ``(layout,
+        start, width)``: runs of at most ``BLOCK_WIDTH`` consecutive models
+        of one size, in model order."""
+        for layout, b, _, n in self._cut_sizes(stop):
+            for i in range(max(first - b, 0), n):
+                yield layout, i * BLOCK_WIDTH, min(BLOCK_WIDTH, layout.count - i * BLOCK_WIDTH)
+
+    def _cut_sizes(self, stop):
+        """``(layout, first block, first model, blocks)`` for each size in
+        turn, with the blocks cut at block number ``stop``; no later size's
+        layout is built."""
+        b = m = 0
         for size in self._sizes():
-            count = self.layout(size).count
-            for start in range(0, count, BLOCK_WIDTH):
-                yield size, start, min(BLOCK_WIDTH, count - start)
+            if b >= stop:
+                return
+            layout = self.layout(size)
+            n = min(-(-layout.count // BLOCK_WIDTH), stop - b)
+            yield layout, b, m, n
+            b, m = b + n, m + min(layout.count, n * BLOCK_WIDTH)
+
+    def models_where(self, mask_of):
+        """The models, in model order, whose bit is set in the mask that
+        ``mask_of`` gives for their block (a ``models.Block``)."""
+        for layout, start, width in self.blocks():
+            mask = mask_of(Block(layout, start, width))
+            while mask:
+                low = mask & -mask
+                yield layout.model_at(start + low.bit_length() - 1)
+                mask ^= low
 
     def describe(self):
         if self.kind == "propositional":
@@ -278,13 +284,14 @@ def check_consequence(premises, conclusion, spec, space=None, budget=DEFAULT_BUD
     Each block's search sees at least one leaf table, so a scan stops
     within the space's first ``budget + 1`` blocks, and no later block is
     drawn.  With one job this process scans those blocks as it draws them.
-    With more, it lists them and cuts their models into ``jobs`` equal
-    shares (see ``shares``): this process scans the first share's blocks
-    and one worker process scans each other share's, so no process is
-    started when one share holds every block.  The verdict, its counts and
-    the budget are exactly those of one scan over all the blocks: the scans
-    are read in model order, and the workers still running once the
-    verdict is settled are killed, as they are on every other way out.
+    With more, their models are cut into ``jobs`` equal shares, worked out
+    from the layouts' counts (see ``shares``): this process scans the first
+    share's blocks as it draws them, and one worker process draws and scans
+    each other share's, so no process is started when one share holds every
+    block.  The verdict, its counts and the budget are exactly those of one
+    scan over all the blocks: the scans are read in model order, and the
+    workers still running once the verdict is settled are killed, as they
+    are on every other way out.
     Each share's scan builds its own table trie (see ``scan_models``); none
     is shared between processes."""
     premises = tuple(premises)
@@ -292,12 +299,8 @@ def check_consequence(premises, conclusion, spec, space=None, budget=DEFAULT_BUD
     check_restricted_sentences(formulas)
     if space is None:
         space = SearchSpace.for_task(formulas)
-    blocks = mine = itertools.islice(space.blocks(), max(budget, 0) + 1)
-    rest = []
-    if jobs > 1:
-        blocks = list(blocks)
-        (first, stop), *rest = shares([width for _, _, width in blocks], jobs)
-        mine = blocks[first:stop]
+    limit = max(budget, 0) + 1
+    (first, stop), *rest = shares(space, limit, jobs) if jobs > 1 else [(0, limit)]
     task = (premises, conclusion, spec, budget)
     workers = []
     try:
@@ -306,12 +309,11 @@ def check_consequence(premises, conclusion, spec, space=None, budget=DEFAULT_BUD
             for start, end in rest:
                 receive, send = multiprocessing.Pipe(duplex=False)
                 worker = multiprocessing.Process(
-                    target=_scan_share, args=(send, space, blocks[start:end], *task),
-                    daemon=True)
+                    target=_scan_share, args=(send, space, start, end, *task), daemon=True)
                 worker.start()
                 workers.append((worker, receive))
                 send.close()
-        scans = itertools.chain([scan_models(space, mine, *task)],
+        scans = itertools.chain([scan_models(space, space.blocks(first, stop), *task)],
                                 itertools.starmap(_received, workers))
         return verdict_of_scans(premises, conclusion, spec, space, scans, budget)
     finally:
@@ -321,31 +323,35 @@ def check_consequence(premises, conclusion, spec, space=None, budget=DEFAULT_BUD
             receive.close()
 
 
-def shares(widths, jobs):
-    """Runs of consecutive blocks, given their widths in model order, as
+def shares(space, limit, jobs):
+    """Runs of consecutive blocks among the space's first ``limit``, as
     ``(first, stop)`` block numbers: block ``b`` joins run
-    ``jobs * m_b // total``, where ``m_b`` is the number of its first model.
-    So there are at most ``jobs`` runs, and each holds within one block
-    width of ``total / jobs`` models; no blocks make one empty run."""
-    total = sum(widths)
-    runs, share, start = [[0, 0]], 0, 0
-    for b, width in enumerate(widths):
-        if jobs * start // total != share:
-            share = jobs * start // total
-            runs.append([b, b])
-        runs[-1][1] = b + 1
-        start += width
-    return [tuple(run) for run in runs]
+    ``jobs * m_b // total``, where ``m_b`` is the number of its first model
+    and ``total`` the number of models in those blocks.  So there are at most
+    ``jobs`` runs, and each holds within one block width of ``total / jobs``
+    models; no blocks make one empty run.  The runs are worked out from the
+    layouts' counts, without drawing a block."""
+    sizes = list(space._cut_sizes(limit))
+    layout, b, m, n = sizes[-1]
+    total, stop = m + min(layout.count, n * BLOCK_WIDTH), b + n
+    starts = {0, stop}
+    for run in range(1, jobs):
+        least = -(-run * total // jobs)   # the first model of this run or a later one
+        starts.add(next((first + max(0, -(-(least - start) // BLOCK_WIDTH))
+                         for _, first, start, blocks in sizes
+                         if least <= start + (blocks - 1) * BLOCK_WIDTH), stop))
+    bounds = sorted(starts)
+    return list(zip(bounds, bounds[1:]))
 
 
-def _scan_share(send, *scan):
-    """A worker's body: sends ``(True, scan_models(...))``, or ``(False,
-    exception)`` if it raised.  Interrupts are left to the caller, which
-    kills its workers."""
+def _scan_share(send, space, first, stop, *task):
+    """A worker's body: sends ``(True, scan_models(...))`` over blocks
+    ``first`` to ``stop``, or ``(False, exception)`` if it raised.
+    Interrupts are left to the caller, which kills its workers."""
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        result = True, scan_models(*scan)
+        result = True, scan_models(space, space.blocks(first, stop), *task)
     except Exception as exc:
         result = False, exc
     send.send(result)
@@ -391,12 +397,8 @@ def scan_models(space, blocks, premises, conclusion, spec, budget=DEFAULT_BUDGET
     judged and evaluated at each ``sup`` node once."""
     models_checked = 0
     tables_checked = 0
-    layouts = {}
     root = TableNode.root(spec)
-    for size, start, width in blocks:
-        if size not in layouts:
-            layouts[size] = space.layout(size)
-        layout = layouts[size]
+    for layout, start, width in blocks:
         index, table, leaves = _search_block(
             Block(layout, start, width), premises, conclusion, root, budget - tables_checked)
         tables_checked += leaves

@@ -19,7 +19,7 @@ from supkit import semantics
 from supkit.choice import TableNode, enumerate_tables
 from supkit.cli import run
 from supkit.corpus import corpus_entries
-from supkit.models import Block, Layout, element_names, eval_classical, vocabulary_of
+from supkit.models import Block, Layout, element_names, vocabulary_of
 from supkit.semantics import (
     DEFAULT_BUDGET,
     Countermodel,
@@ -47,7 +47,7 @@ from supkit.syntax import (
     Variable,
 )
 from test_extendable import CLASSES, _rung_argv, workloads
-from test_facts import ref_scs
+from test_facts import ref_eval_classical, ref_scs
 
 
 def ref_scan_models(space, blocks, premises, conclusion, spec, budget=DEFAULT_BUDGET):
@@ -296,4 +296,4 @@ def test_block_masks_match_classical_evaluation(phi, size, data):
     width = data.draw(st.integers(1, min(layout.count - start, 70)))
     mask = Block(layout, start, width).classical(phi)
     for i in range(width):
-        assert bool(mask >> i & 1) == eval_classical(layout.model_at(start + i), phi)
+        assert bool(mask >> i & 1) == ref_eval_classical(layout.model_at(start + i), phi)

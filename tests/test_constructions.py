@@ -1,5 +1,10 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from supkit import constructions
 from supkit.choice import (
     BoundedModelOracle,
     ChoiceTable,
@@ -21,7 +26,7 @@ from supkit.constructions import (
     ui_failure_general,
     ui_failure_witness,
 )
-from supkit.models import Structure, Valuation, eval_classical
+from supkit.models import Structure, Valuation, eval_classical, structures_over, vocabulary_of
 from supkit.semantics import eval_fcs, eval_scs
 from supkit.syntax import (
     And,
@@ -36,9 +41,12 @@ from supkit.syntax import (
     Signature,
     Sup,
     Variable,
+    is_classical,
     parse,
     to_text,
 )
+from test_blocks import CLASSICAL, _formulas
+from test_facts import ref_eval_classical
 
 p0, p1 = PropAtom("p0"), PropAtom("p1")
 SIG3 = Signature(constants={"c1", "c2", "c3"})
@@ -289,3 +297,71 @@ def test_object_superposition_requires_distinct():
     m = Structure(domain=("a", "b"))
     with pytest.raises(ConditionError):
         object_superposition_report(m, "a", "a")
+
+
+# ---------------------------------------------------------------------------
+# The mask searches against the per-structure loops they replaced
+
+
+def ref_find_structure(condition, max_domain):
+    for structure in structures_over(vocabulary_of([condition]), max_domain):
+        if ref_eval_classical(structure, condition):
+            return structure
+    return None
+
+
+def ref_candidate_models(fragment, max_domain):
+    """The candidates as the loop gave them, a propositional fragment's one
+    valuation only when it gives each classical member its marking."""
+    classical = [s for s in fragment.sentences if is_classical(s)]
+    vocab = vocabulary_of(fragment.sentences)
+    if not vocab.first_order:
+        valuation = Valuation({s.name: fragment.marked(s)
+                               for s in fragment.sentences if isinstance(s, PropAtom)})
+        if all(ref_eval_classical(valuation, s) == fragment.marked(s) for s in classical):
+            yield valuation
+        return
+    covering = any(isinstance(s, (Forall, Exists)) and not is_classical(s)
+                   for s in fragment.sentences)
+    for structure in structures_over(vocab, max_domain):
+        if covering and set(structure.domain) - set(structure.constants.values()):
+            continue
+        if all(ref_eval_classical(structure, s) == fragment.marked(s) for s in classical):
+            yield structure
+
+
+@settings(max_examples=100, deadline=None)
+@given(_formulas(CLASSICAL), st.integers(1, 3))
+def test_find_structure_finds_what_the_loop_found(condition, max_domain):
+    assert constructions._find_structure(condition, max_domain) == \
+        ref_find_structure(condition, max_domain)
+
+
+def _all_fragments(base, sig=None):
+    """Every fragment of the closure of ``base``, consistent or not."""
+    universe = constructions._closure_of(base)
+    free = [universe[key] for key in sorted(universe)
+            if isinstance(universe[key], (PropAtom, PredAtom, Equality, Sup, Forall, Exists))]
+    for bits in itertools.product((False, True), repeat=len(free)):
+        try:
+            yield TheoryFragment.from_markings(dict(zip(free, bits)), sig)
+        except FragmentError:
+            pass
+
+
+@pytest.mark.parametrize("base, sig", [
+    ([Sup(p0, p1), p0, p1], None),
+    ([Sup(Not(Not(p0)), p1), Sup(p0, p1)], None),
+    (quantified_base(), QSIG),
+    ([parse("forall v. (P(v) sup Q(v))", QSIG), parse("P(c1) /\\ ~Q(c2)", QSIG)], QSIG),
+    ([parse("forall v. ~P(v)", QSIG), parse("P(c1) \\/ exists v. exists u. ~(v = u)", QSIG)],
+     QSIG),
+    ([parse("exists v. (P(v) sup Q(v))", QSIG), parse("P(@e1) sup Q(c1)", QSIG)], QSIG),
+], ids=["sup", "double-negation", "quantified", "covering", "inconsistent", "parameter"])
+def test_candidate_models_are_those_of_the_loop(base, sig):
+    fragments = list(_all_fragments(base, sig))
+    assert fragments
+    for fragment in fragments:
+        for max_domain in (1, 2, 3):
+            assert list(constructions._candidate_models(fragment, max_domain)) == \
+                list(ref_candidate_models(fragment, max_domain))

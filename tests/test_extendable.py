@@ -34,6 +34,8 @@ from supkit.cli import run
 from supkit.models import EvalError
 from supkit.syntax import Not, SupkitError, canonical_key, free_vars, parse
 
+from test_facts import ref_eval_classical
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
 
@@ -100,15 +102,15 @@ def pairwise_equivalent(oracle, a, b):
     vocab = models.vocabulary_of([a, b])
     if not vocab.first_order:
         return all(
-            models.eval_classical(v, a) == models.eval_classical(v, b)
+            ref_eval_classical(v, a) == ref_eval_classical(v, b)
             for v in models.valuations_over(vocab.prop_atoms)
         )
     fv = sorted(free_vars(a) | free_vars(b))
     for structure in models.structures_over(vocab, oracle.max_domain):
         for values in itertools.product(structure.domain, repeat=len(fv)):
             env = dict(zip(fv, values))
-            if models.eval_classical(structure, a, env) != \
-                    models.eval_classical(structure, b, env):
+            if ref_eval_classical(structure, a, env) != \
+                    ref_eval_classical(structure, b, env):
                 return False
     return True
 

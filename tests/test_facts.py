@@ -2,7 +2,9 @@
 
 Each fact (free variables, syntax class, text, primitive form, quantifier
 instances) is checked against the plain recursion that derives it again at
-every call.  Those recursions live here only, as the reference path.
+every call.  Those recursions live here only, as the reference path, and
+so does the one-model classical evaluator (``ref_eval_classical``) that the
+block evaluator's tests compare against.
 """
 
 import pickle
@@ -10,7 +12,7 @@ import pickle
 from hypothesis import given, settings
 
 from supkit.choice import ClassSpec, choose, collapse, enumerate_tables
-from supkit.models import eval_classical
+from supkit.models import EvalError, Valuation
 from supkit.semantics import SearchSpace, eval_scs
 from supkit.syntax import (
     And,
@@ -20,10 +22,12 @@ from supkit.syntax import (
     Exists,
     Forall,
     Formula,
+    FuncApp,
     Iff,
     Implies,
     Not,
     Or,
+    PARAM_PREFIX,
     Parameter,
     PredAtom,
     PropAtom,
@@ -186,11 +190,75 @@ def ref_substitute(phi, var, term):
     return type(phi)(phi.var, ref_substitute(phi.body, var, term))
 
 
+def ref_eval_term(structure, term, env):
+    if isinstance(term, Variable):
+        if term.name not in env:
+            raise EvalError(f"unbound variable {term.name!r}")
+        return env[term.name]
+    if isinstance(term, Constant):
+        if term.name not in structure.constants:
+            raise EvalError(f"structure does not interpret constant {term.name!r}")
+        return structure.constants[term.name]
+    if isinstance(term, Parameter):
+        pseudo = PARAM_PREFIX + term.element
+        if pseudo in structure.constants:
+            return structure.constants[pseudo]
+        if term.element in structure.domain:
+            return term.element
+        raise EvalError(f"parameter {to_text_term(term)} not in domain")
+    if isinstance(term, FuncApp):
+        if term.name not in structure.functions:
+            raise EvalError(f"structure does not interpret function {term.name!r}")
+        args = tuple(ref_eval_term(structure, a, env) for a in term.args)
+        table = structure.functions[term.name]
+        if args not in table:
+            raise EvalError(f"function {term.name!r} undefined on {args}")
+        return table[args]
+    raise EvalError(f"not a term: {term!r}")
+
+
+def ref_eval_classical(model, phi, env=None):
+    """Tarskian truth in one model with Python bools, short-circuiting as
+    Python does: the one-model evaluator that ``eval_classical`` was before
+    it became a one-model ``Block``."""
+    if not ref_is_classical(phi):
+        raise EvalError("eval_classical requires a sup-free formula")
+    return _ref_eval(model, phi, env or {})
+
+
+def _ref_eval(model, phi, env):
+    if isinstance(phi, PropAtom):
+        if not isinstance(model, Valuation):
+            raise EvalError("propositional atom requires a valuation")
+        if phi.name not in model.assignment:
+            raise EvalError(f"valuation does not cover atom {phi.name!r}")
+        return bool(model.assignment[phi.name])
+    if isinstance(model, Valuation) and not isinstance(phi, (Not, And, Or, Implies, Iff)):
+        raise EvalError(f"valuations cannot evaluate {type(phi).__name__} nodes")
+    if isinstance(phi, PredAtom):
+        args = tuple(ref_eval_term(model, a, env) for a in phi.args)
+        return args in model.predicates.get(phi.name, frozenset())
+    if isinstance(phi, Equality):
+        return ref_eval_term(model, phi.lhs, env) == ref_eval_term(model, phi.rhs, env)
+    if isinstance(phi, Not):
+        return not _ref_eval(model, phi.body, env)
+    if isinstance(phi, And):
+        return _ref_eval(model, phi.left, env) and _ref_eval(model, phi.right, env)
+    if isinstance(phi, Or):
+        return _ref_eval(model, phi.left, env) or _ref_eval(model, phi.right, env)
+    if isinstance(phi, Implies):
+        return (not _ref_eval(model, phi.left, env)) or _ref_eval(model, phi.right, env)
+    if isinstance(phi, Iff):
+        return _ref_eval(model, phi.left, env) == _ref_eval(model, phi.right, env)
+    tester = all if isinstance(phi, Forall) else any
+    return tester(_ref_eval(model, phi.body, {**env, phi.var: x}) for x in model.domain)
+
+
 def ref_scs(model, table, phi):
     """Sentence-choice truth that builds a fresh instance at every
     quantifier and every call."""
     if ref_is_classical(phi):
-        return eval_classical(model, phi)
+        return ref_eval_classical(model, phi)
     if isinstance(phi, Not):
         return not ref_scs(model, table, phi.body)
     if isinstance(phi, And):
@@ -203,7 +271,7 @@ def ref_scs(model, table, phi):
         return ref_scs(model, table, phi.left) == ref_scs(model, table, phi.right)
     if isinstance(phi, Sup):
         chosen = choose(table, collapse(table, phi.left), collapse(table, phi.right))
-        return eval_classical(model, chosen)
+        return ref_eval_classical(model, chosen)
     tester = all if isinstance(phi, Forall) else any
     return tester(ref_scs(model, table, ref_substitute(phi.body, phi.var, Parameter(x)))
                   for x in model.domain)

@@ -5,10 +5,12 @@ Tests that patch the search in this process and need the patch to reach a
 worker rely on the ``fork`` start method, and are skipped under any other.
 """
 
+import itertools
 import multiprocessing
 import os
 import signal
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,10 +32,25 @@ fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                                reason="the patch reaches workers through fork")
 
 
+def ref_shares(widths, jobs):
+    """``semantics.shares`` as it was when the caller listed the blocks:
+    the runs, as ``(first, stop)`` block numbers, of blocks given by their
+    widths in model order."""
+    total = sum(widths)
+    runs, share, start = [[0, 0]], 0, 0
+    for b, width in enumerate(widths):
+        if jobs * start // total != share:
+            share = jobs * start // total
+            runs.append([b, b])
+        runs[-1][1] = b + 1
+        start += width
+    return [tuple(run) for run in runs]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(1, 50), min_size=1, max_size=12), st.integers(1, 6))
 def test_shares_are_consecutive_runs_of_about_equal_size(widths, jobs):
-    runs = shares(widths, jobs)
+    runs = ref_shares(widths, jobs)
     assert 1 <= len(runs) <= jobs
     assert runs[0][0] == 0 and runs[-1][1] == len(widths)
     assert all(first < stop for first, stop in runs)
@@ -47,9 +64,37 @@ R_PAIR = parse("(forall v. R(v,c1) sup R(c1,v)) -> exists v. (R(v,v) sup R(c1,c1
 
 
 def _share_sizes(max_domain, jobs):
-    widths = [width for _, _, width in
-              SearchSpace.for_task([R_PAIR], max_domain=max_domain).blocks()]
-    return [sum(widths[first:stop]) for first, stop in shares(widths, jobs)]
+    space = SearchSpace.for_task([R_PAIR], max_domain=max_domain)
+    widths = [width for _, _, width in space.blocks()]
+    runs = shares(space, semantics.DEFAULT_BUDGET + 1, jobs)
+    assert runs == ref_shares(widths, jobs)
+    return [sum(widths[first:stop]) for first, stop in runs]
+
+
+SPACES = [parse(text) for text in (
+    "P(c1)", "R(v,c1) sup R(c1,v)", "P(c1) sup Q(c2)", "g(c1) = c2", "p0 sup p1 -> p2")]
+
+
+def _drawn(blocks):
+    """Blocks as ``(size, start, width)``; each draw builds its own layouts."""
+    return [(len(layout.domain or ()), start, width) for layout, start, width in blocks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SPACES), st.integers(1, 3), st.sampled_from([1, 2, 3, 5, 7, 64]),
+       st.integers(-1, 40), st.integers(2, 4))
+def test_shares_are_those_of_the_listed_blocks(phi, max_domain, width, budget, jobs):
+    """The runs worked out from the layouts' counts are the runs of the
+    listed blocks, among the first ``budget + 1``, and each run's blocks are
+    those of the list."""
+    with mock.patch.object(semantics, "BLOCK_WIDTH", width):
+        space = SearchSpace.for_task([phi], max_domain=max_domain)
+        limit = max(budget, 0) + 1
+        listed = _drawn(itertools.islice(space.blocks(), limit))
+        runs = shares(space, limit, jobs)
+        assert runs == ref_shares([width for _, _, width in listed], jobs)
+        for first, stop in runs:
+            assert _drawn(space.blocks(first, stop)) == listed[first:stop]
 
 
 def test_shares_of_the_binary_relation_rung(started):
@@ -165,13 +210,14 @@ def test_split_shares_keep_the_budget(one_model_blocks, started):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_the_budget_bounds_the_blocks_drawn(monkeypatch, one_model_blocks, started, jobs):
     """Each block's search sees a leaf table, so a scan stops within the
-    first ``budget + 1`` blocks and no later block is drawn; one job draws
-    the blocks as it scans them, so a countermodel in the first stops it."""
+    first ``budget + 1`` blocks and no later block is drawn; each process
+    draws only its own share's blocks, as it scans them, so a countermodel
+    in the first stops this process's drawing."""
     drawn = []
     blocks = SearchSpace.blocks
 
-    def spy(space):
-        for block in blocks(space):
+    def spy(space, *bounds):
+        for block in blocks(space, *bounds):
             drawn.append(block)
             yield block
 
@@ -180,11 +226,11 @@ def test_the_budget_bounds_the_blocks_drawn(monkeypatch, one_model_blocks, start
     space = SearchSpace.for_task([valid], max_domain=3)   # 2 + 8 + 24 one-model blocks
     with pytest.raises(SearchBudgetError):
         check_consequence([], valid, class_spec_for("all", [valid]), space, 3, jobs)
-    assert len(drawn) == 4
+    assert len(drawn) == 4 // jobs   # a worker draws the second share of two
     drawn.clear()
     verdict = check_consequence([], refuted, class_spec_for("all", [refuted]), space, 3, jobs)
     assert verdict.models_checked == 1 and not verdict.valid
-    assert len(drawn) == (1 if jobs == 1 else 4)
+    assert len(drawn) == 1
 
 
 def _hang():

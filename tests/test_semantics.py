@@ -1,4 +1,9 @@
+import itertools
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supkit.choice import (
     FORMULA_MODE,
@@ -22,17 +27,21 @@ from supkit.syntax import (
     Equality,
     Exists,
     Forall,
+    FuncApp,
     Iff,
     Implies,
     Not,
     Or,
+    PARAM_PREFIX,
     Parameter,
     PredAtom,
     PropAtom,
     Sup,
     Variable,
     parse,
+    symbols,
 )
+from test_facts import ref_eval_classical
 
 p0, p1, p2 = PropAtom("p0"), PropAtom("p1"), PropAtom("p2")
 
@@ -225,3 +234,200 @@ def test_fo_consequence_ui_is_sound_under_scs():
     spec = ClassSpec("all")
     assert check_consequence([], phi, spec,
                              space=SearchSpace.for_task([phi], max_domain=2)).valid
+
+
+# ---------------------------------------------------------------------------
+# eval_classical, a one-model Block, against the evaluator it replaced
+
+
+_DOMAINS = [("a", "b"), ("e0", "e1", "e2"), ("x",), ("e1", "e0")]
+_VARS = ("v", "u", "w")
+_PARAMS = ("a", "b", "e0", "e1", "x", "z")
+_UNINTERPRETED = re.compile(r"propositional atom requires a valuation"
+                            r"|structure does not interpret (constant|function) '\w+'")
+
+
+def _terms():
+    base = st.one_of(st.builds(Variable, st.sampled_from(_VARS)),
+                     st.sampled_from([Constant("c1"), Constant("c2")]),
+                     st.builds(Parameter, st.sampled_from(_PARAMS)))
+    return st.recursive(base, lambda sub: st.one_of(
+        st.builds(lambda t: FuncApp("g", (t,)), sub),
+        st.builds(lambda s, t: FuncApp("h", (s, t)), sub, sub)), max_leaves=3)
+
+
+def _classical(atoms, quantifiers=True):
+    def extend(sub):
+        options = [st.builds(Not, sub)] + [st.builds(c, sub, sub)
+                                           for c in (And, Or, Implies, Iff)]
+        if quantifiers:
+            options += [st.builds(q, st.sampled_from(_VARS), sub) for q in (Forall, Exists)]
+        return st.one_of(options)
+    return st.recursive(atoms, extend, max_leaves=8)
+
+
+_FO_ATOMS = st.one_of(
+    st.builds(lambda t: PredAtom("P", (t,)), _terms()),
+    st.builds(lambda s, t: PredAtom("R", (s, t)), _terms(), _terms()),
+    st.builds(Equality, _terms(), _terms()))
+_PROP = st.sampled_from([p0, p1, p2])
+
+
+@st.composite
+def _structures(draw, complete):
+    """A structure with an environment.  A complete one interprets every
+    symbol of ``_FO_ATOMS`` (a parameter outside the domain through its
+    ``@`` constant) and binds every variable; otherwise anything may be
+    missing and function tables may be partial."""
+    domain = draw(st.sampled_from(_DOMAINS))
+    element = st.sampled_from(domain)
+    keep = st.just(True) if complete else st.integers(0, 4).map(bool)
+    constants = {name: draw(element) for name in ("c1", "c2") if draw(keep)}
+    for p in _PARAMS:   # read as an element, or as the model's @ constant
+        if (complete and p not in domain) or draw(st.booleans()):
+            constants[PARAM_PREFIX + p] = draw(element)
+    functions = {
+        name: {args: draw(element)
+               for args in itertools.product(domain, repeat=arity) if draw(keep)}
+        for name, arity in (("g", 1), ("h", 2)) if draw(keep)}
+    predicates = {
+        name: frozenset(args for args in itertools.product(domain, repeat=arity)
+                        if draw(st.booleans()))
+        for name, arity in (("P", 1), ("R", 2)) if draw(st.booleans())}
+    env = {var: draw(element) for var in _VARS if draw(keep)}
+    return Structure(domain, constants, functions, predicates), env
+
+
+def _outcome(evaluate, model, phi, env):
+    try:
+        return True, evaluate(model, phi, env)
+    except EvalError as exc:
+        return False, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_structures(complete=True), _classical(_FO_ATOMS))
+def test_eval_classical_matches_the_reference_on_structures(model_env, phi):
+    model, env = model_env
+    assert eval_classical(model, phi, env) == ref_eval_classical(model, phi, env)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(["p0", "p1", "p2"]), st.booleans()),
+       _classical(_PROP, quantifiers=False))
+def test_eval_classical_matches_the_reference_on_valuations(assignment, phi):
+    v = Valuation(assignment)
+    assert _outcome(eval_classical, v, phi, {}) == _outcome(ref_eval_classical, v, phi, {})
+
+
+def _interprets(model, phi):
+    """Whether a structure interprets every symbol that ``phi`` names; a
+    valuation is checked node by node."""
+    if isinstance(model, Valuation):
+        return True
+    syms = symbols(phi)
+    return not syms.prop_atoms and syms.constants <= model.constants.keys() \
+        and {name for name, _ in syms.functions} <= model.functions.keys()
+
+
+def _mostly(atoms, stray):
+    """Formulas over ``atoms``, a quarter of them with ``stray`` atoms too."""
+    usual = _classical(atoms, quantifiers=atoms is _FO_ATOMS)
+    return st.one_of(usual, usual, usual, _classical(st.one_of(atoms, stray)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(_structures(complete=False), _mostly(_FO_ATOMS, _PROP)),
+    st.tuples(st.builds(lambda a: (Valuation(a), {}),
+                        st.dictionaries(st.sampled_from(["p0", "p1", "p2"]), st.booleans())),
+              _mostly(_PROP, _FO_ATOMS))))
+def test_eval_classical_raises_where_the_reference_raises(task):
+    """Where anything may be missing, the block gives the reference's truth
+    value or its error, message included, since it reads what the
+    reference's short-circuits read.  Only a symbol that the structure
+    leaves uninterpreted raises before evaluation, wherever it occurs."""
+    (model, env), phi = task
+    outcome = _outcome(eval_classical, model, phi, env)
+    if _interprets(model, phi):
+        assert outcome == _outcome(ref_eval_classical, model, phi, env)
+    else:
+        assert not outcome[0] and _UNINTERPRETED.fullmatch(outcome[1]), outcome
+
+
+M_PARAM = Structure(domain=("a", "b"), constants={"c1": "a", "@b": "a"},
+                    functions={"g": {("a",): "b"}}, predicates={"P": frozenset({("a",)})})
+V_P0 = Valuation({"p0": True})
+
+
+@pytest.mark.parametrize("model, phi, message", [
+    (M_PARAM, PredAtom("P", (Variable("v"),)), "unbound variable 'v'"),
+    (M_PARAM, PredAtom("P", (Constant("c9"),)), "structure does not interpret constant 'c9'"),
+    (M_PARAM, PredAtom("P", (FuncApp("k", (Constant("c1"),)),)),
+     "structure does not interpret function 'k'"),
+    (M_PARAM, Equality(FuncApp("g", (FuncApp("g", (Constant("c1"),)),)), Constant("c1")),
+     "function 'g' undefined on ('b',)"),
+    (M_PARAM, Exists("v", Equality(FuncApp("g", (Variable("v"),)), Variable("v"))),
+     "function 'g' undefined on ('b',)"),
+    (M_PARAM, PredAtom("P", (Parameter("z"),)), "parameter @z not in domain"),
+    (M_PARAM, And(PredAtom("P", (Constant("c1"),)), p0),
+     "propositional atom requires a valuation"),
+    (V_P0, PredAtom("P", (Constant("c1"),)), "valuations cannot evaluate PredAtom nodes"),
+    (V_P0, Or(Not(p0), Forall("v", p0)), "valuations cannot evaluate Forall nodes"),
+    (V_P0, And(p0, p1), "valuation does not cover atom 'p1'"),
+], ids=["unbound", "constant", "function", "partial", "partial-in-quantifier", "parameter",
+        "atom-in-structure", "predicate-in-valuation", "quantifier-in-valuation",
+        "uncovered-atom"])
+def test_eval_classical_keeps_the_reference_messages(model, phi, message):
+    for evaluate in (eval_classical, ref_eval_classical):
+        with pytest.raises(EvalError) as caught:
+            evaluate(model, phi)
+        assert str(caught.value) == message
+
+
+def test_parameters_read_as_elements_or_as_the_models_constants():
+    # @b is interpreted as a, so it names a; @a names itself
+    assert eval_classical(M_PARAM, Equality(Parameter("b"), Parameter("a")))
+    assert eval_classical(M_PARAM, PredAtom("P", (Parameter("b"),)))
+    assert eval_classical(M_PARAM, Equality(FuncApp("g", (Parameter("a"),)), Variable("v")),
+                          {"v": "b"})
+
+
+def test_an_uninterpreted_symbol_raises_before_evaluation():
+    """The block needs every digit of the layout up front, so a symbol that
+    the model leaves uninterpreted raises even where the evaluator it
+    replaced short-circuited past it."""
+    phi = Or(PredAtom("P", (Constant("c1"),)), PredAtom("Q", (Constant("c9"),)))
+    assert ref_eval_classical(M_PARAM, phi)
+    with pytest.raises(EvalError, match="^structure does not interpret constant 'c9'$"):
+        eval_classical(M_PARAM, phi)
+
+
+# ---------------------------------------------------------------------------
+# Re-verification of countermodels on tasks with parameters
+
+
+PARAMETER_TASKS = [
+    ("forall v. (P(v) sup P(v))", "~P(@e0) \\/ forall v. P(v)"),
+    ("", "((forall v. (P(v) sup P(v))) -> forall v. P(v)) \\/ (P(@e0) /\\ ~P(@e0))"),
+    ("P(@e1) sup Q(@e0)", "exists v. (P(v) sup Q(v))"),
+    ("forall v. (P(v) sup P(@e0))", "P(@e1)"),
+]
+
+
+@pytest.mark.parametrize("name", ["all", "reg", "dec"])
+def test_verify_agrees_with_the_search_on_tasks_with_parameters(name):
+    """``Verdict.verify`` reads each parameter as the search reads it (the
+    countermodel's ``@`` constant where it has one), so it confirms every
+    countermodel the search returns."""
+    countermodels = 0
+    for premises, conclusion in PARAMETER_TASKS:
+        premises = [parse(text) for text in premises.split(";") if text]
+        formulas = premises + [parse(conclusion)]
+        spec = class_spec_for(name, formulas, oracle_bound=2)
+        for max_domain in (1, 2, 3):
+            verdict = check_consequence(premises, formulas[-1], spec,
+                                        SearchSpace.for_task(formulas, max_domain))
+            assert verdict.verify(), (conclusion, max_domain)
+            countermodels += not verdict.valid
+    assert countermodels

@@ -26,7 +26,7 @@ from supkit.choice import (
     pick,
 )
 from supkit.cli import run
-from supkit.models import Valuation
+from supkit.models import Block, Valuation
 from supkit.semantics import SearchSpace, check_consequence, class_spec_for
 from supkit.syntax import PropAtom, parse
 from test_blocks import LATE, RUNGS
@@ -272,7 +272,7 @@ def test_a_node_evaluates_each_sup_once(monkeypatch):
     assert child.pick(left) == p1 and child.pick(left) == p1
     assert calls == [left, left]
     grandchild = child.child(p1, p2, p2)
-    model = semantics._OneModel(Valuation({"p0": False, "p1": True, "p2": False}))
+    model = Block.of_model(Valuation({"p0": False, "p1": True, "p2": False}))
     assert semantics._truth(model, grandchild, phi, 1) == 0
     assert calls == [left, left, right]
 
