@@ -280,16 +280,19 @@ def demo_build_model(args):
     sig = Signature.from_json(data["signature"]) if "signature" in data else None
     markings = {parse(text, sig): bool(value) for text, value in markings.items()}
     fragment = constructions.TheoryFragment.from_markings(markings, sig)
-    verdict = constructions.check_theory_fragment(fragment)
-    if not verdict.ok:
-        _emit(args, {"ok": False, "case": verdict.case, "reason": verdict.reason},
-              [f"fragment rejected ({verdict.case}): {verdict.reason}"])
-        return 1
     oracle = None
     if args.table_class == "reg":
         oracle = class_spec_for("reg", fragment.sentences, _oracle_bound(args)).oracle
-    result = constructions.build_choice_from_theory(
-        fragment, args.table_class, oracle, max_domain=max_domain)
+    try:
+        result = constructions.build_choice_from_theory(
+            fragment, args.table_class, oracle, max_domain=max_domain)
+    except constructions.FragmentError as exc:
+        verdict = exc.verdict
+        if verdict is None:
+            raise
+        _emit(args, {"ok": False, "case": verdict.case, "reason": verdict.reason},
+              [f"fragment rejected ({verdict.case}): {verdict.reason}"])
+        return 1
     payload = {"ok": True} | result.report
     lines = [f"model: {result.report['model']}",
              f"table: {result.table.describe() or '(empty)'}",
@@ -317,10 +320,8 @@ def demo_interpolation(args):
     rng = random.Random(args.seed)
     sentences = _depth1_sentences()
     pairs = list(itertools.product(sentences, repeat=2))
-    extra = []
-    for _ in range(args.samples):
-        extra.append((rng.choice(sentences), Sup(rng.choice(sentences),
-                                                 rng.choice(sentences))))
+    extra = [(rng.choice(sentences), Sup(rng.choice(sentences), rng.choice(sentences)))
+             for _ in range(args.samples)]
     checked = violations = 0
     spec = ClassSpec("all")
     for phi, psi in pairs + extra:
@@ -457,10 +458,7 @@ def run(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SupkitError as exc:
+    except (OSError, json.JSONDecodeError, SupkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

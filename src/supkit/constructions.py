@@ -12,6 +12,7 @@
   "something equals a or b, uniquely" true, and which of them are regular.
 """
 
+import functools
 import itertools
 
 from .choice import (
@@ -67,7 +68,11 @@ class ConditionError(SupkitError):
 
 
 class FragmentError(SupkitError):
-    pass
+    """``verdict`` is the failed FragmentVerdict of an invalid fragment."""
+
+    def __init__(self, message, verdict=None):
+        super().__init__(message)
+        self.verdict = verdict
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +136,7 @@ def _find_structure(condition, max_domain=DEFAULT_DOMAIN_BOUND):
 
 
 def _eq_prefix(variables, terms):
-    pairs = [Equality(Variable(v), t) for v, t in zip(variables, terms)]
-    out = pairs[0]
-    for nxt in pairs[1:]:
-        out = And(out, nxt)
-    return out
+    return functools.reduce(And, [Equality(Variable(v), t) for v, t in zip(variables, terms)])
 
 
 def ui_failure_general(alpha, beta, t_terms, s_terms, table,
@@ -200,13 +201,17 @@ def ui_failure_general(alpha, beta, t_terms, s_terms, table,
 def ui_failure_witness(sig, alpha, t1, t2, table, max_domain=DEFAULT_DOMAIN_BOUND):
     """The single-formula variant: rename alpha's one free variable to v1
     and v2 and superpose the copies."""
+    a1, a2 = _renamed(alpha, "v1", "v2")
+    return ui_failure_general(a1, a2, (t1, t2), (t2, t1), table, max_domain)
+
+
+def _renamed(alpha, *names):
+    """``alpha`` with its one free variable renamed to each name."""
     fv = free_vars(alpha)
     if len(fv) != 1:
         raise ConditionError("alpha must have exactly one free variable")
     (var,) = fv
-    a1 = substitute(alpha, var, Variable("v1"))
-    a2 = substitute(alpha, var, Variable("v2"))
-    return ui_failure_general(a1, a2, (t1, t2), (t2, t1), table, max_domain)
+    return [substitute(alpha, var, Variable(name)) for name in names]
 
 
 def ui_case_table(alpha, beta, t_terms, case_id):
@@ -273,12 +278,7 @@ class UniformityRefutation(Record):
 def refute_uniformity(alpha, v1, v2, oracle):
     """Replay the swap-substitution argument showing no choice on the pair
     {alpha(v1), alpha(v2)} commutes with substitution up to equivalence."""
-    fv = free_vars(alpha)
-    if len(fv) != 1:
-        raise ConditionError("alpha must have exactly one free variable")
-    (var,) = fv
-    a1 = substitute(alpha, var, Variable(v1))
-    a2 = substitute(alpha, var, Variable(v2))
+    a1, a2 = _renamed(alpha, v1, v2)
     if oracle.equivalent(a1, a2):
         raise ConditionError(
             f"{to_text(a1)} and {to_text(a2)} are equivalent; pick a formula "
@@ -436,6 +436,19 @@ def _quantifier_instances(fragment, phi):
 def check_theory_fragment(fragment, max_domain=DEFAULT_DOMAIN_BOUND):
     """Validate completeness, negation coherence, the two impossible
     superposition patterns, Henkin witnessing, and classical satisfiability."""
+    verdict = _check_markings(fragment)
+    if verdict.ok and next(_candidate_models(fragment, max_domain), None) is None:
+        return _inconsistent(max_domain)
+    return verdict
+
+
+def _inconsistent(max_domain):
+    reason = f"classical part has no model with domain size <= {max_domain}"
+    return FragmentVerdict(False, case="consistency", reason=reason)
+
+
+def _check_markings(fragment):
+    """``check_theory_fragment`` but for classical satisfiability."""
     keys = {canonical_key(s) for s in fragment.sentences}
     for s in fragment.sentences:
         if canonical_key(s) not in fragment.markers:
@@ -503,11 +516,6 @@ def check_theory_fragment(fragment, max_domain=DEFAULT_DOMAIN_BOUND):
                 return FragmentVerdict(
                     False, case="henkin",
                     reason=f"{to_text(s)} is out but every present instance is in")
-
-    if next(_candidate_models(fragment, max_domain), None) is None:
-        return FragmentVerdict(
-            False, case="consistency",
-            reason=f"classical part has no model with domain size <= {max_domain}")
     return FragmentVerdict(True)
 
 
@@ -576,23 +584,19 @@ def build_choice_from_theory(fragment, table_class="all", oracle=None,
     instances by delegating to the canonical constant naming each element.
     The result is verified: the collapse of every marked-in basic member
     lands back in the marked set, and the fragment is satisfied under
-    sentence-choice evaluation.
+    sentence-choice evaluation.  A fragment that ``check_theory_fragment``
+    rejects at ``max_domain`` raises FragmentError with that verdict.
     """
     if table_class not in ("all", "reg"):
         raise SupkitError("table_class must be 'all' or 'reg'")
     if table_class == "reg" and oracle is None:
         raise SupkitError("regular construction requires an equivalence oracle")
-    verdict = check_theory_fragment(fragment, max_domain)
-    if not verdict.ok:
-        raise FragmentError(f"fragment invalid ({verdict.case}): {verdict.reason}")
-
-    reps = None
-    if table_class == "reg":
-        rep_pool = _classical_members(fragment)
-        reps = class_representatives(oracle, rep_pool)
-
-    failures = []
-    for model in _candidate_models(fragment, max_domain):
+    verdict = _check_markings(fragment)
+    reps, failures = None, []
+    # one pass over the candidate models, whose first shows consistency
+    for model in _candidate_models(fragment, max_domain) if verdict.ok else ():
+        if table_class == "reg" and reps is None:
+            reps = class_representatives(oracle, _classical_members(fragment))
         try:
             table = _build_table(fragment, model, table_class, oracle, reps)
         except FragmentError as exc:
@@ -612,6 +616,9 @@ def build_choice_from_theory(fragment, table_class="all", oracle=None,
                 report["regular"] = bool(class_ok)
             return BuildResult(model=model, table=table, report=report)
         failures.append(problem)
+    if not failures:
+        verdict = _inconsistent(max_domain) if verdict.ok else verdict
+        raise FragmentError(f"fragment invalid ({verdict.case}): {verdict.reason}", verdict)
     raise FragmentError(
         "no model in the space realizes the fragment: " + "; ".join(failures[:4]))
 
@@ -634,14 +641,8 @@ def _build_table(fragment, model, table_class, oracle, reps):
         a = collapse(table, node.left)
         b = collapse(table, node.right)
         m, ml, mr = fragment.marked(node), fragment.marked(node.left), fragment.marked(node.right)
-        if m and ml and not mr:
-            pick = a          # keep the in side
-        elif m and mr and not ml:
-            pick = b
-        elif not m and ml and not mr:
-            pick = b          # keep the out side out
-        elif not m and mr and not ml:
-            pick = a
+        if ml != mr:   # pick the side marked as the superposition is
+            pick = a if ml == m else b
         else:
             pick = _free_pick(a, b, table_class, oracle, reps)
         if a == b:
@@ -657,11 +658,8 @@ def _build_table(fragment, model, table_class, oracle, reps):
 
 
 def _canonical_constants(model):
-    canon = {}
-    for name in sorted(model.constants):
-        element = model.constants[name]
-        canon.setdefault(element, name)
-    return canon
+    """Each denoted element's least constant."""
+    return {element: name for name, element in sorted(model.constants.items(), reverse=True)}
 
 
 def _to_constants(x, canon):

@@ -313,10 +313,7 @@ def corpus_entries():
 
 
 def _by_name(entries, name):
-    for entry in entries:
-        if entry.name == name:
-            return entry.proof
-    raise KeyError(name)
+    return next(entry.proof for entry in entries if entry.name == name)
 
 
 def _replace_line(proof, number, formula=None, just=None):
@@ -376,7 +373,6 @@ def mutant_entries():
         1, "does not instantiate scheme D",
     ))
 
-    broken_cert_just = None
     old_just = sv_proof.lines[-1].just
     broken_cert = old_just.cert.replace(lines=old_just.cert.lines[1:])
     broken_cert_just = SV(old_just.premise, broken_cert)

@@ -333,14 +333,17 @@ def _check_proof(proof, matched):
     hyp_prims = [primitive_form(h) for h in proof.hypotheses]
     prims = []
     for number, line in enumerate(proof.lines, start=1):
-        reason = _check_line(system, proof, hyp_prims, prims, number, line, matched)
+        prim = primitive_form(line.formula)
+        reason = _check_line(system, proof, hyp_prims, prims, number, line, prim, matched)
         if reason is not None:
             return ProofVerdict(False, number, reason)
-        prims.append(primitive_form(line.formula))
+        prims.append(prim)
     return ProofVerdict(True)
 
 
-def _check_line(system, proof, hyp_prims, prims, number, line, matched):
+def _check_line(system, proof, hyp_prims, prims, number, line, prim, matched):
+    """Why line ``number``, whose formula has primitive form ``prim``, does
+    not follow, or None when it does."""
     phi = line.formula
     just = line.just
     if not system.first_order and symbols(phi).first_order:
@@ -348,7 +351,6 @@ def _check_line(system, proof, hyp_prims, prims, number, line, matched):
     if system.first_order and not proof.unrestricted:
         if classify(phi) > SyntaxClass.RESTRICTED:
             return f"line is not a restricted formula: {to_text(phi)}"
-    prim = primitive_form(phi)
 
     if isinstance(just, Hyp):
         if prim not in hyp_prims:
@@ -371,9 +373,7 @@ def _check_line(system, proof, hyp_prims, prims, number, line, matched):
                 return f"MP references line {idx}, not before line {number}"
         a = prims[just.premise - 1]
         b = prims[just.implication - 1]
-        if b == Implies(a, prim):
-            return None
-        if a == Implies(b, prim):
+        if b == Implies(a, prim) or a == Implies(b, prim):
             return None
         return "MP premises do not align with this line"
 
@@ -478,67 +478,72 @@ def proof_to_json(proof):
 def proof_from_json(data, sig=None):
     """The Proof in the JSON wire format; malformed input raises SupkitError,
     and a malformed formula a ParseError, each naming its place: ``line 3``,
-    ``hypothesis 2`` or ``certificate of line 5, line 1``.  Each distinct
-    formula text, whole or in parentheses, is parsed once per call."""
+    ``hypothesis 2`` or ``certificate of line 5, line 1``.  One memo serves
+    the whole load (see ``syntax.parse``), so each distinct formula is one
+    node and each distinct text, whole or in parentheses, is read once."""
     return _proof_from_json(data, sig, {})
 
 
 def _proof_from_json(data, sig, memo, where=None):
     """``where`` is the place of ``data`` when it is a certificate, such as
-    ``certificate of line 5``."""
+    ``certificate of line 5``.  A place inside it is spelled out only for
+    an error, as most loads have none."""
 
     def place(inner):
         return inner if where is None else f"{where}, {inner}"
 
-    def field(value, key, kind, at, *default):
-        source = "proof JSON" if at is None else f"proof JSON: {at}"
-        return json_field(value, key, kind, source, *default)
+    def field(value, key, kind, number=None, *default):
+        """``json_field`` of line ``number``, or of the proof itself."""
+        if type(value) is dict:
+            got = value.get(key)
+            if type(got) is kind:
+                return got
+        at = where if number is None else place(f"line {number}")
+        return json_field(value, key, kind, "proof JSON" if at is None else f"proof JSON: {at}",
+                          *default)
 
-    system = field(data, "system", str, where)
-    hypotheses = list(enumerate(field(data, "hypotheses", list, where, []), start=1))
+    def parsed(text, noun, number):
+        try:
+            return parse(text, sig, memo)
+        except ParseError as exc:
+            raise exc.within(place(f"{noun} {number}")) from None
+
+    system = field(data, "system", str)
+    hypotheses = list(enumerate(field(data, "hypotheses", list, None, []), start=1))
     for number, text in hypotheses:
         if not isinstance(text, str):
             raise SupkitError(f"malformed proof JSON: {place(f'hypothesis {number}')}: "
                               "a hypothesis must be a string")
     lines = []
-    for number, entry in enumerate(field(data, "lines", list, where), start=1):
-        at = place(f"line {number}")
-        formula = field(entry, "formula", str, at)
-        j = field(entry, "just", dict, at)
-        kind = field(j, "kind", str, at)
+    for number, entry in enumerate(field(data, "lines", list), start=1):
+        formula = field(entry, "formula", str, number)
+        j = field(entry, "just", dict, number)
+        kind = field(j, "kind", str, number)
         if kind == "hyp":
             just = Hyp()
         elif kind == "axiom":
-            just = Axiom(field(j, "scheme", str, at))
+            just = Axiom(field(j, "scheme", str, number))
         elif kind == "mp":
-            refs = field(j, "from", list, at)
+            refs = field(j, "from", list, number)
             if len(refs) != 2 or not all(type(r) is int for r in refs):
-                raise SupkitError(f"malformed proof JSON: {at}: an mp 'from' must be "
-                                  "two line numbers")
+                raise SupkitError(f"malformed proof JSON: {place(f'line {number}')}: an mp "
+                                  "'from' must be two line numbers")
             just = MP(*refs)
         elif kind == "gr":
-            just = GR(field(j, "from", int, at), field(j, "var", str, at))
+            just = GR(field(j, "from", int, number), field(j, "var", str, number))
         elif kind == "sv":
-            premise = field(j, "from", int, at)
-            cert = _proof_from_json(field(j, "cert", dict, at), sig, memo,
+            premise = field(j, "from", int, number)
+            cert = _proof_from_json(field(j, "cert", dict, number), sig, memo,
                                     place(f"certificate of line {number}"))
             just = SV(premise, cert)
         else:
-            raise SupkitError(f"malformed proof JSON: {at}: unknown justification "
-                              f"kind {kind!r}")
-        lines.append(ProofLine(_parse_at(formula, sig, memo, at), just))
+            raise SupkitError(f"malformed proof JSON: {place(f'line {number}')}: unknown "
+                              f"justification kind {kind!r}")
+        lines.append(ProofLine(parsed(formula, "line", number), just))
     return Proof(
         system=system,
-        hypotheses=tuple(_parse_at(text, sig, memo, place(f"hypothesis {number}"))
-                         for number, text in hypotheses),
+        hypotheses=tuple(parsed(text, "hypothesis", number) for number, text in hypotheses),
         lines=tuple(lines),
-        unrestricted=field(data, "unrestricted", bool, where, False),
-        allow_open_hypotheses=field(data, "allow_open_hypotheses", bool, where, False),
+        unrestricted=field(data, "unrestricted", bool, None, False),
+        allow_open_hypotheses=field(data, "allow_open_hypotheses", bool, None, False),
     )
-
-
-def _parse_at(text, sig, memo, where):
-    try:
-        return parse(text, sig, memo)
-    except ParseError as exc:
-        raise exc.within(where) from None

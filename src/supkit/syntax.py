@@ -690,9 +690,7 @@ _QUANTIFIER_WORDS = {Forall: "forall", Exists: "exists"}
 
 
 def to_text_term(t):
-    if isinstance(t, Variable):
-        return t.name
-    if isinstance(t, Constant):
+    if isinstance(t, (Variable, Constant)):
         return t.name
     if isinstance(t, Parameter):
         return PARAM_PREFIX + t.element
@@ -802,39 +800,31 @@ def _primitive_of(phi):
 # ---------------------------------------------------------------------------
 # Parser
 #
-# Tokens are read one at a time, as the parser asks for them.  A caller
-# that parses many formulas under one signature may pass a memo: a dict,
-# kept by the caller, from a formula's text to the node parsed from it.
-# The parser then looks up the whole text and, at each ``(`` in a formula
-# position, the text between it and its matching ``)``; on a hit it returns
-# the stored node and resumes after the ``)`` without reading the span.
-# A span's parse depends only on its text and the signature, because
-# binders bind by name, so the stored node equals what a fresh parse would
-# give.  Only successful parses are stored, so an error is raised exactly
-# as it is without a memo.
+# Tokens are read as the parser asks for them: one pattern finds a token's
+# text and one table (``_KINDS``) its kind; any other text is a name.
+#
+# Every node is built through a table keyed by its class and its fields, a
+# child formula by its ``id``, so equal subformulas are one node and each
+# fact of a formula is computed once.  The ``id``s stay valid while the
+# table, which holds every child, lives.  A caller that parses many
+# formulas under one signature may pass a memo, a dict it keeps for one
+# load, that serves as the table for every parse of the load.  The memo
+# also maps each formula text parsed, whole or between a ``(`` and its
+# matching ``)``, to its node: on a hit the parser skips the span, whose
+# parse depends only on its text and the signature (binders bind by name).
+# Only successful parses are stored, so an error is raised exactly as it
+# is without a memo.
 
-_TOKENS = (
-    r"(?P<ARROW2><->)"
-    r"|(?P<ARROW>->)"
-    r"|(?P<OR>\\/)"
-    r"|(?P<AND>/\\)"
-    r"|(?P<NOT>~)"
-    r"|(?P<BAR>\|)"
-    r"|(?P<LPAR>\()"
-    r"|(?P<RPAR>\))"
-    r"|(?P<COMMA>,)"
-    r"|(?P<DOT>\.)"
-    r"|(?P<EQ>=)"
-    r"|(?P<PARAM>@[A-Za-z_0-9]+)"
-    r"|(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)"
-)
-# one token after any whitespace; EOF matches at the end of the text only
-_TOKEN_RE = re.compile(rf"\s*(?:{_TOKENS}|(?P<EOF>\Z))")
-
-_KEYWORDS = {"forall", "exists", "sup"}
-_KIND_OF_WORD = {"forall": "FORALL", "exists": "EXISTS", "sup": "SUP", "|": "SUP"}
-# the binary connective each token writes
-_CONNECTIVES = {"ARROW2": Iff, "ARROW": Implies, "OR": Or, "AND": And, "SUP": Sup}
+_TOKEN = r"<->|->|\\/|/\\|[~|(),.=]|@[A-Za-z_0-9]+|[A-Za-z_][A-Za-z_0-9]*"
+# one token's text after any whitespace; the empty text at the end only
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN}|\Z)")
+_KINDS = {"<->": "ARROW2", "->": "ARROW", "\\/": "OR", "/\\": "AND", "~": "NOT",
+          "|": "SUP", "sup": "SUP", "(": "LPAR", ")": "RPAR", ",": "COMMA", ".": "DOT",
+          "=": "EQ", "forall": "FORALL", "exists": "EXISTS", "": "EOF"}
+# the binary connective each token writes, its level and its right operand's
+_CONNECTIVES = {kind: (cls, _LEVELS[cls], _INFIX[cls][2]) for kind, cls in
+                (("ARROW2", Iff), ("ARROW", Implies), ("OR", Or), ("AND", And), ("SUP", Sup))}
+_NO_CONNECTIVE = (None, -1, None)
 
 
 def _balanced_pattern(depth):
@@ -852,7 +842,7 @@ def _balanced_pattern(depth):
 # is parsed rather than looked up, though the spans inside it are looked up
 _BALANCED_RE = re.compile(_balanced_pattern(8))
 # the longest prefix that splits into tokens
-_READABLE_RE = re.compile(rf"(?:\s+|{_TOKENS})*")
+_READABLE_RE = re.compile(rf"(?:\s+|{_TOKEN})*")
 
 
 def _unreadable(text):
@@ -869,6 +859,7 @@ class _Parser:
         self.text = text
         self.sig = sig
         self.memo = memo
+        self.nodes = {} if memo is None else memo   # see node
         self.end = 0            # where the next token is read from
         self.after = None       # the token after the current one, once looked at
         self.tok = self._lex()  # the current token: (kind, value, position)
@@ -877,13 +868,27 @@ class _Parser:
         m = _TOKEN_RE.match(self.text, self.end)
         if m is None:
             raise _unreadable(self.text)
-        self.end = m.end()
-        kind = m.lastgroup
-        value = m.group(kind)
-        pos = m.start(kind)
-        if kind == "IDENT" or kind == "BAR":
-            kind = _KIND_OF_WORD.get(value, kind)
-        return (kind, value, pos)
+        end = self.end = m.end()
+        value = m[1]
+        kind = _KINDS.get(value)
+        if kind is None:
+            kind = "PARAM" if value[0] == "@" else "IDENT"
+        return (kind, value, end - len(value))
+
+    def node(self, cls, *fields):
+        """The node of class ``cls`` with these fields, built unless
+        ``nodes`` (the memo, or one parse's own table) has it.  The key
+        holds an atom's fields, and a child formula's ``id``."""
+        if cls in ATOM_NODES:
+            key = (cls, *fields)
+        elif cls is Forall or cls is Exists:
+            key = (cls, fields[0], id(fields[1]))
+        else:
+            key = (cls, *map(id, fields))
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = cls(*fields)
+        return node
 
     def ahead(self):
         if self.after is None:
@@ -921,11 +926,11 @@ class _Parser:
         at the least level ``_INFIX`` gives it, so the printer's table
         decides binding strength and associativity for the parser too."""
         left = self.atom()
-        cls = _CONNECTIVES.get(self.tok[0])
-        while cls is not None and _LEVELS[cls] >= least:
+        cls, level, right = _CONNECTIVES.get(self.tok[0], _NO_CONNECTIVE)
+        while level >= least:
             self.next()
-            left = cls(left, self.formula(_INFIX[cls][2]))
-            cls = _CONNECTIVES.get(self.tok[0])
+            left = self.node(cls, left, self.formula(right))
+            cls, level, right = _CONNECTIVES.get(self.tok[0], _NO_CONNECTIVE)
         return left
 
     def atom(self):
@@ -934,7 +939,7 @@ class _Parser:
         kind, value, pos = self.tok
         if kind == "NOT":
             self.next()
-            return Not(self.atom())
+            return self.node(Not, self.atom())
         if kind == "LPAR":
             span = self._span(pos)
             if span is not None:
@@ -955,23 +960,23 @@ class _Parser:
             self.next()
             var_tok = self.expect("IDENT")
             var = var_tok[1]
-            if var in _KEYWORDS or not self._is_free_name(var):
+            if not self._is_free_name(var):
                 raise ParseError(f"cannot bind declared symbol {var!r}", var_tok[2])
             self.expect("DOT")
             body = self.formula()
-            return (Forall if kind == "FORALL" else Exists)(var, body)
+            return self.node(Forall if kind == "FORALL" else Exists, var, body)
         if kind == "IDENT":
             if value in self.sig.predicates and self.ahead()[0] == "LPAR":
                 self.next()
                 args = self.args(value, self.sig.predicates[value], pos)
-                return PredAtom(value, args)
+                return self.node(PredAtom, value, args)
             if self.sig.is_prop_atom(value) and self.ahead()[0] not in ("EQ", "LPAR"):
                 self.next()
-                return PropAtom(value)
+                return self.node(PropAtom, value)
         if kind in ("IDENT", "PARAM"):
             lhs = self.term()
             self.expect("EQ")
-            return Equality(lhs, self.term())
+            return self.node(Equality, lhs, self.term())
         raise ParseError(f"expected a formula, found {value!r}", pos)
 
     def args(self, name, arity, pos):
@@ -991,8 +996,6 @@ class _Parser:
             return Parameter(value[len(PARAM_PREFIX):])
         if kind != "IDENT":
             raise ParseError(f"expected a term, found {value!r}", pos)
-        if value in _KEYWORDS:
-            raise ParseError(f"expected a term, found keyword {value!r}", pos)
         if value in self.sig.functions:
             args = self.args(value, self.sig.functions[value], pos)
             return FuncApp(value, args)
@@ -1017,8 +1020,8 @@ def parse(text, sig=None, memo=None):
     """Parse the text grammar into a Formula; round-trips with to_text.
 
     ``memo`` is an optional dict that the caller keeps for one load under
-    one signature, so that formulas sharing a text, whole or in
-    parentheses, are read once and come back as the same node.
+    one signature: equal subformulas of the load come back as one node, and
+    a text seen before, whole or in parentheses, is not read again.
     """
     phi = memo.get(text) if memo is not None else None
     if phi is None:

@@ -491,6 +491,22 @@ def test_demo_build_model_checks_max_domain(capsys, tmp_path):
     assert invoke(capsys, *argv, "1")[0] == 0
 
 
+def test_demo_build_model_checks_the_fragment_at_max_domain(capsys, tmp_path):
+    # two elements are needed: a rejection (exit 1) at bound 1, a model at 2
+    path = tmp_path / "theory.json"
+    path.write_text(json.dumps({"markings": {"exists v. exists u. ~(v = u)": True}}))
+    argv = ["demo", "build-model", "--theory", str(path), "--max-domain"]
+    assert invoke(capsys, *argv, "1") == (
+        1, "fragment rejected (consistency): classical part has no model with "
+           "domain size <= 1\n", "")
+    code, out, _ = invoke(capsys, *argv, "1", "--json")
+    assert code == 1 and json.loads(out) == {
+        "ok": False, "case": "consistency",
+        "reason": "classical part has no model with domain size <= 1"}
+    code, out, _ = invoke(capsys, *argv, "2")
+    assert code == 0 and "domain={e0,e1}" in out
+
+
 class _InProcess:
     """Stands in for multiprocessing.Process: counts the workers started, and
     runs each one's body in this process when it is started."""

@@ -275,6 +275,41 @@ def test_henkin_rule_enforced():
     assert not verdict.ok and verdict.case == "henkin"
 
 
+def _two_elements():
+    return frag({parse("exists v. exists u. ~(v = u)"): True})
+
+
+@pytest.mark.parametrize("fragment, max_domain, case", [
+    (_two_elements(), 1, "consistency"),
+    (frag({Sup(p0, p1): True, p0: False, p1: False}), 3, "a7"),
+], ids=("consistency", "a7"))
+def test_build_raises_the_checks_verdict_at_its_bound(fragment, max_domain, case):
+    with pytest.raises(FragmentError) as caught:
+        build_choice_from_theory(fragment, "all", max_domain=max_domain)
+    verdict = caught.value.verdict
+    assert verdict == check_theory_fragment(fragment, max_domain) and verdict.case == case
+    assert str(caught.value) == f"fragment invalid ({case}): {verdict.reason}"
+
+
+@pytest.mark.parametrize("fragment, max_domain", [
+    (_two_elements(), 2),
+    (frag({Sup(p0, p1): True, p0: True, p1: False}), 3),
+])
+def test_build_searches_the_candidate_models_once(monkeypatch, fragment, max_domain):
+    searches = []
+    models_where = constructions.SearchSpace.models_where
+
+    def counted(self, mask_of):
+        searches.append(self)
+        return models_where(self, mask_of)
+
+    monkeypatch.setattr(constructions.SearchSpace, "models_where", counted)
+    result = build_choice_from_theory(fragment, "all", max_domain=max_domain)
+    assert len(searches) == 1
+    for s in fragment.sentences:
+        assert eval_scs(result.model, result.table, s) == fragment.marked(s)
+
+
 # ---------------------------------------------------------------------------
 # Object superposition
 

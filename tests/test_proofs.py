@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 from importlib import resources
 
@@ -26,6 +27,7 @@ from supkit.proofs import (
     ProofLine,
     _free_in_sup_operand,
     _PATTERNS,
+    _proof_from_json,
     check_proof,
     derives,
     match_axiom,
@@ -39,6 +41,7 @@ from supkit.syntax import (
     Equality,
     Exists,
     Forall,
+    Formula,
     FuncApp,
     Iff,
     Implies,
@@ -50,6 +53,7 @@ from supkit.syntax import (
     PropAtom,
     Signature,
     Sup,
+    SupkitError,
     Term,
     Variable,
     free_vars,
@@ -777,3 +781,148 @@ def test_loads_under_different_signatures_read_text_differently():
     b = _assert_load_matches_plain_parse(data, undeclared)
     assert a.lines[0].formula.right == PredAtom("P", (Constant("c"),))
     assert b.lines[0].formula.right == PredAtom("P", (Variable("c"),))
+
+
+# ---------------------------------------------------------------------------
+# One node per distinct formula per load, and checks that do not depend on it
+
+
+def _nodes(formulas):
+    """Every formula node reachable from ``formulas``, by ``id``."""
+    out, stack = {}, list(formulas)
+    while stack:
+        phi = stack.pop()
+        if id(phi) not in out:
+            out[id(phi)] = phi
+            stack += [f for f in phi._astuple() if isinstance(f, Formula)]
+    return out
+
+
+# The formulas that the seed-7 proof-check workload substitutes for the SV
+# proofs' atoms, with the distinct subformulas of each instance's load.
+@pytest.mark.parametrize("name, formula, distinct", [
+    ("k1_sv_double_negation", "p51 -> (p93 /\\ (p60 \\/ p29))", 185),
+    ("l1_sv_double_negation_fo",
+     "R(c1,c2) -> ((forall v. R(c3,v)) /\\ (P(c2) \\/ (exists v. R(v,c2))))", 187),
+], ids=("k1", "l1"))
+def test_a_load_builds_one_node_per_distinct_subformula(name, formula, distinct):
+    entries = {entry.name: entry.proof for entry in corpus_entries()}
+    atom = re.compile(r"(?<![\w@])" + re.escape(GENERATED[name][1]) + r"(?!\w)")
+    instance = _substitute_in(proof_to_json(entries[name]), atom, f"({formula})")
+    loaded = proof_from_json(instance)
+    nodes = _nodes(phi for _, phi in _texts_and_formulas(instance, loaded))
+    assert len(nodes) == len(set(nodes.values())) == distinct
+    assert check_proof(loaded).ok
+
+
+def _levels(data):
+    """A proof JSON and every certificate in it."""
+    yield data
+    for entry in data["lines"]:
+        if entry["just"]["kind"] == "sv":
+            yield from _levels(entry["just"]["cert"])
+
+
+def _mutant(data, kind, rng):
+    """A copy of a proof JSON with one edit of ``kind`` at a random level,
+    or None when no level offers one."""
+    data = json.loads(json.dumps(data))
+    if kind == "cut":
+        sites = [e["just"] for level in _levels(data) for e in level["lines"]
+                 if e["just"]["kind"] == "sv" and len(e["just"]["cert"]["lines"]) > 1]
+    else:
+        wanted = {"drop": None, "scheme": "axiom", "shift": "mp"}[kind]
+        sites = [(level["lines"], i) for level in _levels(data)
+                 for i, e in enumerate(level["lines"])
+                 if wanted in (None, e["just"]["kind"]) and len(level["lines"]) > 1]
+    if not sites:
+        return None
+    site = rng.choice(sites)
+    if kind == "cut":
+        k = rng.randrange(1, len(site["cert"]["lines"]))
+        site["cert"]["lines"] = rng.choice((site["cert"]["lines"][k:],
+                                            site["cert"]["lines"][:k]))
+    elif kind == "drop":
+        del site[0][site[1]]
+    elif kind == "scheme":
+        site[0][site[1]]["just"]["scheme"] = rng.choice(sorted(_PATTERNS))
+    else:
+        site[0][site[1]]["just"]["from"][rng.randrange(2)] += rng.choice((-1, 1))
+    return data
+
+
+def test_a_memoised_load_checks_as_a_plain_load_does():
+    """``check_proof`` gives one verdict whether a proof's formulas are
+    loaded through one shared memo, as one node per distinct formula, or
+    each parsed on its own, on every corpus entry and mutant entry and on
+    generated mutants of each: a line dropped, an axiom's scheme swapped,
+    an MP reference shifted, a certificate cut."""
+    rng = random.Random(18)
+    cases = [proof_to_json(e.proof) for e in corpus_entries()]
+    cases += [proof_to_json(m.proof) for m in mutant_entries()]
+    kinds = ("drop", "scheme", "shift", "cut")
+    rejected = dict.fromkeys(("as is",) + kinds, 0)
+    for data in cases:
+        variants = [("as is", data)] + [(kind, _mutant(data, kind, rng))
+                                        for kind in kinds for _ in range(3)]
+        for kind, variant in variants:
+            if variant is None:
+                continue
+            shared = check_proof(proof_from_json(variant))
+            assert shared == check_proof(_proof_from_json(variant, None, None)), kind
+            rejected[kind] += not shared.ok
+    assert rejected["as is"] == len(mutant_entries()), rejected
+    assert all(rejected[kind] for kind in kinds), rejected
+
+
+_SMALL = {"system": "K1", "hypotheses": ["p0", "p1"], "lines": [
+    {"formula": "p0", "just": {"kind": "hyp"}},
+    {"formula": "p0 -> p0", "just": {"kind": "sv", "from": 1, "cert": {
+        "system": "K0", "lines": [
+            {"formula": "p0 -> p1 -> p0", "just": {"kind": "axiom", "scheme": "P1"}},
+            {"formula": "p0 -> p0", "just": {"kind": "mp", "from": [1, 1]}}]}}},
+]}
+
+
+def _edited(path, value):
+    """A copy of ``_SMALL`` with the value at ``path`` (keys and indices)
+    replaced, or deleted when ``value`` is None."""
+    data = json.loads(json.dumps(_SMALL))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    if value is None:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return data
+
+
+_CERT = ("lines", 1, "just", "cert")
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("system",), None, "malformed proof JSON: 'system' must be a string"),
+    (("lines", 1, "formula"), 5, "malformed proof JSON: line 2: 'formula' must be a string"),
+    (("lines", 0), [], "malformed proof JSON: line 1: expected an object"),
+    (("lines", 0, "just"), None, "malformed proof JSON: line 1: 'just' must be an object"),
+    (("lines", 0, "just", "kind"), "lemma",
+     "malformed proof JSON: line 1: unknown justification kind 'lemma'"),
+    (("lines", 1, "just", "from"), "1", "malformed proof JSON: line 2: 'from' must be an integer"),
+    (("lines", 0, "formula"), "p0 ->", "line 1: expected a formula, found '' (at position 5)"),
+    (("hypotheses", 1), 5, "malformed proof JSON: hypothesis 2: a hypothesis must be a string"),
+    (("hypotheses", 0), "(p0", "hypothesis 1: expected RPAR, found '' (at position 3)"),
+    (_CERT + ("lines",), None, "malformed proof JSON: certificate of line 2: "
+                               "'lines' must be a list"),
+    (_CERT + ("lines", 0, "just", "scheme"), 7,
+     "malformed proof JSON: certificate of line 2, line 1: 'scheme' must be a string"),
+    (_CERT + ("lines", 1, "just", "from"), [1],
+     "malformed proof JSON: certificate of line 2, line 2: an mp 'from' must be two "
+     "line numbers"),
+    (_CERT + ("lines", 1, "formula"), "p0 $ p0",
+     "certificate of line 2, line 2: unexpected character '$' (at position 3)"),
+])
+def test_a_malformed_proof_names_its_place(path, value, message):
+    with pytest.raises(SupkitError) as caught:
+        proof_from_json(_edited(path, value))
+    assert str(caught.value) == message

@@ -383,7 +383,7 @@ class RefParser(syntax._Parser):
             self.next()
             var_tok = self.expect("IDENT")
             var = var_tok[1]
-            if var in syntax._KEYWORDS or not self._is_free_name(var):
+            if not self._is_free_name(var):
                 raise ParseError(f"cannot bind declared symbol {var!r}", var_tok[2])
             self.expect("DOT")
             body = self.formula()
@@ -598,6 +598,30 @@ def test_memo_keeps_parse_errors(text):
     plain, memoised = _outcome(text), _outcome(text, memo)
     assert isinstance(plain, tuple) and memoised == plain
     assert text not in memo
+
+
+_JOINED = st.sampled_from((And, Or, Implies, Iff, Sup))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_formulas(), min_size=1, max_size=4), st.data())
+def test_a_memo_makes_equal_subformulas_one_node(parts, data):
+    # a batch of texts that join the parts, each subformula in parentheses
+    # or not at random, so that one memo meets shared subformulas both in
+    # spans it has seen and in text it must read
+    rng = data.draw(st.randoms(use_true_random=False))
+    memo, seen = {}, {}
+    for _ in range(4):
+        picked = data.draw(st.lists(st.sampled_from(parts), min_size=1, max_size=3))
+        phi = picked[0]
+        for part in picked[1:]:
+            phi = data.draw(_JOINED)(phi, part)
+        text = _loose_text(phi, rng)
+        memoised = parse(text, SIG, memo)
+        # the reference parser builds every node afresh, with no table
+        assert memoised == parse(text, SIG) == _ref_outcome(text)
+        for sub in _subformulas(memoised):
+            assert seen.setdefault(sub, sub) is sub, to_text(sub)
 
 
 def test_memo_returns_repeated_spans_as_one_node():
