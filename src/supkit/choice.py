@@ -13,6 +13,7 @@ import itertools
 from . import models
 from .syntax import (
     And,
+    Constant,
     Exists,
     Forall,
     Iff,
@@ -33,6 +34,7 @@ from .syntax import (
     json_names,
     parse,
     set_field,
+    substitute_map,
     symbols,
     to_text,
 )
@@ -229,15 +231,16 @@ def _collapse(table, phi):
 class BoundedModelOracle:
     """Classical equivalence decided over all structures with domain size up
     to a bound (exact for propositional inputs).  Open formulas are compared
-    under every assignment of their free variables.
+    under every assignment of their free variables: each free variable
+    ``v`` is read as a constant ``?v``, which no input can spell.
 
     A formula's class id comes from its fingerprint, the tuple of its truth
-    masks (``models.Block``) over every model of the oracle's vocabulary:
-    the valuations of its atoms, or the structures of sizes 1 to the bound,
-    with parameters read as constants under their ``@`` name and free
-    variables under ``models.FREE_PREFIX`` and theirs.  The vocabulary is
-    that of the formulas given so far.  A formula with a new symbol widens
-    it: the new digits come first in the models' numbering, so each
+    masks (``models.Block``) over every model of the oracle's vocabulary,
+    drawn from ``models.layouts``: the valuations of its atoms, or the
+    structures of sizes 1 to the bound, with parameters read as constants
+    under their ``@`` name.  The vocabulary is that of the formulas given so
+    far (their ``?`` constants included).  A formula with a new symbol
+    widens it: the new digits come first in the models' numbering, so each
     fingerprint found so far is widened by repeating its masks, and ids do
     not change.  That is sound because a formula's truth does not change
     when a structure is expanded to more symbols on the same domain, so
@@ -255,7 +258,6 @@ class BoundedModelOracle:
         self._ids = {}       # canonical key -> class id
         self._classes = {}   # fingerprint -> class id
         self._syms = NO_SYMBOLS
-        self._free = ()      # free variables read as constants, sorted
         self._blocks = ()    # one Block of every model per domain size
 
     def class_of(self, phi):
@@ -265,7 +267,10 @@ class BoundedModelOracle:
             if not is_classical(phi):
                 raise models.EvalError(
                     f"equivalence is decided for sup-free formulas only: {to_text(phi)}")
-            self._widen(symbols(phi), free_vars(phi))
+            free = free_vars(phi)
+            if free:
+                phi = substitute_map(phi, {v: Constant("?" + v) for v in free})
+            self._widen(symbols(phi))
             fingerprint = tuple(block.mask(phi) for block in self._blocks)
             cid = self._ids[key] = self._classes.setdefault(fingerprint, len(self._classes))
         return cid
@@ -273,18 +278,12 @@ class BoundedModelOracle:
     def equivalent(self, a, b):
         return self.class_of(a) == self.class_of(b)
 
-    def _widen(self, syms, free):
-        """Cover a new formula's symbols and free variables."""
+    def _widen(self, syms):
+        """Cover a new formula's symbols."""
         syms = self._syms.union(syms)
-        if syms is self._syms and free.issubset(self._free):
+        if syms is self._syms:
             return
-        vocab = models.Vocabulary.of(syms)
-        free = tuple(sorted(free.union(self._free)))
-        if vocab.first_order:
-            layouts = [models.Layout.of_structures(vocab, models.element_names(n), free)
-                       for n in range(1, self.max_domain + 1)]
-        else:
-            layouts = [models.Layout.of_valuations(vocab.prop_atoms)]
+        layouts = list(models.layouts(syms, self.max_domain))
         if self._blocks:
             old = [block.layout for block in self._blocks]
             layouts = [_new_digits_first(layout, before)
@@ -293,7 +292,7 @@ class BoundedModelOracle:
                 tuple(_repeat(mask, before.count, layout.count // before.count)
                       for mask, before, layout in zip(fingerprint, old, layouts)): cid
                 for fingerprint, cid in self._classes.items()}
-        self._syms, self._free = syms, free
+        self._syms = syms
         self._blocks = [models.Block(layout, 0, layout.count) for layout in layouts]
 
     def describe(self):
@@ -320,11 +319,11 @@ def _repeat(mask, width, times):
 class TruthTableOracle(BoundedModelOracle):
     """Exact classical equivalence for propositional formulas."""
 
-    def _widen(self, syms, free):
+    def _widen(self, syms):
         # one that mixes atoms with first-order symbols is refused as mixed
         if syms.first_order and not syms.prop_atoms:
             raise SupkitError("truth-table oracle supports propositional formulas only")
-        super()._widen(syms, free)
+        super()._widen(syms)
 
     def describe(self):
         return {"kind": "truth-table"}

@@ -197,11 +197,12 @@ def demo_ui_failure(args):
         raise SupkitError("--alpha must have exactly one free variable")
     a1 = substitute(alpha, fv[0], Variable("v1"))
     a2 = substitute(alpha, fv[0], Variable("v2"))
+    max_domain = _positive(args.max_domain, "--max-domain")
     cases = [args.case] if args.case else [1, 2, 3, 4]
     rows = []
     for case in cases:
         table = constructions.ui_case_table(a1, a2, (t1, t2), case)
-        witness = constructions.ui_failure_witness(sig, alpha, t1, t2, table)
+        witness = constructions.ui_failure_witness(alpha, t1, t2, table, max_domain)
         rows.append(witness)
     payload = [w.describe() | {"verified": w.verify()} for w in rows]
     lines = []
@@ -221,11 +222,12 @@ def demo_ui_failure_general(args):
     alpha, beta = parse("R(v1,v2)", sig), parse("R(v2,v1)", sig)
     t = (Constant("c1"), Constant("c2"))
     s = (Constant("c2"), Constant("c1"))
+    max_domain = _positive(args.max_domain, "--max-domain")
     cases = [args.case] if args.case else [1, 2, 3, 4]
     payload, lines = [], []
     for case in cases:
         table = constructions.ui_case_table(alpha, beta, t, case)
-        witness = constructions.ui_failure_general(alpha, beta, t, s, table)
+        witness = constructions.ui_failure_general(alpha, beta, t, s, table, max_domain)
         data = witness.describe() | {"verified": witness.verify()}
         payload.append(data)
         lines.append(f"case {case}: fails {data['failing_instance']} "
@@ -357,11 +359,9 @@ def cmd_demo(args):
 # Argument parsing
 
 
-def _add_common(cmd, sig=True, json_flag=True):
-    if sig:
-        cmd.add_argument("--sig", help="signature JSON file")
-    if json_flag:
-        cmd.add_argument("--json", action="store_true", help="machine-readable output")
+def _add_common(cmd):
+    cmd.add_argument("--sig", help="signature JSON file")
+    cmd.add_argument("--json", action="store_true", help="machine-readable output")
 
 
 def build_parser():

@@ -52,6 +52,7 @@ from .syntax import (
     canonical_key,
     classify,
     free_vars,
+    instantiate,
     is_basic,
     is_classical,
     set_field,
@@ -130,8 +131,7 @@ class UiWitness(Record):
 def _find_structure(condition, max_domain=DEFAULT_DOMAIN_BOUND):
     """The first structure of the condition's space where it holds: the
     first set bit of its mask over the blocks of each size."""
-    space = SearchSpace(kind="first-order", vocabulary=vocabulary_of([condition]),
-                        max_domain=max_domain)
+    space = SearchSpace(vocabulary_of([condition]), max_domain)
     return next(space.models_where(lambda block: block.mask(condition)), None)
 
 
@@ -198,7 +198,7 @@ def ui_failure_general(alpha, beta, t_terms, s_terms, table,
     return witness
 
 
-def ui_failure_witness(sig, alpha, t1, t2, table, max_domain=DEFAULT_DOMAIN_BOUND):
+def ui_failure_witness(alpha, t1, t2, table, max_domain=DEFAULT_DOMAIN_BOUND):
     """The single-formula variant: rename alpha's one free variable to v1
     and v2 and superpose the copies."""
     a1, a2 = _renamed(alpha, "v1", "v2")
@@ -536,14 +536,7 @@ def _candidate_models(fragment, max_domain):
     covering = _needs_covering(fragment)
 
     def mask_of(block):
-        mask = block.full
-        if covering:
-            constants = [k for k, (key, _) in enumerate(block.layout.digits) if key[0] == "c"]
-            for element in range(len(block.domain)):
-                denoted = 0
-                for k in constants:
-                    denoted |= block.digit_mask(k, element)
-                mask &= denoted
+        mask = block.covered() if covering else block.full
         for literal in literals:
             if not mask:
                 break
@@ -698,7 +691,7 @@ def _add_parameter_entries(fragment, model, table):
             ensure(phi.right)
         elif isinstance(phi, (Forall, Exists)):
             for element in model.domain:
-                ensure(substitute(phi.body, phi.var, Parameter(element)))
+                ensure(instantiate(phi, element))
 
     for s in fragment.sentences:
         if isinstance(s, (Forall, Exists)) and not is_classical(s):

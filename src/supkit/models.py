@@ -3,6 +3,11 @@ one domain size (``Layout``), and classical truth over a run of them as one
 bit mask (``Block``).  ``Block`` is the one classical evaluator:
 ``eval_classical`` reads a model's truth off the block of that model alone.
 
+A vocabulary is a ``syntax.Symbols``, and ``layouts`` is the one
+enumeration of its models: the valuations of its atoms, or its structures
+of sizes 1 to a bound.  The search (``semantics.SearchSpace``) and the
+equivalence oracle (``choice.BoundedModelOracle``) both draw from it.
+
 Structures have named domain elements; equality is always identity.  A
 parameter term ``@x`` denotes the element ``x``, unless the structure
 interprets a constant under the parameter's printed name, as the models of
@@ -153,53 +158,34 @@ class Structure(Record):
 
 
 # ---------------------------------------------------------------------------
-# Vocabulary extraction and model enumeration
+# Vocabularies and the enumeration of their models
 
 
 _MIXED = ("vocabulary mixes propositional atoms with first-order symbols; "
           "search spaces support one kind at a time")
 
 
-class Vocabulary(Record):
-    __slots__ = __match_args__ = ("prop_atoms", "constants", "functions", "predicates",
-                                  "parameters", "first_order")
-
-    def __init__(self, prop_atoms=(), constants=(), functions=(), predicates=(),
-                 parameters=(), first_order=False):
-        set_field(self, "prop_atoms", prop_atoms)
-        set_field(self, "constants", constants)
-        set_field(self, "functions", functions)     # (name, arity) pairs
-        set_field(self, "predicates", predicates)   # (name, arity) pairs
-        set_field(self, "parameters", parameters)
-        # a predicate, an equality or a quantifier occurs
-        set_field(self, "first_order", first_order)
-
-    @classmethod
-    def of(cls, syms):
-        """The vocabulary of some ``syntax.Symbols``; it raises EvalError
-        when atoms meet first-order symbols."""
-        if syms.prop_atoms and syms.first_order:
-            raise EvalError(_MIXED)
-        return cls(*(tuple(sorted(names)) for names in syms[:-1]), syms.first_order)
-
-    def describe(self):
-        return {
-            "prop_atoms": list(self.prop_atoms),
-            "constants": list(self.constants),
-            "functions": [list(f) for f in self.functions],
-            "predicates": [list(p) for p in self.predicates],
-            "parameters": list(self.parameters),
-        }
+def _one_kind(syms):
+    """``syms``, unless it mixes atoms with first-order symbols (EvalError)."""
+    if syms.prop_atoms and syms.first_order:
+        raise EvalError(_MIXED)
+    return syms
 
 
 def vocabulary_of(formulas):
     """The vocabulary of the formulas' symbols together."""
-    return Vocabulary.of(functools.reduce(Symbols.union, map(symbols, formulas), NO_SYMBOLS))
+    return _one_kind(functools.reduce(Symbols.union, map(symbols, formulas), NO_SYMBOLS))
 
 
-# The prefix under which a free variable read as a constant is interpreted
-# (see Layout.of_structures); a parsed name never starts with it.
-FREE_PREFIX = "?"
+def layouts(syms, max_domain):
+    """The models of a vocabulary, one ``Layout`` per domain size in search
+    order: the valuations of its atoms, or its structures of each size 1 to
+    ``max_domain``.  Each layout is built as it is drawn."""
+    if not _one_kind(syms).first_order:
+        yield Layout.of_valuations(syms.prop_atoms)
+        return
+    for n in range(1, max_domain + 1):
+        yield Layout.of_structures(syms, element_names(n))
 
 
 class Layout:
@@ -233,18 +219,16 @@ class Layout:
         return cls(None, ((("a", name), 2) for name in sorted(atoms)))
 
     @classmethod
-    def of_structures(cls, vocab, domain, variables=()):
-        """The structures over ``domain``; the ``variables`` are read as
-        constants too, after the parameters, under ``FREE_PREFIX`` and
-        their name, which no constant or parameter can have."""
-        if vocab.prop_atoms:
+    def of_structures(cls, syms, domain):
+        """The structures over ``domain`` that interpret the symbols, their
+        digits in sorted symbol order."""
+        if syms.prop_atoms:
             raise EvalError("structures cannot interpret propositional atoms")
         n = len(domain)
-        consts = list(vocab.constants) + [PARAM_PREFIX + p for p in vocab.parameters] \
-            + [FREE_PREFIX + v for v in variables]
+        consts = sorted(syms.constants) + [PARAM_PREFIX + p for p in sorted(syms.parameters)]
         digits = [(("c", name), n) for name in consts]
-        for kind, symbols, radix in (("f", vocab.functions, n), ("p", vocab.predicates, 2)):
-            for name, arity in symbols:
+        for kind, symbols, radix in (("f", syms.functions, n), ("p", syms.predicates, 2)):
+            for name, arity in sorted(symbols):
                 digits += [((kind, name, args), radix)
                            for args in itertools.product(range(n), repeat=arity)]
         return cls(tuple(domain), digits)
@@ -252,10 +236,10 @@ class Layout:
     @classmethod
     def of_model(cls, model, syms=NO_SYMBOLS):
         """The models over one model's domain and interpreted symbols: a
-        valuation's atoms, or a structure's constants (``@`` and
-        free-variable names included), function-table entries and
-        predicates, and the predicates of ``syms``.  A symbol of ``syms``
-        that the structure leaves uninterpreted raises EvalError."""
+        valuation's atoms, or a structure's constants (``@`` names
+        included), function-table entries and predicates, and the
+        predicates of ``syms``.  A symbol of ``syms`` that the structure
+        leaves uninterpreted raises EvalError."""
         if isinstance(model, Valuation):
             return cls.of_valuations(model.assignment)
         if syms.prop_atoms:
@@ -341,8 +325,7 @@ class Block:
     ``k`` of the number has value ``v`` form a periodic bit pattern, runs of
     ``stride`` ones every ``stride * radix`` bits.  Connectives are bit
     operations, and a quantifier is the AND/OR of its body's masks with the
-    variable bound to each element in turn.  A free variable is read as a
-    constant where the layout has a digit for it (``Layout.of_structures``).
+    variable bound to each element in turn.
 
     It is the only code that computes classical truth: the search takes
     masks over blocks of up to ``semantics.BLOCK_WIDTH`` models, and one
@@ -368,6 +351,15 @@ class Block:
         """The block of one model, over ``Layout.of_model(model, syms)``."""
         layout = Layout.of_model(model, syms)
         return cls(layout, layout.number_of(model), 1)
+
+    def covered(self):
+        """The models in which some constant or parameter denotes each
+        element."""
+        names = [k for k, (key, _) in enumerate(self.layout.digits) if key[0] == "c"]
+        mask = self.full
+        for v in range(len(self.domain)):
+            mask &= functools.reduce(int.__or__, (self.digit_mask(k, v) for k in names), 0)
+        return mask
 
     def digit_mask(self, k, v):
         """The models whose digit ``k`` has value ``v``."""
@@ -460,10 +452,8 @@ class Block:
         if isinstance(term, Variable):
             if term.name in env:
                 return {env[term.name]: self.full}
-            k = self.layout.digit.get(("c", FREE_PREFIX + term.name))
-            if k is None:
-                raise EvalError(f"unbound variable {term.name!r}")
-        elif isinstance(term, FuncApp):
+            raise EvalError(f"unbound variable {term.name!r}")
+        if isinstance(term, FuncApp):
             out = {}
             n = len(self.domain)
             for args, within in self._combinations(term.args, env):
@@ -530,11 +520,9 @@ def element_names(n):
 
 
 def structures_over(vocab, max_domain=3):
-    """All structures interpreting the vocabulary, domains of size 1..max.
+    """All models of the vocabulary (see ``layouts``), in search order.
 
     Parameters are interpreted like constants under their printed ``@`` name.
-    Enumeration order is deterministic: domain size ascending, then the
-    structures of one size in ``Layout`` number order.
     """
-    for n in range(1, max_domain + 1):
-        yield from Layout.of_structures(vocab, element_names(n)).models()
+    for layout in layouts(vocab, max_domain):
+        yield from layout.models()

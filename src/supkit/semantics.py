@@ -30,10 +30,9 @@ from .choice import (
 from .models import (
     Block,
     EvalError,
-    Layout,
     Valuation,
-    element_names,
     eval_classical,
+    layouts,
     vocabulary_of,
 )
 from .syntax import (
@@ -147,34 +146,22 @@ BLOCK_WIDTH = 1 << 16
 
 
 class SearchSpace(Record):
-    """The finite class of models a verdict quantifies over."""
+    """The finite class of models a verdict quantifies over: those of a
+    vocabulary (a ``syntax.Symbols``) with domains up to ``max_domain``, in
+    the order of ``models.layouts``."""
 
-    __slots__ = __match_args__ = ("kind", "atoms", "vocabulary", "max_domain")
+    __slots__ = __match_args__ = ("vocabulary", "max_domain")
 
-    def __init__(self, kind, atoms=(), vocabulary=None, max_domain=DEFAULT_DOMAIN_BOUND):
-        set_field(self, "kind", kind)   # "propositional" | "first-order"
-        set_field(self, "atoms", atoms)
+    def __init__(self, vocabulary, max_domain=DEFAULT_DOMAIN_BOUND):
         set_field(self, "vocabulary", vocabulary)
         set_field(self, "max_domain", max_domain)
 
     @classmethod
     def for_task(cls, formulas, max_domain=DEFAULT_DOMAIN_BOUND):
-        vocab = vocabulary_of(formulas)
-        if vocab.first_order:
-            return cls(kind="first-order", vocabulary=vocab, max_domain=max_domain)
-        return cls(kind="propositional", atoms=vocab.prop_atoms)
+        return cls(vocabulary_of(formulas), max_domain)
 
     def models(self):
         return self.models_where(lambda block: block.full)
-
-    def layout(self, size):
-        """The numbered models of one domain size (``None`` for valuations)."""
-        if self.kind == "propositional":
-            return Layout.of_valuations(self.atoms)
-        return Layout.of_structures(self.vocabulary, element_names(size))
-
-    def _sizes(self):
-        return [None] if self.kind == "propositional" else range(1, self.max_domain + 1)
 
     def blocks(self, first=0, stop=float("inf")):
         """The space's blocks numbered ``first`` up to ``stop``, as ``(layout,
@@ -189,10 +176,8 @@ class SearchSpace(Record):
         turn, with the blocks cut at block number ``stop``; no later size's
         layout is built."""
         b = m = 0
-        for size in self._sizes():
-            if b >= stop:
-                return
-            layout = self.layout(size)
+        drawn = layouts(self.vocabulary, self.max_domain)
+        while b < stop and (layout := next(drawn, None)) is not None:
             n = min(-(-layout.count // BLOCK_WIDTH), stop - b)
             yield layout, b, m, n
             b, m = b + n, m + min(layout.count, n * BLOCK_WIDTH)
@@ -208,10 +193,10 @@ class SearchSpace(Record):
                 mask ^= low
 
     def describe(self):
-        if self.kind == "propositional":
-            return {"kind": self.kind, "atoms": list(self.atoms)}
+        if not self.vocabulary.first_order:
+            return {"kind": "propositional", "atoms": sorted(self.vocabulary.prop_atoms)}
         return {
-            "kind": self.kind,
+            "kind": "first-order",
             "max_domain": self.max_domain,
             "vocabulary": self.vocabulary.describe(),
         }

@@ -549,12 +549,18 @@ def instantiate(phi, element):
 class Symbols(namedtuple("Symbols", ("prop_atoms", "constants", "functions", "predicates",
                                       "parameters", "first_order"))):
     """The non-logical symbols of a formula, each field a frozenset but the
-    last; ``models.vocabulary_of`` unites them over a task's formulas.
-    ``functions`` and ``predicates`` hold (name, arity) pairs, and
-    ``first_order`` says whether a predicate, an equality or a quantifier
-    occurs."""
+    last.  It is also the one vocabulary type: ``models.vocabulary_of``
+    unites a task's symbols, and ``models.layouts`` numbers the models that
+    interpret them.  ``functions`` and ``predicates`` hold (name, arity)
+    pairs, and ``first_order`` says whether a predicate, an equality or a
+    quantifier occurs."""
 
     __slots__ = ()
+
+    def describe(self):
+        """Each field but the last as a sorted list, pairs as lists."""
+        return {name: [list(s) if type(s) is tuple else s for s in sorted(names)]
+                for name, names in zip(self._fields, self[:-1])}
 
     def union(self, other):
         """The symbols of both, ``self`` when it covers ``other``; a field

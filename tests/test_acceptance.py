@@ -167,7 +167,7 @@ def test_criterion_3_ui_failure():
     verified = 0
     for case in (1, 2, 3, 4):
         table = ui_case_table(a1, a2, t, case)
-        witness = ui_failure_witness(SIG3, ALPHA, t[0], t[1], table)
+        witness = ui_failure_witness(ALPHA, t[0], t[1], table)
         assert witness.case_id == case
         assert eval_fcs(witness.structure, witness.table, witness.universal)
         assert not eval_fcs(witness.structure, witness.table, witness.instance)

@@ -8,7 +8,10 @@ byte; at the default width everything but ``tables_checked``, which counts
 block leaves.
 """
 
+import functools
+import itertools
 import json
+from dataclasses import dataclass
 from unittest import mock
 
 import pytest
@@ -19,7 +22,7 @@ from supkit import semantics
 from supkit.choice import TableNode, enumerate_tables
 from supkit.cli import run
 from supkit.corpus import corpus_entries
-from supkit.models import Block, Layout, element_names, vocabulary_of
+from supkit.models import Block, EvalError, Layout, element_names, layouts, vocabulary_of
 from supkit.semantics import (
     DEFAULT_BUDGET,
     Countermodel,
@@ -42,12 +45,16 @@ from supkit.syntax import (
     Or,
     Parameter,
     PredAtom,
+    NO_SYMBOLS,
     PropAtom,
     Sup,
+    Symbols,
     Variable,
+    symbols,
 )
 from test_extendable import CLASSES, _rung_argv, workloads
 from test_facts import ref_eval_classical, ref_scs
+from test_syntax import _formulas as _syntax_formulas
 
 
 def ref_scan_models(space, blocks, premises, conclusion, spec, budget=DEFAULT_BUDGET):
@@ -267,8 +274,7 @@ def test_blocks_reach_the_pairs_their_models_reach(phi, name):
     model's truth by the reference."""
     spec = class_spec_for(name, [phi], oracle_bound=2)
     space = SearchSpace.for_task([phi], max_domain=2)
-    for size in space._sizes():
-        layout = space.layout(size)
+    for layout in layouts(space.vocabulary, space.max_domain):
         models = [layout.model_at(i) for i in range(layout.count)]
         for i, model in enumerate(models):
             block = Block(layout, i, 1)
@@ -297,3 +303,73 @@ def test_block_masks_match_classical_evaluation(phi, size, data):
     mask = Block(layout, start, width).classical(phi)
     for i in range(width):
         assert bool(mask >> i & 1) == ref_eval_classical(layout.model_at(start + i), phi)
+
+
+# ---------------------------------------------------------------------------
+# The vocabulary as sorted tuples, as it was before ``syntax.Symbols`` served
+# as the one vocabulary type, with the digits and the description built
+# from it
+
+
+@dataclass(frozen=True)
+class RefVocabulary:
+    prop_atoms: tuple = ()
+    constants: tuple = ()
+    functions: tuple = ()
+    predicates: tuple = ()
+    parameters: tuple = ()
+    first_order: bool = False
+
+    @classmethod
+    def of_formulas(cls, formulas):
+        syms = functools.reduce(Symbols.union, map(symbols, formulas), NO_SYMBOLS)
+        if syms.prop_atoms and syms.first_order:
+            raise EvalError("vocabulary mixes propositional atoms with first-order symbols; "
+                            "search spaces support one kind at a time")
+        return cls(*(tuple(sorted(names)) for names in syms[:-1]), syms.first_order)
+
+    def digits(self, domain):
+        n = len(domain)
+        consts = list(self.constants) + ["@" + p for p in self.parameters]
+        digits = [(("c", name), n) for name in consts]
+        for kind, names, radix in (("f", self.functions, n), ("p", self.predicates, 2)):
+            for name, arity in names:
+                digits += [((kind, name, args), radix)
+                           for args in itertools.product(range(n), repeat=arity)]
+        return tuple(digits)
+
+    def describe(self, max_domain):
+        if not self.first_order:
+            return {"kind": "propositional", "atoms": list(self.prop_atoms)}
+        return {"kind": "first-order", "max_domain": max_domain, "vocabulary": {
+            "prop_atoms": list(self.prop_atoms),
+            "constants": list(self.constants),
+            "functions": [list(f) for f in self.functions],
+            "predicates": [list(p) for p in self.predicates],
+            "parameters": list(self.parameters),
+        }}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_formulas(RESTRICTED), _formulas(BASIC, propositional=True),
+                          _syntax_formulas(), _syntax_formulas(prop_atoms=False)),
+                min_size=1, max_size=3),
+       st.integers(1, 3))
+def test_symbols_number_and_describe_models_as_sorted_tuples_did(formulas, size):
+    """Constants, parameters, functions and predicates, unary and binary:
+    each size's digits, and so every model's number, and the ``space``
+    block are those of the sorted tuples."""
+    try:
+        ref = RefVocabulary.of_formulas(formulas)
+    except EvalError as exc:
+        with pytest.raises(EvalError, match=str(exc)):
+            vocabulary_of(formulas)
+        return
+    description = SearchSpace.for_task(formulas, size).describe()
+    assert json.dumps(description) == json.dumps(ref.describe(size))
+    if ref.first_order:
+        syms = vocabulary_of(formulas)
+        assert Layout.of_structures(syms, element_names(size)).digits == \
+            ref.digits(element_names(size))
+        assert [layout.digits for layout in layouts(syms, size)] == \
+            [ref.digits(element_names(n)) for n in range(1, size + 1)]

@@ -382,6 +382,16 @@ def test_demo_build_model_reg(capsys, tmp_path):
     assert code == 0 and "regular: True" in out
 
 
+@pytest.mark.parametrize("which", ["ui-failure", "ui-failure-general"])
+def test_demo_ui_failure_reads_its_domain_bound(capsys, which):
+    assert invoke(capsys, "demo", which, "--max-domain", "0") == \
+        (2, "", "error: --max-domain must be a positive integer\n")
+    code, out, err = invoke(capsys, "demo", which, "--max-domain", "1")
+    assert (code, out) == (2, "") and err.startswith("error: (c) fails: ") and \
+        err.endswith(" domain size <= 1\n")
+    assert invoke(capsys, "demo", which, "--max-domain", "3") == invoke(capsys, "demo", which)
+
+
 def test_demo_ui_failure_general_all_cases(capsys):
     code, out, _ = invoke(capsys, "demo", "ui-failure-general", "--json")
     assert code == 0

@@ -49,7 +49,6 @@ from test_blocks import CLASSICAL, _formulas
 from test_facts import ref_eval_classical
 
 p0, p1 = PropAtom("p0"), PropAtom("p1")
-SIG3 = Signature(constants={"c1", "c2", "c3"})
 
 
 def alpha_c3(term):
@@ -66,7 +65,7 @@ ALPHA = alpha_c3(Variable("v"))  # v = c3
 def test_ui_failure_case1_shape():
     a1, a2 = alpha_c3(Variable("v1")), alpha_c3(Variable("v2"))
     table = ui_case_table(a1, a2, (Constant("c1"), Constant("c2")), 1)
-    witness = ui_failure_witness(SIG3, ALPHA, Constant("c1"), Constant("c2"), table)
+    witness = ui_failure_witness(ALPHA, Constant("c1"), Constant("c2"), table)
     assert witness.case_id == 1
     # psi := [v1 = t2 /\ v2 = t1 -> alpha(v1) sup alpha(v2)]
     assert to_text(witness.psi) == "v1 = c2 /\\ v2 = c1 -> v1 = c3 sup v2 = c3"
@@ -80,7 +79,7 @@ def test_ui_failure_all_four_cases():
     a1, a2 = alpha_c3(Variable("v1")), alpha_c3(Variable("v2"))
     for case in (1, 2, 3, 4):
         table = ui_case_table(a1, a2, (Constant("c1"), Constant("c2")), case)
-        witness = ui_failure_witness(SIG3, ALPHA, Constant("c1"), Constant("c2"), table)
+        witness = ui_failure_witness(ALPHA, Constant("c1"), Constant("c2"), table)
         assert witness.case_id == case
         assert not eval_fcs(witness.structure, witness.table, witness.instance)
         assert eval_fcs(witness.structure, witness.table, witness.universal)
@@ -123,14 +122,14 @@ def test_ui_failure_hypothesis_unsatisfiable():
                          Equality(Constant("c2"), Constant("c2")),
                          Equality(Constant("c1"), Constant("c1"))))
     with pytest.raises(ConditionError) as err:
-        ui_failure_witness(SIG3, alpha, Constant("c1"), Constant("c2"), table)
+        ui_failure_witness(alpha, Constant("c1"), Constant("c2"), table)
     assert "(c)" in str(err.value)
 
 
 def test_ui_witness_requires_table_entries():
     from supkit.choice import MissingEntryError
     with pytest.raises(MissingEntryError):
-        ui_failure_witness(SIG3, ALPHA, Constant("c1"), Constant("c2"),
+        ui_failure_witness(ALPHA, Constant("c1"), Constant("c2"),
                            ChoiceTable(mode="formula"))
 
 
@@ -147,7 +146,7 @@ def test_d_scheme_is_safe_for_formula_choice():
     a1, a2 = alpha_c3(Variable("v1")), alpha_c3(Variable("v2"))
     for case in (1, 2, 3, 4):
         table = ui_case_table(a1, a2, (Constant("c1"), Constant("c2")), case)
-        witness = ui_failure_witness(SIG3, ALPHA, Constant("c1"), Constant("c2"), table)
+        witness = ui_failure_witness(ALPHA, Constant("c1"), Constant("c2"), table)
         assert eval_fcs(witness.structure, witness.table, d_instance)
 
 

@@ -136,8 +136,8 @@ _DEMO_USES = {
     "no-uniform": ("--alpha", "--oracle-bound"),
     "object-superposition": ("--oracle-bound",),
     "build-model": ("--max-domain", "--oracle-bound"),
-    "ui-failure": ("--case", "--alpha", "--t1", "--t2"),
-    "ui-failure-general": ("--case",),
+    "ui-failure": ("--case", "--alpha", "--t1", "--t2", "--max-domain"),
+    "ui-failure-general": ("--case", "--max-domain"),
     "interpolation": ("--samples", "--seed"),
 }
 

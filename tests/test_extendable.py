@@ -328,7 +328,7 @@ def test_widening_keeps_the_classes_found_before():
     oracle = BoundedModelOracle(2)
     assert [oracle.class_of(f) for f in early] == [0, 0, 1, 2]
     assert [oracle.class_of(f) for f in late] == [0, 2, 0, 3, 4, 1]
-    assert oracle._syms.parameters == {"e0"} and oracle._free == ("v",)
+    assert oracle._syms.parameters == {"e0"} and "?v" in oracle._syms.constants
     wide_first = BoundedModelOracle(2)
     for f in late + early:
         wide_first.class_of(f)
@@ -339,6 +339,17 @@ def test_widening_keeps_the_classes_found_before():
     truth_tables = TruthTableOracle()
     assert [truth_tables.class_of(parse(text)) for text in (
         "p0", "~~p0", "p0 /\\ (p1 \\/ ~p1)", "p1", "~p0 \\/ p0 /\\ p1")] == [0, 0, 0, 1, 2]
+
+
+def test_a_free_variable_and_a_parameter_of_one_name_stay_apart():
+    """The oracle reads the free variable ``v`` as the constant ``?v``, which
+    is not the parameter ``@v``: they may denote different elements."""
+    left, right = parse("R(v,@v)"), parse("R(@v,v)")
+    for bound in (1, 2):   # one element makes them equivalent
+        oracle = BoundedModelOracle(bound)
+        assert oracle.equivalent(left, right) is pairwise_equivalent(oracle, left, right) \
+            is (bound == 1)
+        assert oracle.equivalent(left, parse("R(v,@v) /\\ v = v"))
 
 
 def test_oracle_rejects_what_it_cannot_compare():

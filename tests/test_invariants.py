@@ -1,9 +1,12 @@
 """Cross-module invariants stated by the library's contracts."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import supkit
 from supkit.choice import ChoiceTable, ClassSpec, choose, collapse, enumerate_tables
 from supkit.cli import run
 from supkit.models import Structure, Valuation, eval_classical
@@ -98,3 +101,30 @@ def test_enumeration_is_deterministic():
     second = [(sorted(t.entries.items()), to_text(r))
               for t, r in enumerate_tables(task, ClassSpec("all"))]
     assert first == second
+
+
+def _unused_imports(source):
+    """The names that a module's import statements bind and that nothing
+    in the module reads: no name, no attribute's base, no ``__all__`` entry."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    package = Path(supkit.__file__).parent
+    unused = {path.name: _unused_imports(path.read_text())
+              for path in sorted(package.glob("*.py"))}
+    assert {name: found for name, found in unused.items() if found} == {}
+    assert _unused_imports("import os\nfrom x import (a, b as c)\nc()\n") == \
+        [(1, "os"), (2, "a")]

@@ -85,20 +85,8 @@ class Structure:
 
 
 @dataclass(frozen=True)
-class Vocabulary:
-    prop_atoms: tuple = ()
-    constants: tuple = ()
-    functions: tuple = ()
-    predicates: tuple = ()
-    parameters: tuple = ()
-    first_order: bool = False
-
-
-@dataclass(frozen=True)
 class SearchSpace:
-    kind: str
-    atoms: tuple = ()
-    vocabulary: object = None
+    vocabulary: object
     max_domain: int = semantics.DEFAULT_DOMAIN_BOUND
 
 
@@ -270,7 +258,7 @@ def test_every_record_class_has_a_reference():
                if isinstance(value, type) and issubclass(value, Record)
                and value is not Record and value.__module__ == module.__name__}
     assert records == set(vars(NEW)) == set(vars(REF)) == set(SAMPLES)
-    assert len(records) == 29
+    assert len(records) == 28
     for name in records:
         new, ref = _pair(name, 0)
         assert type(new).__match_args__ == type(ref).__match_args__, name
@@ -313,10 +301,8 @@ SAMPLES = {
     "ClassVerdict": [lambda ns: (True,), lambda ns: (False, "asso", (P0, P1, P0), "f != f")],
     "Valuation": [lambda ns: ({},), lambda ns: ({"p0": True, "p1": False},)],
     "Structure": [lambda ns: (("e0",),), lambda ns: STRUCTURE],
-    "Vocabulary": [lambda ns: (), lambda ns: (("p0",), ("c1",), (("g", 1),), (("P", 1),),
-                                              ("e0",), True)],
-    "SearchSpace": [lambda ns: ("propositional", ("p0", "p1")),
-                    lambda ns: ("first-order", (), ns.Vocabulary((), ("c1",)), 2)],
+    "SearchSpace": [lambda ns: (syntax.symbols(parse("p0 sup p1")),),
+                    lambda ns: (syntax.symbols(PC), 2)],
     "Countermodel": [lambda ns: (ns.Valuation({"p0": False}), ns.ChoiceTable()),
                      lambda ns: (_structure(ns), _table(ns))],
     "Verdict": [lambda ns: (True, (), P0, {"kind": "propositional"}),

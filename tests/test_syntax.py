@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supkit import syntax
-from supkit.models import EvalError, Vocabulary, vocabulary_of
+from supkit.models import EvalError, vocabulary_of
 from supkit.syntax import (
     NESTED_TOO_DEEPLY,
     And,
@@ -28,6 +28,7 @@ from supkit.syntax import (
     Signature,
     Sup,
     SupkitError,
+    Symbols,
     SyntaxClass,
     UnknownSymbolError,
     Variable,
@@ -526,8 +527,8 @@ def ref_vocabulary_of(formulas):
     if atoms and fo_syntax[0]:
         raise EvalError("vocabulary mixes propositional atoms with first-order symbols; "
                         "search spaces support one kind at a time")
-    return Vocabulary(tuple(sorted(atoms)), tuple(sorted(consts)), tuple(sorted(funcs)),
-                      tuple(sorted(preds)), tuple(sorted(params)), fo_syntax[0])
+    return Symbols(frozenset(atoms), frozenset(consts), frozenset(funcs), frozenset(preds),
+                   frozenset(params), fo_syntax[0])
 
 
 def ref_is_propositional(phi):
