@@ -48,13 +48,10 @@ from .syntax import (
     Signature,
     Sup,
     SupkitError,
-    Variable,
     classify,
-    free_vars,
     json_field,
     parse,
     parse_term,
-    substitute,
     to_text,
 )
 
@@ -192,11 +189,7 @@ def demo_ui_failure(args):
     sig = _signature(args)
     alpha = parse(args.alpha, sig) if args.alpha else parse("v = c3", sig)
     t1, t2 = parse_term(args.t1, sig), parse_term(args.t2, sig)
-    fv = sorted(free_vars(alpha))
-    if len(fv) != 1:
-        raise SupkitError("--alpha must have exactly one free variable")
-    a1 = substitute(alpha, fv[0], Variable("v1"))
-    a2 = substitute(alpha, fv[0], Variable("v2"))
+    a1, a2 = constructions.renamed(alpha, "v1", "v2")
     max_domain = _positive(args.max_domain, "--max-domain")
     cases = [args.case] if args.case else [1, 2, 3, 4]
     rows = []

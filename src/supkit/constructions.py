@@ -201,11 +201,11 @@ def ui_failure_general(alpha, beta, t_terms, s_terms, table,
 def ui_failure_witness(alpha, t1, t2, table, max_domain=DEFAULT_DOMAIN_BOUND):
     """The single-formula variant: rename alpha's one free variable to v1
     and v2 and superpose the copies."""
-    a1, a2 = _renamed(alpha, "v1", "v2")
+    a1, a2 = renamed(alpha, "v1", "v2")
     return ui_failure_general(a1, a2, (t1, t2), (t2, t1), table, max_domain)
 
 
-def _renamed(alpha, *names):
+def renamed(alpha, *names):
     """``alpha`` with its one free variable renamed to each name."""
     fv = free_vars(alpha)
     if len(fv) != 1:
@@ -278,7 +278,7 @@ class UniformityRefutation(Record):
 def refute_uniformity(alpha, v1, v2, oracle):
     """Replay the swap-substitution argument showing no choice on the pair
     {alpha(v1), alpha(v2)} commutes with substitution up to equivalence."""
-    a1, a2 = _renamed(alpha, v1, v2)
+    a1, a2 = renamed(alpha, v1, v2)
     if oracle.equivalent(a1, a2):
         raise ConditionError(
             f"{to_text(a1)} and {to_text(a2)} are equivalent; pick a formula "

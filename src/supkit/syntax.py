@@ -816,10 +816,16 @@ def _primitive_of(phi):
 # formulas under one signature may pass a memo, a dict it keeps for one
 # load, that serves as the table for every parse of the load.  The memo
 # also maps each formula text parsed, whole or between a ``(`` and its
-# matching ``)``, to its node: on a hit the parser skips the span, whose
-# parse depends only on its text and the signature (binders bind by name).
-# Only successful parses are stored, so an error is raised exactly as it
-# is without a memo.
+# matching ``)``, to its node, and lists each such text of ``_HEAD`` or
+# more characters under its first ``_HEAD`` (at the key ``_HEADS``).  A
+# parsed text's parentheses balance, so a memo text that starts just after
+# a ``(`` and is followed by ``)`` is the whole span of that ``(``, at any
+# depth: the parser skips it, as its parse depends only on its text and the
+# signature (binders bind by name).  A lookup checks each text under the
+# span's head in turn, its closing ``)`` first, so it costs more the more
+# texts share that head; a shorter span is read (a few tokens).  Only
+# successful parses are stored, so an error is raised exactly as it is
+# without a memo.
 
 _TOKEN = r"<->|->|\\/|/\\|[~|(),.=]|@[A-Za-z_0-9]+|[A-Za-z_][A-Za-z_0-9]*"
 # one token's text after any whitespace; the empty text at the end only
@@ -833,20 +839,16 @@ _CONNECTIVES = {kind: (cls, _LEVELS[cls], _INFIX[cls][2]) for kind, cls in
 _NO_CONNECTIVE = (None, -1, None)
 
 
-def _balanced_pattern(depth):
-    """The pattern of a text whose parentheses balance, nested at most
-    ``depth`` deep.  Every repeated group starts with ``(`` and ``[^()]``
-    matches no parenthesis, so a match is unique and backtracking stays
-    bounded."""
-    pattern = r"[^()]*"
-    for _ in range(depth):
-        pattern = rf"[^()]*(?:\({pattern}\)[^()]*)*"
-    return pattern
+# the memo's key for its long texts by their first _HEAD characters
+_HEADS, _HEAD = object(), 24
 
 
-# the longest prefix whose parentheses balance; a span nested deeper than 8
-# is parsed rather than looked up, though the spans inside it are looked up
-_BALANCED_RE = re.compile(_balanced_pattern(8))
+def _remember(memo, text, phi):
+    memo[text] = phi
+    if len(text) >= _HEAD:
+        memo.setdefault(_HEADS, {}).setdefault(text[:_HEAD], []).append(text)
+
+
 # the longest prefix that splits into tokens
 _READABLE_RE = re.compile(rf"(?:\s+|{_TOKEN})*")
 
@@ -866,6 +868,7 @@ class _Parser:
         self.sig = sig
         self.memo = memo
         self.nodes = {} if memo is None else memo   # see node
+        self.heads = None if memo is None else memo.setdefault(_HEADS, {})
         self.end = 0            # where the next token is read from
         self.after = None       # the token after the current one, once looked at
         self.tok = self._lex()  # the current token: (kind, value, position)
@@ -916,14 +919,15 @@ class _Parser:
         return tok
 
     def _span(self, pos):
-        """With a memo, the text between the ``(`` at ``pos`` and the ``)``
-        that closes it; None without a memo, or when the parentheses after
-        ``pos`` do not close or nest deeper than ``_BALANCED_RE`` follows."""
-        if self.memo is None:
-            return None
-        end = _BALANCED_RE.match(self.text, pos + 1).end()
-        if self.text.startswith(")", end):
-            return self.text[pos + 1:end]
+        """With a memo, the memo text that is the whole span of the ``(`` at
+        ``pos``, or None; a text shorter than ``_HEAD`` is never found.  The
+        texts that share the span's head are tried newest first, as a proof
+        line mostly repeats the lines just before it."""
+        start = pos + 1
+        for span in reversed(self.heads.get(self.text[start:start + _HEAD], ())):
+            if self.text.startswith(")", start + len(span)) and \
+                    self.text.startswith(span, start):
+                return span
         return None
 
     def formula(self, least=_LEVEL_IFF):
@@ -947,20 +951,18 @@ class _Parser:
             self.next()
             return self.node(Not, self.atom())
         if kind == "LPAR":
-            span = self._span(pos)
+            span = None if self.memo is None else self._span(pos)
             if span is not None:
-                phi = self.memo.get(span)
-                if phi is not None:
-                    self.end, self.after = pos + len(span) + 2, None
-                    self.tok = self._lex()
-                    return phi
+                self.end, self.after = pos + len(span) + 2, None
+                self.tok = self._lex()
+                return self.memo[span]
             self.next()
             phi = self.formula()
             # a successful production reads balanced parentheses, so this
             # is the ``)`` that closes the span
-            self.expect("RPAR")
-            if span is not None:
-                self.memo[span] = phi
+            end = self.expect("RPAR")[2]
+            if self.memo is not None:
+                _remember(self.memo, self.text[pos + 1:end], phi)
             return phi
         if kind in ("FORALL", "EXISTS"):
             self.next()
@@ -1027,13 +1029,16 @@ def parse(text, sig=None, memo=None):
 
     ``memo`` is an optional dict that the caller keeps for one load under
     one signature: equal subformulas of the load come back as one node, and
-    a text seen before, whole or in parentheses, is not read again.
+    a text seen before, whole or in parentheses at any depth, is not read
+    again (texts of fewer than ``_HEAD`` characters in parentheses are).
+    A parenthesised span is found by its first ``_HEAD`` characters; when
+    many memo texts share them, each is checked in turn.
     """
     phi = memo.get(text) if memo is not None else None
     if phi is None:
         phi = _parse_whole(text, sig, _Parser.formula, memo)
         if memo is not None:
-            memo[text] = phi
+            _remember(memo, text, phi)
     return phi
 
 

@@ -392,6 +392,13 @@ def test_demo_ui_failure_reads_its_domain_bound(capsys, which):
     assert invoke(capsys, "demo", which, "--max-domain", "3") == invoke(capsys, "demo", which)
 
 
+@pytest.mark.parametrize("alpha", ["P(v) /\\ Q(u)", "P(c1)"])
+def test_demo_ui_failure_needs_one_free_variable(capsys, alpha):
+    # the message of constructions.renamed, which the witness also runs
+    assert invoke(capsys, "demo", "ui-failure", "--alpha", alpha) == \
+        (2, "", "error: alpha must have exactly one free variable\n")
+
+
 def test_demo_ui_failure_general_all_cases(capsys):
     code, out, _ = invoke(capsys, "demo", "ui-failure-general", "--json")
     assert code == 0

@@ -314,9 +314,38 @@ def test_memoised_parse_matches_plain_parse(parts, data):
 # method per binding level
 
 
+def _balanced_pattern(depth):
+    """The pattern of a text whose parentheses balance, nested at most
+    ``depth`` deep.  Every repeated group starts with ``(`` and ``[^()]``
+    matches no parenthesis, so a match is unique and backtracking stays
+    bounded."""
+    pattern = r"[^()]*"
+    for _ in range(depth):
+        pattern = rf"[^()]*(?:\({pattern}\)[^()]*)*"
+    return pattern
+
+
+# the longest prefix whose parentheses balance; a span nested deeper than 8
+# is parsed rather than looked up, though the spans inside it are looked up
+_BALANCED_RE = re.compile(_balanced_pattern(8))
+
+
 class RefParser(syntax._Parser):
     """The parser before precedence climbing: ``iff`` down to ``sup`` each
-    read one level, and ``neg`` and ``atom`` are as they were."""
+    read one level, and ``neg`` and ``atom`` are as they were.  With a memo
+    it finds a span's end by scanning for the ``)`` that closes it, as the
+    parser did before it looked spans up by their first characters."""
+
+    def _span(self, pos):
+        """With a memo, the text between the ``(`` at ``pos`` and the ``)``
+        that closes it; None without a memo, or when the parentheses after
+        ``pos`` do not close or nest deeper than ``_BALANCED_RE`` follows."""
+        if self.memo is None:
+            return None
+        end = _BALANCED_RE.match(self.text, pos + 1).end()
+        if self.text.startswith(")", end):
+            return self.text[pos + 1:end]
+        return None
 
     def formula(self):
         return self.iff()
@@ -625,15 +654,64 @@ def test_a_memo_makes_equal_subformulas_one_node(parts, data):
             assert seen.setdefault(sub, sub) is sub, to_text(sub)
 
 
-def test_memo_returns_repeated_spans_as_one_node():
+# links of chains ``a -> b -> ...``; five of them make at least _HEAD characters
+_LINKS = ("p0", "p1", "p2", "~p1", "P(c1)", "R(c1, g(v))", "(p2 sup p0)", "(c1 = v)")
+_JOINTS = st.sampled_from((" /\\ ", " sup ", " -> ", " \\/ "))
+
+
+@st.composite
+def _head_sharing_texts(draw):
+    """A batch of texts for one memo: two chains that share their first
+    five links, each alone or joined to more, so that a span's head often
+    matches a memo text that does not close where the span does (memo
+    ``p0 -> p1 -> ...``, span ``(p0 -> p1 -> ... /\\ p2)``), nested up to 12
+    deep, with a ``)`` missing now and then."""
+    links = st.sampled_from(_LINKS)
+    common = draw(st.lists(links, min_size=5, max_size=6))
+    chains = [" -> ".join(common + draw(st.lists(links, max_size=3))) for _ in range(2)]
+    assert all(len(chain) >= syntax._HEAD for chain in chains)
+    pieces = st.sampled_from(chains + list(_LINKS))
+    texts = []
+    for _ in range(draw(st.integers(2, 6))):
+        body = draw(pieces)
+        for joint, piece in draw(st.lists(st.tuples(_JOINTS, pieces), max_size=2)):
+            body += joint + (f"({piece})" if draw(st.booleans()) else piece)
+        depth = draw(st.integers(0, 12))
+        closing = max(depth - draw(st.sampled_from((0, 0, 0, 1))), 0)
+        texts.append(draw(st.sampled_from(("", "~", "p2 sup ", "(p1) -> "))) + "(" * depth
+                     + body + ")" * closing + draw(st.sampled_from(("", " /\\ p1", ")"))))
+    return texts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_head_sharing_texts())
+def test_spans_found_by_their_heads_match_plain_and_scanning_parses(texts):
+    # nodes, errors and positions equal the memo-free parse's and those of
+    # the reference, which memoises by scanning for each span's end
+    memo, ref_memo, seen = {}, {}, {}
+    for text in texts:
+        want = _outcome(text)
+        assert _outcome(text, memo) == want == _ref_outcome(text, ref_memo), text
+        if not isinstance(want, tuple):
+            for sub in _subformulas(parse(text, SIG, memo)):
+                assert seen.setdefault(sub, sub) is sub, to_text(sub)
+
+
+def test_memo_returns_repeated_spans_as_one_node(monkeypatch):
     memo = {}
     phi = parse("(p0 -> p1) -> ~(p0 -> p1)", SIG, memo)
     assert phi.left is phi.right.body
     assert parse("((p0 -> p1)) sup p2", SIG, memo).left is phi.left
     assert parse("(p0 -> p1) -> ~(p0 -> p1)", SIG, memo) is phi
-    # parentheses nested deeper than the span pattern follows are parsed
+    # a span is found at any depth: once seen, a span nested 30 deep is a
+    # hit, and no token inside it is read again
     deep = "(" * 30 + "(p0 -> p1)" + ")" * 30
     assert parse(deep, SIG, memo) is phi.left
+    text, read = "p2 -> " + deep, []
+    lex = syntax._Parser._lex
+    monkeypatch.setattr(syntax._Parser, "_lex", lambda self: read.append(lex(self)) or read[-1])
+    assert parse(text, SIG, memo).right is phi.left
+    assert [tok[2] for tok in read] == [0, 3, 6, len(text)]
 
 
 def test_memo_is_kept_per_signature():
@@ -663,9 +741,9 @@ def test_patterns_need_no_python_newer_than_3_10():
             else:
                 yield str(item)
 
-    patterns = [v for v in vars(syntax).values() if isinstance(v, re.Pattern)]
-    assert len(patterns) >= 3
-    for pattern in patterns:
+    patterns = {name: v for name, v in vars(syntax).items() if isinstance(v, re.Pattern)}
+    assert {"_TOKEN_RE", "_READABLE_RE"} <= patterns.keys()
+    for pattern in patterns.values():
         used = set(opcodes(_parser.parse(pattern.pattern).data))
         assert not used & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}, pattern.pattern
 
