@@ -33,7 +33,6 @@ from .syntax import (
     json_field,
     json_names,
     parse,
-    set_field,
     substitute_map,
     symbols,
     to_text,
@@ -44,16 +43,16 @@ class MissingEntryError(SupkitError):
     """Raised when a table has no entry for a pair it is asked about.
 
     Enumeration treats this as a branch point; ``pair`` is in canonical
-    order (smaller key first).
+    order (smaller key first), and ``keys`` holds its members' canonical
+    keys.  The message is formatted only when it is read.
     """
 
-    def __init__(self, pair):
+    def __init__(self, pair, keys=None):
         self.pair = pair
-        a, b = pair
-        super().__init__(f"no entry for pair {{{to_text(a)}, {to_text(b)}}}")
+        self.keys = keys if keys is not None else tuple(map(canonical_key, pair))
 
-    def __reduce__(self):
-        return type(self), (self.pair,)
+    def __str__(self):
+        return "no entry for pair {%s, %s}" % self.keys
 
 
 class NotBasicError(SupkitError):
@@ -87,10 +86,8 @@ class ChoiceTable(Record):
     def __init__(self, mode=SENTENCE_MODE, entries=None, formulas=None):
         if mode not in (SENTENCE_MODE, FORMULA_MODE):
             raise ChoiceDomainError(f"unknown table mode {mode!r}")
-        set_field(self, "mode", mode)
-        # (key1, key2) -> chosen key, and key -> formula
-        set_field(self, "entries", {} if entries is None else entries)
-        set_field(self, "formulas", {} if formulas is None else formulas)
+        # entries: (key1, key2) -> chosen key; formulas: key -> formula
+        self._init(mode, {} if entries is None else entries, {} if formulas is None else formulas)
 
     def _check_member(self, phi):
         if not is_classical(phi):
@@ -99,6 +96,16 @@ class ChoiceTable(Record):
         if self.mode == SENTENCE_MODE and not is_sentence(phi):
             raise ChoiceDomainError(
                 f"sentence-mode table given open formula {to_text(phi)}")
+
+    def _check_basic(self, phi):
+        """``collapse``'s check: in sentence mode, a basic sentence."""
+        if self.mode == SENTENCE_MODE:
+            if free_vars(phi):
+                raise NotBasicError(
+                    f"sentence-mode collapse requires a sentence: {to_text(phi)}")
+            if classify(phi) > SyntaxClass.BASIC:
+                raise NotBasicError(
+                    f"sentence-mode collapse requires a basic sentence: {to_text(phi)}")
 
     def defined_on(self, a, b):
         (_, ka), (_, kb) = _ordered(a, b)
@@ -174,13 +181,15 @@ def choose(table, a, b):
     """The table's pick from {a, b}; structurally equal arguments pick a."""
     table._check_member(a)
     table._check_member(b)
-    (fa, ka), (fb, kb) = _ordered(a, b)
+    ka, kb = canonical_key(a), canonical_key(b)
     if ka == kb:
         return a
+    if kb < ka:
+        a, b, ka, kb = b, a, kb, ka
     kc = table.entries.get((ka, kb))
     if kc is None:
-        raise MissingEntryError((fa, fb))
-    return fa if kc == ka else fb
+        raise MissingEntryError((a, b), (ka, kb))
+    return a if kc == ka else b
 
 
 def pick(table, sup):
@@ -197,13 +206,7 @@ def collapse(table, phi):
     (quantifiers may only occur inside classical subformulas), in formula
     mode quantifiers commute as well.
     """
-    if table.mode == SENTENCE_MODE:
-        if free_vars(phi):
-            raise NotBasicError(
-                f"sentence-mode collapse requires a sentence: {to_text(phi)}")
-        if classify(phi) > SyntaxClass.BASIC:
-            raise NotBasicError(
-                f"sentence-mode collapse requires a basic sentence: {to_text(phi)}")
+    table._check_basic(phi)
     return _collapse(table, phi)
 
 
@@ -238,14 +241,16 @@ class BoundedModelOracle:
     masks (``models.Block``) over every model of the oracle's vocabulary,
     drawn from ``models.layouts``: the valuations of its atoms, or the
     structures of sizes 1 to the bound, with parameters read as constants
-    under their ``@`` name.  The vocabulary is that of the formulas given so
-    far (their ``?`` constants included).  A formula with a new symbol
+    under their ``@`` name.  The vocabulary is the one it was given, covered
+    from its first query on, and that of the formulas given so far (their
+    ``?`` constants included).  A formula with a new symbol
     widens it: the new digits come first in the models' numbering, so each
     fingerprint found so far is widened by repeating its masks, and ids do
     not change.  That is sound because a formula's truth does not change
     when a structure is expanded to more symbols on the same domain, so
     bounded equivalence over the oracle's vocabulary is the relation over
-    each pair's own.  ``semantics.class_spec_for`` builds one per verdict.
+    each pair's own.  ``semantics.class_spec_for`` builds one per verdict,
+    given the task's vocabulary, so that only instances' parameters widen it.
 
     Fingerprints are the exact masks, one bit per model, so they cost the
     space's size in memory: at bound 3, ``P``, ``Q``, two constants and
@@ -253,12 +258,12 @@ class BoundedModelOracle:
     and three parameters about 42 k, and two binary relations about 21 M.
     """
 
-    def __init__(self, max_domain=3):
+    def __init__(self, max_domain=3, vocabulary=NO_SYMBOLS):
         self.max_domain = max_domain
         self._ids = {}       # canonical key -> class id
         self._classes = {}   # fingerprint -> class id
-        self._syms = NO_SYMBOLS
-        self._blocks = ()    # one Block of every model per domain size
+        self._syms = vocabulary
+        self._blocks = ()    # one Block of every model per domain size, once queried
 
     def class_of(self, phi):
         key = canonical_key(phi)
@@ -281,7 +286,7 @@ class BoundedModelOracle:
     def _widen(self, syms):
         """Cover a new formula's symbols."""
         syms = self._syms.union(syms)
-        if syms is self._syms:
+        if syms is self._syms and self._blocks:
             return
         layouts = list(models.layouts(syms, self.max_domain))
         if self._blocks:
@@ -345,8 +350,7 @@ class ClassSpec(Record):
     def __init__(self, name, oracle=None):
         if name not in CLASS_NAMES:
             raise SupkitError(f"unknown table class {name!r}")
-        set_field(self, "name", name)
-        set_field(self, "oracle", oracle)
+        self._init(name, oracle)
 
     def require_oracle(self):
         if _NEEDS_ORACLE[self.name] and self.oracle is None:
@@ -365,10 +369,7 @@ class ClassVerdict(Record):
     __slots__ = __match_args__ = ("ok", "kind", "witness", "detail")
 
     def __init__(self, ok, kind="", witness=(), detail=""):
-        set_field(self, "ok", ok)
-        set_field(self, "kind", kind)
-        set_field(self, "witness", witness)
-        set_field(self, "detail", detail)
+        self._init(ok, kind, witness, detail)
 
     def __bool__(self):
         return self.ok
@@ -435,52 +436,51 @@ class TableNode:
     """A table of one verdict's search trie, with what the search learns
     about it.
 
+    * ``entries``: the table's entries as a ``ChoiceTable`` keeps them, its
+      parent's and one more; ``formulas`` maps their keys to formulas, one
+      dict for the whole trie.  ``table`` builds a ``ChoiceTable`` of the
+      node's own members when asked, as for a leaf that refutes a model.
     * ``children``: the one-entry extensions built so far, keyed by the
       canonical keys of the pair and of the pick, ``None`` where the class
-      rules one out.  Blocks of one verdict reach different pairs from the
+      rules one out; blocks of one verdict reach different pairs from the
       same table, so a node may have children on several pairs.
-    * ``picks``: the chosen member at each ``sup`` node already evaluated on
-      the table, by the node's ``id``.  The node is stored with its pick,
-      which keeps it alive, so its ``id`` is not reused while the entry
-      lasts.  A child starts from a copy of its parent's picks: adding
-      entries never changes a pick.
-    * ``succ``: the class graph, as node -> successors (``None`` for a seed
-      table that no table of the class extends).  Each entry adds the edge
-      winner -> loser: on member keys for asso; on class ids between two
-      classes and on keys inside one for reg, regstar and dec (keys are
-      strings and ids integers, so the two parts never meet; reg keeps no
-      edges inside a class).  dec adds with each edge A -> B between
-      classes its dual ~B -> ~A.  That closes the graph under duality:
-      negation is an involution on classes, so the dual of a dual is the
-      edge itself.
+    * ``picks``: the pick at each ``sup`` node evaluated on the table, by
+      the node's ``id``, stored with the node, which keeps its ``id`` from
+      reuse.  A child starts from a copy: adding entries changes no pick.
+    * ``succ``: the class graph, node -> successors (``None`` for a seed
+      that no table of the class extends).  Each entry adds the edge winner
+      -> loser: on member keys for asso; for reg, regstar and dec on class
+      ids between two classes and on keys inside one (strings and integers
+      never meet; reg keeps no edges inside a class); dec adds with each
+      edge A -> B between classes its dual ~B -> ~A, which closes the graph
+      under duality, as negation is an involution on classes.
 
-    The step decides class membership, for the search and for
+    The step decides class membership for the search and for
     ``extendable``: a table is admissible iff each entry in turn closes no
-    cycle, that is, iff no loser already reaches its winner; for reg, iff
-    no loser already beats its winner directly, since regularity asks only
-    that entries on one pair of classes choose the same class.  regstar and
-    dec need no separate reg check: two entries on one pair of classes that
-    choose differently are a 2-cycle.  The block search
-    (``semantics.scan_models``) relies on two properties of the step, both
-    tested for every class:
+    cycle; for reg, iff no loser already beats its winner, as regularity
+    asks only that entries on one pair of classes choose alike (for
+    regstar and dec, entries that do not are a 2-cycle).  The block search
+    (``semantics.scan_models``) relies on the step being monotone (every
+    sub-table of an admissible table is admissible) and exact (an
+    admissible table has an admissible one-entry extension on every pair
+    it lacks), both tested for every class.
 
-    * monotone: every sub-table of an admissible table is admissible;
-    * exact: an admissible table has an admissible one-entry extension on
-      every pair it lacks.
-
-    The trie holds no state on a ``ChoiceTable``, so tables stay plain
-    values that pickle and compare as before.
+    ``choose``, ``pick`` and ``collapse`` read a node as a table without
+    their checks: a search's members are the collapses of ``sup`` operands
+    in closed instances of restricted sentences, checked before the search
+    (``semantics.check_restricted_sentences``, ``eval_scs``), and a seed's
+    entries were checked as its table was built.  A ``ChoiceTable`` is
+    checked by all three, and its entries by ``with_entry`` and
+    ``from_json``.
     """
 
-    __slots__ = ("table", "spec", "negations", "succ", "children", "picks")
+    __slots__ = ("spec", "mode", "formulas", "negations", "entries", "succ", "children",
+                 "picks")
 
-    def __init__(self, table, spec, negations, succ, picks):
-        self.table = table
-        self.spec = spec
-        self.negations = negations   # class id -> its negation's, for dec
-        self.succ = succ
-        self.children = {}
-        self.picks = picks
+    def __init__(self, spec, mode, formulas, negations, entries, succ, picks):
+        # negations: class id -> its negation's class id, for dec
+        self.spec, self.mode, self.formulas, self.negations = spec, mode, formulas, negations
+        self.entries, self.succ, self.children, self.picks = entries, succ, {}, picks
 
     @classmethod
     def root(cls, spec, seed=None, mode=SENTENCE_MODE):
@@ -488,48 +488,54 @@ class TableNode:
         graph built from its entries.  Raises OracleRequiredError for a
         class that needs an oracle and has none."""
         spec.require_oracle()
-        node = cls(seed if seed is not None else ChoiceTable(mode=mode), spec, {}, {}, {})
-        table = node.table
-        if spec.name == "all":
-            return node
-        for (ka, kb), kc in sorted(table.entries.items()):
-            a, b = table.formulas[ka], table.formulas[kb]
+        node = cls(spec, mode, {}, {}, {}, {}, {}) if seed is None else \
+            cls(spec, seed.mode, dict(seed.formulas), {}, seed.entries, {}, {})
+        for (ka, kb), kc in sorted(node.entries.items()):
             # the root owns its graph, so it grows it in place
-            node.succ = node._step(a, b, a if kc == ka else b, node.succ)
+            node.succ = node._step(ka, kb, kc, node.succ)
             if node.succ is None:
                 break
         return node
 
-    def child(self, a, b, choice):
+    @property
+    def table(self):
+        members = {key: self.formulas[key] for pair in self.entries for key in pair}
+        return ChoiceTable(self.mode, dict(self.entries), members)
+
+    _check_member = _check_basic = staticmethod(lambda phi: None)   # no checks: see above
+
+    def child(self, a, b, choice, key=None):
         """The node of this table extended by ``choice`` on the pair
         ``{a, b}`` (in canonical order), or ``None`` when the class rules
-        that table out."""
-        key = (canonical_key(a), canonical_key(b), canonical_key(choice))
-        try:
+        that table out.  ``key`` holds the three's canonical keys, if known."""
+        key = key or (canonical_key(a), canonical_key(b), canonical_key(choice))
+        if key in self.children:
             return self.children[key]
-        except KeyError:
-            pass
+        ka, kb, kc = key
         node = None
-        succ = self._step(a, b, choice, dict(self.succ)) if self.succ is not None else None
-        if succ is not None:
-            node = TableNode(self.table.with_entry(a, b, choice), self.spec,
-                             self.negations, succ, dict(self.picks))
+        if self.succ is not None:
+            self.formulas[ka], self.formulas[kb] = a, b
+            succ = self._step(ka, kb, kc, dict(self.succ))
+            if succ is not None:
+                node = TableNode(self.spec, self.mode, self.formulas, self.negations,
+                                 {**self.entries, (ka, kb): kc}, succ, dict(self.picks))
         self.children[key] = node
         return node
 
-    def _step(self, a, b, choice, succ):
+    def _step(self, ka, kb, kc, succ):
         """``succ``, a copy of this node's class graph or the graph itself,
-        with the entry ``{a, b} -> choice`` added in place, or ``None`` when
-        that closes a cycle (``succ`` may then hold part of the entry)."""
+        with the entry ``{ka, kb} -> kc`` (on keys in ``formulas``) added in
+        place, or ``None`` when that closes a cycle (``succ`` may then hold
+        part of the entry)."""
         name = self.spec.name
         if name == "all":
             return succ
-        ka, kb = canonical_key(a), canonical_key(b)
-        if canonical_key(choice) != ka:
-            a, b, ka, kb = b, a, kb, ka   # a wins, b loses
+        if kc != ka:
+            ka, kb = kb, ka   # ka wins, kb loses
         edges = [(ka, kb)]
         if name != "asso":
             oracle = self.spec.oracle
+            a, b = self.formulas[ka], self.formulas[kb]
             ca, cb = oracle.class_of(a), oracle.class_of(b)
             if ca != cb:
                 edges = [(ca, cb)]
@@ -554,27 +560,32 @@ class TableNode:
         return neg
 
     def pick(self, sup):
-        """``pick(self.table, sup)``, evaluated once per node."""
+        """``pick(self, sup)``, evaluated once per node."""
         hit = self.picks.get(id(sup))
         if hit is None:
-            hit = self.picks[id(sup)] = sup, pick(self.table, sup)
+            hit = self.picks[id(sup)] = sup, pick(self, sup)
         return hit[1]
 
     def leaves(self, task):
         """Run ``task`` (a callable taking a node) here and, at each
         MissingEntryError, under each admissible child on the missing pair,
         the canonically smaller pick first.  Yields ``(node, result)`` for
-        each node where the task returns."""
-        try:
-            result = task(self)
-        except MissingEntryError as exc:
-            a, b = exc.pair
-            for choice in (a, b):
-                node = self.child(a, b, choice)
-                if node is not None:
-                    yield from node.leaves(task)
-            return
-        yield self, result
+        each node where the task returns.  A child waits on the walk's stack
+        unbuilt, as ``(parent, child's arguments)``, until its turn."""
+        stack = [(self, None)]
+        while stack:
+            node, args = stack.pop()
+            if args is not None:
+                node = node.child(*args)
+                if node is None:
+                    continue
+            try:
+                result = task(node)
+            except MissingEntryError as exc:
+                (a, b), (ka, kb) = exc.pair, exc.keys
+                stack += [(node, (a, b, b, (ka, kb, kb))), (node, (a, b, a, (ka, kb, ka)))]
+            else:
+                yield node, result
 
 
 def _reaches(succ, source, target):
@@ -597,8 +608,8 @@ def enumerate_tables(task, spec, seed=None, mode=SENTENCE_MODE):
 
     Branch points are discovered lazily from MissingEntryError and walked
     as a ``TableNode`` trie, whose step prunes each branch the class rules
-    out.  Yields (table, result) pairs
-    in deterministic order (canonically smaller choice first).
+    out.  Yields (table, result) pairs in deterministic order (canonically
+    smaller choice first).
 
     The seed may also be a trie's node: the search then walks and extends
     that trie, and the task takes, and the pairs hold, nodes.
@@ -606,5 +617,6 @@ def enumerate_tables(task, spec, seed=None, mode=SENTENCE_MODE):
     if isinstance(seed, TableNode):
         yield from seed.leaves(task)
         return
-    for node, result in TableNode.root(spec, seed, mode).leaves(lambda node: task(node.table)):
-        yield node.table, result
+    for _, found in TableNode.root(spec, seed, mode).leaves(
+            lambda node: ((table := node.table), task(table))):
+        yield found   # the table the task ran on, and its result

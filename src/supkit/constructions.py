@@ -55,7 +55,6 @@ from .syntax import (
     instantiate,
     is_basic,
     is_classical,
-    set_field,
     substitute,
     substitute_map,
     term_vars,
@@ -84,12 +83,9 @@ class UiWitness(Record):
     __slots__ = __match_args__ = ("structure", "table", "psi", "variables", "terms", "case_id")
 
     def __init__(self, structure, table, psi, variables, terms, case_id):
-        set_field(self, "structure", structure)
-        set_field(self, "table", table)
-        set_field(self, "psi", psi)   # open formula in the listed variables
-        set_field(self, "variables", variables)
-        set_field(self, "terms", terms)   # closed terms of the failing instance, in order
-        set_field(self, "case_id", case_id)
+        # psi: open formula in the listed variables; terms: closed terms of the
+        # failing instance, in order
+        self._init(structure, table, psi, variables, terms, case_id)
 
     @property
     def universal(self):
@@ -236,11 +232,9 @@ class UniformityBranch(Record):
 
     def __init__(self, assumed_choice, substituted, symmetric_choice, required_equivalence,
                  equivalence_holds):
-        set_field(self, "assumed_choice", assumed_choice)
-        set_field(self, "substituted", substituted)   # [choice](v2,v1)
-        set_field(self, "symmetric_choice", symmetric_choice)
-        set_field(self, "required_equivalence", required_equivalence)
-        set_field(self, "equivalence_holds", equivalence_holds)
+        # substituted: [choice](v2,v1)
+        self._init(assumed_choice, substituted, symmetric_choice, required_equivalence,
+                   equivalence_holds)
 
     def describe(self):
         lhs, rhs = self.required_equivalence
@@ -257,11 +251,8 @@ class UniformityRefutation(Record):
     __slots__ = __match_args__ = ("alpha1", "alpha2", "branches", "exhaustive")
 
     def __init__(self, alpha1, alpha2, branches, exhaustive):
-        set_field(self, "alpha1", alpha1)
-        set_field(self, "alpha2", alpha2)
-        set_field(self, "branches", branches)
-        # no 2-entry table satisfies the uniformity equation
-        set_field(self, "exhaustive", exhaustive)
+        # exhaustive: no 2-entry table satisfies the uniformity equation
+        self._init(alpha1, alpha2, branches, exhaustive)
 
     def contradiction(self):
         return all(not b.equivalence_holds for b in self.branches) and self.exhaustive
@@ -314,9 +305,9 @@ class TheoryFragment(Record):
     __slots__ = __match_args__ = ("sentences", "markers", "signature")
 
     def __init__(self, sentences, markers, signature=None):
-        set_field(self, "sentences", sentences)   # closure in canonical order
-        set_field(self, "markers", markers)       # canonical key -> bool
-        set_field(self, "signature", signature)   # a Signature or None
+        # sentences: closure in canonical order; markers: canonical key ->
+        # bool; signature: a Signature or None
+        self._init(sentences, markers, signature)
 
     def marked(self, phi):
         return self.markers[canonical_key(phi)]
@@ -405,10 +396,7 @@ class FragmentVerdict(Record):
     __slots__ = __match_args__ = ("ok", "case", "reason", "witness")
 
     def __init__(self, ok, case="", reason="", witness=()):
-        set_field(self, "ok", ok)
-        set_field(self, "case", case)
-        set_field(self, "reason", reason)
-        set_field(self, "witness", witness)
+        self._init(ok, case, reason, witness)
 
     def __bool__(self):
         return self.ok
@@ -555,9 +543,8 @@ class BuildResult(Record):
     __slots__ = __match_args__ = ("model", "table", "report")
 
     def __init__(self, model, table, report):
-        set_field(self, "model", model)
-        set_field(self, "table", table)   # a ChoiceTable
-        set_field(self, "report", report)
+        # table: a ChoiceTable
+        self._init(model, table, report)
 
 
 def _sup_nodes(fragment):
@@ -746,11 +733,8 @@ class ObjectSuperpositionReport(Record):
     __slots__ = __match_args__ = ("structure", "element_a", "element_b", "rows")
 
     def __init__(self, structure, element_a, element_b, rows):
-        set_field(self, "structure", structure)
-        set_field(self, "element_a", element_a)
-        set_field(self, "element_b", element_b)
-        # (table, witnesses tuple, unique flag, regular flag) per table
-        set_field(self, "rows", rows)
+        # rows: (table, witnesses tuple, unique flag, regular flag) per table
+        self._init(structure, element_a, element_b, rows)
 
     def unique_count(self):
         return sum(1 for _, _, unique, _ in self.rows if unique)

@@ -36,7 +36,6 @@ from .syntax import (
     Sup,
     parse,
     primitive_form,
-    set_field,
     to_text,
 )
 
@@ -83,19 +82,15 @@ class CorpusEntry(Record):
     __slots__ = __match_args__ = ("name", "table_class", "proof")
 
     def __init__(self, name, table_class, proof):
-        set_field(self, "name", name)
-        set_field(self, "table_class", table_class)
-        set_field(self, "proof", proof)
+        self._init(name, table_class, proof)
 
 
 class MutantEntry(Record):
     __slots__ = __match_args__ = ("name", "proof", "expect_line", "expect_reason")
 
     def __init__(self, name, proof, expect_line, expect_reason):
-        set_field(self, "name", name)
-        set_field(self, "proof", proof)
-        set_field(self, "expect_line", expect_line)
-        set_field(self, "expect_reason", expect_reason)  # substring of the diagnosis
+        # expect_reason: substring of the diagnosis
+        self._init(name, proof, expect_line, expect_reason)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .syntax import (
     is_classical,
     json_field,
     json_names,
-    set_field,
     symbols,
     to_text_term,
 )
@@ -58,7 +57,7 @@ class Valuation(Record):
     __slots__ = __match_args__ = ("assignment",)
 
     def __init__(self, assignment):
-        set_field(self, "assignment", assignment)
+        self._init(assignment)
 
     def to_json(self):
         return {"atoms": {k: int(v) for k, v in sorted(self.assignment.items())}}
@@ -86,10 +85,9 @@ class Structure(Record):
     def __init__(self, domain, constants=None, functions=None, predicates=None):
         if not domain:
             raise SupkitError("structure domain must be nonempty")
-        set_field(self, "domain", domain)
-        set_field(self, "constants", {} if constants is None else constants)
-        set_field(self, "functions", {} if functions is None else functions)
-        set_field(self, "predicates", {} if predicates is None else predicates)
+        self._init(domain, {} if constants is None else constants,
+                   {} if functions is None else functions,
+                   {} if predicates is None else predicates)
 
     def to_json(self):
         return {

@@ -56,10 +56,7 @@ class System(Record):
     __slots__ = __match_args__ = ("name", "axioms", "rules", "first_order")
 
     def __init__(self, name, axioms, rules, first_order):
-        set_field(self, "name", name)
-        set_field(self, "axioms", axioms)
-        set_field(self, "rules", rules)
-        set_field(self, "first_order", first_order)
+        self._init(name, axioms, rules, first_order)
 
 
 _PROP_AX = ("P1", "P2", "P3", "S1", "S2", "S3")
@@ -291,11 +288,7 @@ class Proof(Record):
 
     def __init__(self, system, hypotheses=(), lines=(), unrestricted=False,
                  allow_open_hypotheses=False):
-        set_field(self, "system", system)
-        set_field(self, "hypotheses", hypotheses)
-        set_field(self, "lines", lines)
-        set_field(self, "unrestricted", unrestricted)
-        set_field(self, "allow_open_hypotheses", allow_open_hypotheses)
+        self._init(system, hypotheses, lines, unrestricted, allow_open_hypotheses)
 
     def conclusion(self):
         return self.lines[-1].formula if self.lines else None
@@ -305,9 +298,8 @@ class ProofVerdict(Record):
     __slots__ = __match_args__ = ("ok", "line", "reason")
 
     def __init__(self, ok, line=0, reason=""):
-        set_field(self, "ok", ok)
-        set_field(self, "line", line)   # 1-based index of the first failing line
-        set_field(self, "reason", reason)
+        # line: 1-based index of the first failing line
+        self._init(ok, line, reason)
 
     def __bool__(self):
         return self.ok

@@ -51,7 +51,6 @@ from .syntax import (
     free_vars,
     instantiate,
     is_classical,
-    set_field,
     symbols,
     to_text,
 )
@@ -153,8 +152,7 @@ class SearchSpace(Record):
     __slots__ = __match_args__ = ("vocabulary", "max_domain")
 
     def __init__(self, vocabulary, max_domain=DEFAULT_DOMAIN_BOUND):
-        set_field(self, "vocabulary", vocabulary)
-        set_field(self, "max_domain", max_domain)
+        self._init(vocabulary, max_domain)
 
     @classmethod
     def for_task(cls, formulas, max_domain=DEFAULT_DOMAIN_BOUND):
@@ -206,8 +204,8 @@ class Countermodel(Record):
     __slots__ = __match_args__ = ("model", "table")
 
     def __init__(self, model, table):
-        set_field(self, "model", model)
-        set_field(self, "table", table)   # a ChoiceTable
+        # table: a ChoiceTable
+        self._init(model, table)
 
     def to_json(self):
         key = "valuation" if isinstance(self.model, Valuation) else "structure"
@@ -223,13 +221,8 @@ class Verdict(Record):
 
     def __init__(self, valid, premises, conclusion, space, countermodel=None,
                  models_checked=0, tables_checked=0):
-        set_field(self, "valid", valid)
-        set_field(self, "premises", premises)
-        set_field(self, "conclusion", conclusion)
-        set_field(self, "space", space)
-        set_field(self, "countermodel", countermodel)
-        set_field(self, "models_checked", models_checked)
-        set_field(self, "tables_checked", tables_checked)
+        self._init(valid, premises, conclusion, space, countermodel, models_checked,
+                   tables_checked)
 
     def verify(self):
         """Re-check the verdict's countermodel by direct evaluation."""
@@ -473,5 +466,5 @@ def class_spec_for(name, formulas, oracle_bound=DEFAULT_ORACLE_BOUND):
     if name in ("all", "asso"):
         return ClassSpec(name)
     vocab = vocabulary_of(formulas)
-    oracle = BoundedModelOracle(oracle_bound) if vocab.first_order else TruthTableOracle()
+    oracle = (BoundedModelOracle if vocab.first_order else TruthTableOracle)(oracle_bound, vocab)
     return ClassSpec(name, oracle)

@@ -24,6 +24,7 @@ Formulas fall into four nested well-formedness classes:
 """
 
 import re
+import sys
 from collections import namedtuple
 from enum import IntEnum
 
@@ -77,10 +78,12 @@ class ParseError(SupkitError):
         return type(self)(self.detail, self.pos, inner)
 
 
-# The error for input nested deeper than the interpreter's recursion limit
-# lets a recursive walk follow: the parser raises it as a ParseError, and
-# the CLI reports it for any later walk over a formula the parser accepted.
+# The error for input nested deeper than the parser's bound, MAX_NESTING
+# calls of its recursive descent (a parse _DEEP calls deep raises the
+# recursion limit by as much until it ends, so the caller's stack does not
+# decide), or than a later recursive walk can follow (the CLI reports it).
 NESTED_TOO_DEEPLY = "input nested too deeply"
+MAX_NESTING, _DEEP = 1000, 100
 
 
 class UnknownSymbolError(ParseError):
@@ -142,7 +145,8 @@ class Record(Node):
     like.
 
     Each record class names its fields in ``__slots__ = __match_args__``
-    and sets them in its own ``__init__`` with ``set_field``; equality,
+    and sets them in its own ``__init__`` with ``_init`` (or ``set_field``
+    where a record is built often enough to count the call); equality,
     hashing, the repr and pickling are a node's.  Assigning or deleting an
     attribute raises AttributeError, and ``replace`` gives a copy with some
     fields changed.
@@ -152,6 +156,11 @@ class Record(Node):
 
     def _astuple(self):
         return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def _init(self, *values):
+        """Set the first fields, in order, to the values."""
+        for name, value in zip(self.__match_args__, values):
+            set_field(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -371,10 +380,8 @@ class Signature(Record):
 
     def __init__(self, constants=frozenset(), functions=None, predicates=None,
                  prop_atoms=frozenset()):
-        set_field(self, "constants", frozenset(constants))
-        set_field(self, "functions", dict(functions or {}))
-        set_field(self, "predicates", dict(predicates or {}))
-        set_field(self, "prop_atoms", frozenset(prop_atoms))
+        self._init(frozenset(constants), dict(functions or {}), dict(predicates or {}),
+                   frozenset(prop_atoms))
         names = [*self.constants, *self.functions, *self.predicates, *self.prop_atoms]
         # An ASCII identifier is exactly what _IDENT matches; these passes
         # run in C, and the walk below, only on failure, finds the offender.
@@ -870,6 +877,7 @@ class _Parser:
         self.nodes = {} if memo is None else memo   # see node
         self.heads = None if memo is None else memo.setdefault(_HEADS, {})
         self.end = 0            # where the next token is read from
+        self.checked, self.limit = _DEEP, None   # see _deeper
         self.after = None       # the token after the current one, once looked at
         self.tok = self._lex()  # the current token: (kind, value, position)
 
@@ -893,7 +901,7 @@ class _Parser:
         elif cls is Forall or cls is Exists:
             key = (cls, fields[0], id(fields[1]))
         else:
-            key = (cls, *map(id, fields))
+            key = (cls, id(fields[0]), id(fields[-1]))   # one field or two
         node = self.nodes.get(key)
         if node is None:
             node = self.nodes[key] = cls(*fields)
@@ -930,38 +938,50 @@ class _Parser:
                 return span
         return None
 
-    def formula(self, least=_LEVEL_IFF):
+    def _deeper(self, depth):
+        """The parse is past ``self.checked`` calls deep: raise the recursion
+        limit, the first time, or fail past the bound."""
+        if depth > MAX_NESTING:
+            raise ParseError(NESTED_TOO_DEEPLY)
+        self.limit, self.checked = sys.getrecursionlimit(), MAX_NESTING
+        sys.setrecursionlimit(self.limit + MAX_NESTING)
+
+    def formula(self, least=_LEVEL_IFF, depth=1):
         """A formula whose connectives outside parentheses bind at least as
         tightly as level ``least``.  Each connective's right operand is read
         at the least level ``_INFIX`` gives it, so the printer's table
         decides binding strength and associativity for the parser too."""
-        left = self.atom()
+        left = self.atom(depth + 1)
         cls, level, right = _CONNECTIVES.get(self.tok[0], _NO_CONNECTIVE)
         while level >= least:
             self.next()
-            left = self.node(cls, left, self.formula(right))
+            left = self.node(cls, left, self.formula(right, depth + 1))
             cls, level, right = _CONNECTIVES.get(self.tok[0], _NO_CONNECTIVE)
         return left
 
-    def atom(self):
+    def atom(self, depth):
         """An operand of the binary connectives: a negation, a formula in
-        parentheses, a quantified formula or an atomic formula."""
+        parentheses, a quantified formula or an atomic formula, ``depth``
+        calls deep.  A memo text is skipped only where its parse, at most
+        its length plus three calls deep, cannot pass the bound."""
+        if depth > self.checked:
+            self._deeper(depth)
         kind, value, pos = self.tok
         if kind == "NOT":
             self.next()
-            return self.node(Not, self.atom())
+            return self.node(Not, self.atom(depth + 1))
         if kind == "LPAR":
             span = None if self.memo is None else self._span(pos)
-            if span is not None:
+            if span is not None and depth + len(span) + 4 <= MAX_NESTING:
                 self.end, self.after = pos + len(span) + 2, None
                 self.tok = self._lex()
                 return self.memo[span]
             self.next()
-            phi = self.formula()
+            phi = self.formula(_LEVEL_IFF, depth + 1)
             # a successful production reads balanced parentheses, so this
             # is the ``)`` that closes the span
             end = self.expect("RPAR")[2]
-            if self.memo is not None:
+            if self.memo is not None and span is None:
                 _remember(self.memo, self.text[pos + 1:end], phi)
             return phi
         if kind in ("FORALL", "EXISTS"):
@@ -971,41 +991,43 @@ class _Parser:
             if not self._is_free_name(var):
                 raise ParseError(f"cannot bind declared symbol {var!r}", var_tok[2])
             self.expect("DOT")
-            body = self.formula()
+            body = self.formula(_LEVEL_IFF, depth + 1)
             return self.node(Forall if kind == "FORALL" else Exists, var, body)
         if kind == "IDENT":
             if value in self.sig.predicates and self.ahead()[0] == "LPAR":
                 self.next()
-                args = self.args(value, self.sig.predicates[value], pos)
+                args = self.args(value, self.sig.predicates[value], pos, depth)
                 return self.node(PredAtom, value, args)
             if self.sig.is_prop_atom(value) and self.ahead()[0] not in ("EQ", "LPAR"):
                 self.next()
                 return self.node(PropAtom, value)
         if kind in ("IDENT", "PARAM"):
-            lhs = self.term()
+            lhs = self.term(depth + 1)
             self.expect("EQ")
-            return self.node(Equality, lhs, self.term())
+            return self.node(Equality, lhs, self.term(depth + 1))
         raise ParseError(f"expected a formula, found {value!r}", pos)
 
-    def args(self, name, arity, pos):
+    def args(self, name, arity, pos, depth=0):
         self.expect("LPAR")
-        out = [self.term()]
+        out = [self.term(depth + 2)]
         while self.tok[0] == "COMMA":
             self.next()
-            out.append(self.term())
+            out.append(self.term(depth + 2))
         self.expect("RPAR")
         if len(out) != arity:
             raise ArityError(f"{name!r} expects {arity} argument(s), got {len(out)}", pos)
         return tuple(out)
 
-    def term(self):
+    def term(self, depth=1):
+        if depth > self.checked:
+            self._deeper(depth)
         kind, value, pos = self.next()
         if kind == "PARAM":
             return Parameter(value[len(PARAM_PREFIX):])
         if kind != "IDENT":
             raise ParseError(f"expected a term, found {value!r}", pos)
         if value in self.sig.functions:
-            args = self.args(value, self.sig.functions[value], pos)
+            args = self.args(value, self.sig.functions[value], pos, depth)
             return FuncApp(value, args)
         if value in self.sig.constants:
             return Constant(value)
@@ -1047,13 +1069,14 @@ def parse_term(text, sig=None):
 
 
 def _parse_whole(text, sig, start, memo=None):
-    """Run one production over the whole text.  Input nested deeper than the
-    recursive descent can follow raises ParseError.
+    """Run one production over the whole text.  Input nested deeper than
+    ``MAX_NESTING`` calls raises ParseError.
 
     A character that no token starts is reported before any other error,
     wherever it is in the text, as when the text was split into tokens
     before it was parsed; the check runs only once the parse has failed.
     """
+    parser = None
     try:
         parser = _Parser(text, sig or DEFAULT_SIGNATURE, memo)
         result = start(parser)
@@ -1065,3 +1088,6 @@ def _parse_whole(text, sig, start, memo=None):
         raise _unreadable(text) or ParseError(NESTED_TOO_DEEPLY) from None
     except ParseError as exc:
         raise _unreadable(text) or exc from None
+    finally:
+        if parser is not None and parser.limit is not None:
+            sys.setrecursionlimit(parser.limit)

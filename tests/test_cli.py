@@ -197,6 +197,20 @@ def test_check_proof_malformed_json_exit_2(capsys, tmp_path, proof):
     assert err.startswith("error: malformed proof JSON") and "Traceback" not in err
 
 
+
+def test_check_proof_refuses_a_hypothesis_nested_too_deeply_after_a_shallower_one(
+        capsys, tmp_path):
+    """The second hypothesis wraps the first in 60 more pairs of
+    parentheses: found in the memo or not, it is nested too deeply."""
+    inner = "(" * 461 + "p0 -> p1" + ")" * 461
+    deeper = "(" * 60 + inner + ")" * 60
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps({"system": "K0", "hypotheses": [inner, deeper],
+                                "lines": [{"formula": inner, "just": {"kind": "hyp"}}]}))
+    code, out, err = invoke(capsys, "check-proof", str(path))
+    _assert_input_error(code, out, err)
+    assert err == "error: hypothesis 2: input nested too deeply\n"
+
 def test_check_proof_roundtrip(capsys, tmp_path):
     from supkit.corpus import corpus_entries, mutant_entries
     entry = corpus_entries()[0]

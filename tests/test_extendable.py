@@ -13,7 +13,9 @@ graph under duality to a fixed point and looks for cycles by its own
 search.  Both must give the same answer on every table.
 """
 
+import functools
 import itertools
+import pickle
 import random
 import sys
 from pathlib import Path
@@ -341,6 +343,28 @@ def test_widening_keeps_the_classes_found_before():
         "p0", "~~p0", "p0 /\\ (p1 \\/ ~p1)", "p1", "~p0 \\/ p0 /\\ p1")] == [0, 0, 0, 1, 2]
 
 
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@pytest.mark.parametrize("pool", ["propositional", "first-order", *WIDER_POOLS])
+def test_an_oracle_given_a_vocabulary_gives_the_same_class_ids(pool, bound):
+    """An oracle given a task's vocabulary covers it at its first query, and
+    is empty before, as a ``--jobs`` worker receives it; it gives every
+    formula, and each of the negations, the id that an oracle widened one
+    formula at a time gives.  The vocabulary is that of the pool's first
+    half, so the second half's symbols still widen it."""
+    if pool == "propositional":
+        formulas, make_oracle = PROP_POOL, lambda vocabulary: TruthTableOracle(
+            vocabulary=vocabulary)
+    else:
+        formulas = FO_POOL if pool == "first-order" else [parse(t) for t in WIDER_POOLS[pool]]
+        make_oracle = functools.partial(BoundedModelOracle, bound)
+    formulas = formulas + [Not(f) for f in formulas]
+    seeded = make_oracle(models.vocabulary_of(formulas[:len(formulas) // 4]))
+    assert seeded._blocks == ()
+    seeded = pickle.loads(pickle.dumps(seeded))
+    plain = make_oracle(models.NO_SYMBOLS)
+    assert [seeded.class_of(f) for f in formulas] == [plain.class_of(f) for f in formulas]
+
+
 def test_a_free_variable_and_a_parameter_of_one_name_stay_apart():
     """The oracle reads the free variable ``v`` as the constant ``?v``, which
     is not the parameter ``@v``: they may denote different elements."""
@@ -440,11 +464,13 @@ def test_class_rungs_report_what_the_reference_reports(capsys, monkeypatch, rung
     out = capsys.readouterr().out
     assert code == (0 if rung.valid else 1)
 
-    def ref_child(node, a, b, chosen):
+    def ref_child(node, a, b, chosen, key=None):
         table = node.table.with_entry(a, b, chosen)
         if not ref_extendable(table, node.spec):
             return None
-        return TableNode(table, node.spec, node.negations, node.succ, dict(node.picks))
+        node.formulas.update(table.formulas)
+        return TableNode(node.spec, node.mode, node.formulas, node.negations, table.entries,
+                         node.succ, dict(node.picks))
 
     monkeypatch.setattr(TableNode, "child", ref_child)
     assert run(argv) == code

@@ -714,6 +714,55 @@ def test_memo_returns_repeated_spans_as_one_node(monkeypatch):
     assert [tok[2] for tok in read] == [0, 3, 6, len(text)]
 
 
+
+def _nested(n, text):
+    return "(" * n + text + ")" * n
+
+
+def _under_frames(n, thunk):
+    """``thunk()`` called ``n`` frames deeper than here."""
+    return thunk() if n == 0 else _under_frames(n - 1, thunk)
+
+
+def test_the_nesting_bound_holds_with_and_without_a_memo():
+    """A text is accepted or refused alike with and without a memo, and
+    whatever the caller's stack: near the bound, a span in the memo is read
+    again.  ``p0 -> p1`` in 461 pairs of parentheses is parsed first; the
+    same in 60 more pairs is too deep, as it is without a memo, and so is
+    one more pair than the bound allows (498 in all)."""
+    inner = _nested(461, "p0 -> p1")
+    texts = [inner, _nested(60, inner), _nested(37, inner), _nested(38, inner),
+             "p2 -> " + _nested(37, inner), "p2 -> " + _nested(38, inner),
+             "~" * 61 + _nested(7, inner), "~" * 62 + _nested(7, inner)]
+    memo = {}
+    outcomes = [_outcome(text, memo) for text in texts]
+    assert outcomes == [_outcome(text) for text in texts]
+    assert outcomes == [_under_frames(300, lambda: _outcome(text)) for text in texts]
+    accepted = [not isinstance(outcome, tuple) for outcome in outcomes]
+    assert accepted == [True, False, True, False, True, False, True, False]
+    assert outcomes[1] == (ParseError, NESTED_TOO_DEEPLY, None)
+
+
+_WRAPS = {"parentheses": lambda t: f"({t})", "negation": lambda t: "~" + t,
+          "quantifier": lambda t: f"forall v. {t}", "implication": lambda t: f"p2 -> ({t})",
+          "equality": lambda t: f"({t}) /\\ g(g(c1)) = c1"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(470, 497), st.lists(st.lists(st.sampled_from(sorted(_WRAPS)), max_size=20),
+                                       min_size=2, max_size=4))
+def test_memo_hits_near_the_nesting_bound_match_plain_parses(pairs, layers):
+    """Texts that wrap the ones before them, around ``p0 -> p1`` in
+    hundreds of parentheses, so that memo hits fall on both sides of the
+    bound: each is accepted or refused alike with one memo and without."""
+    texts, text = [], _nested(pairs, "p0 -> p1")
+    for layer in layers:
+        for wrap in layer:
+            text = _WRAPS[wrap](text)
+        texts.append(text)
+    memo = {}
+    assert [_outcome(text, memo) for text in texts] == [_outcome(text) for text in texts]
+
 def test_memo_is_kept_per_signature():
     text = "(P(c) -> P(c)) -> P(c)"
     declared = Signature(constants={"c"}, predicates={"P": 1})

@@ -4,13 +4,19 @@ The trie's step must judge every one-entry extension as ``ref_extendable``
 (of ``test_extendable``) does from scratch, and the trie must change nothing
 that a verdict prints: the reference below searches each block on its own,
 from an empty table, pruning by ``ref_extendable``, as the search did before
-the trie.
+the trie, and reads each pick through the public ``pick``, which checks the
+members that a node's pick takes unchecked.
 """
 
+import itertools
+import json
 import pickle
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supkit import semantics
@@ -26,10 +32,16 @@ from supkit.choice import (
     pick,
 )
 from supkit.cli import run
-from supkit.models import Block, Valuation
-from supkit.semantics import SearchSpace, check_consequence, class_spec_for
-from supkit.syntax import PropAtom, parse
-from test_blocks import LATE, RUNGS
+from supkit.models import Block, Valuation, layouts
+from supkit.semantics import (
+    SearchBudgetError,
+    SearchSpace,
+    check_consequence,
+    class_spec_for,
+    eval_scs,
+)
+from supkit.syntax import PropAtom, Signature, parse
+from test_blocks import LATE, RESTRICTED, RUNGS, _formulas
 from test_extendable import (
     CLASSES,
     _rung_argv,
@@ -37,6 +49,7 @@ from test_extendable import (
     ref_dec_closure,
     ref_extendable,
 )
+from test_facts import ref_scs
 
 # Pools with equivalent members (so that edges inside a class occur) and
 # with negations of members (so that dec's dual edges meet other entries).
@@ -144,14 +157,25 @@ def ref_enumerate_tables(task, spec, table=None):
     yield table, result
 
 
+class PlainPicks:
+    """A plain table in place of a trie's node for ``_truth``: each pick is
+    read by the public ``pick``, which checks its members, every time."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def pick(self, sup):
+        return pick(self.table, sup)
+
+
 def ref_search_block(block, premises, conclusion, root, allowance):
     """``semantics._search_block`` before the trie: a fresh search per
     block, on plain tables, ignoring the trie's root but for its class.
-    ``_truth`` reads each table through a trie of its own."""
+    ``_truth`` reads each table through ``PlainPicks``."""
     below = block.full
 
     def task(table):
-        node = TableNode.root(ClassSpec("all"), table)
+        node = PlainPicks(table)
         care = below
         for sigma in premises:
             care &= semantics._truth(block, node, sigma, care)
@@ -288,3 +312,166 @@ def test_an_inadmissible_seed_has_no_admissible_child():
     assert root.child(p0, q, p0) is None and root.child(p0, q, q) is None
     leaves = list(enumerate_tables(lambda t: pick(t, parse("p0 sup p3")), spec, cycle))
     assert leaves == []
+
+
+# ---------------------------------------------------------------------------
+# The lean search path against plain tables
+
+GUARD = parse("exists v0. exists v1. ~(v0 = v1)")
+
+
+@st.composite
+def _searches(draw):
+    """Premises and a conclusion, restricted sentences of one vocabulary
+    kind (nested ``sup``s, quantified instance pairs, equality, constants
+    and parameters among them), with now and then the premise that the
+    domain has two elements; and a block width."""
+    propositional = draw(st.booleans())
+    sentences = _formulas(RESTRICTED, propositional=propositional)
+    premises = draw(st.lists(sentences, max_size=1))
+    if not propositional and draw(st.booleans()):
+        premises.append(GUARD)
+    return premises, draw(sentences), draw(st.sampled_from((1, 3, semantics.BLOCK_WIDTH)))
+
+
+def _search_outcome(premises, conclusion, name):
+    formulas = premises + [conclusion]
+    spec = class_spec_for(name, formulas, oracle_bound=2)
+    space = SearchSpace.for_task(formulas, max_domain=2)
+    try:
+        return check_consequence(premises, conclusion, spec, space, budget=3000).to_json()
+    except SearchBudgetError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_searches())
+@example(([], parse("((p0 sup p1) sup p2) -> (p0 sup (p1 sup p2))"), 1))
+@example(([parse("forall v0. (P(v0) sup Q(v0))")],
+          parse("exists v0. (Q(v0) sup P(v0))"), 3))
+@example(([GUARD, parse("forall v0. (v0 = c1 sup P(v0))")],
+          parse("P(c1) \\/ exists v0. (P(v0) sup ~(v0 = c1))"), 1))
+@example(([GUARD], parse("forall v0. ((P(v0) sup (Q(v0) sup P(c1))) -> Q(v0))"),
+          semantics.BLOCK_WIDTH))
+def test_sampled_verdicts_match_the_plain_table_search(search):
+    """In every class, a verdict, its counts and its countermodel's JSON are
+    those of a search per block on plain tables, read by the public,
+    checked ``pick``."""
+    premises, conclusion, width = search
+    with mock.patch.object(semantics, "BLOCK_WIDTH", width):
+        for name in CLASSES:
+            got = _search_outcome(premises, conclusion, name)
+            with mock.patch.object(semantics, "_search_block", ref_search_block):
+                assert _search_outcome(premises, conclusion, name) == got, name
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except MissingEntryError as exc:
+        return exc.pair, exc.keys, str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans().flatmap(lambda p: _formulas(RESTRICTED, propositional=p)), st.data())
+def test_eval_scs_on_table_files_matches_plain_table_evaluation(phi, data):
+    """A table read from a file, whole or with entries left out, gives every
+    model of the space the truth that the substituting evaluation on plain
+    tables gives, or the same missing pair."""
+    vocabulary = SearchSpace.for_task([phi]).vocabulary
+    models = [layout.model_at(i) for layout in layouts(vocabulary, 2) for i in range(layout.count)]
+    model = data.draw(st.sampled_from(models))
+    tables = [t for t, _ in itertools.islice(enumerate_tables(
+        lambda t: ref_scs(model, t, phi), ClassSpec("all")), 8)]
+    table = data.draw(st.sampled_from(tables))
+    kept = data.draw(st.lists(st.booleans(), min_size=len(table), max_size=len(table)))
+    data = table.to_json()
+    data["entries"] = [entry for entry, keep in zip(data["entries"], kept) if keep]
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "table.json"
+        path.write_text(json.dumps(data))
+        sig = Signature(constants={"c1"}, functions={"f": 1}, predicates={"P": 1, "Q": 1})
+        loaded = ChoiceTable.from_json(json.loads(path.read_text()), sig)
+    for model in models:
+        assert _outcome(lambda: eval_scs(model, loaded, phi)) == \
+            _outcome(lambda: ref_scs(model, loaded, phi)), model
+
+
+def test_a_search_builds_tables_only_for_leaves_that_refute(monkeypatch):
+    """A search keeps entries on its nodes: it makes no ``ChoiceTable`` for a
+    valid verdict, and one for each leaf that refutes a model otherwise."""
+    built, refuting = [], []
+    init = ChoiceTable.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_leaves(task, spec, seed):
+        for node, refuted in enumerate_tables(task, spec, seed):
+            if refuted:
+                refuting.append(node)
+            yield node, refuted
+
+    monkeypatch.setattr(ChoiceTable, "__init__", counted_init)
+    monkeypatch.setattr(semantics, "enumerate_tables", counted_leaves)
+    names = {s: s for s in ("P", "Q", "R", "c1", "c2", "p0", "p1", "p2", "p3", "p4")}
+    tasks = [((), text, "all") for text in LATE] + \
+        [(rung.premises, rung.conclusion, rung.table_class) for rung in RUNGS]
+    for premises, conclusion, name in tasks:
+        premises = [parse(text.format(**names)) for text in premises]
+        conclusion = parse(conclusion.format(**names))
+        formulas = premises + [conclusion]
+        del built[:], refuting[:]
+        verdict = check_consequence(premises, conclusion, class_spec_for(name, formulas),
+                                    SearchSpace.for_task(formulas, max_domain=3))
+        assert len(built) == len(refuting), conclusion
+        assert verdict.valid == (not built), conclusion
+
+
+def ref_leaves(node, task):
+    """``TableNode.leaves`` as it was: a generator per level."""
+    try:
+        result = task(node)
+    except MissingEntryError as exc:
+        a, b = exc.pair
+        for chosen in (a, b):
+            child = node.child(a, b, chosen)
+            if child is not None:
+                yield from ref_leaves(child, task)
+        return
+    yield node, result
+
+
+@pytest.mark.parametrize("name", CLASSES)
+def test_the_walk_visits_leaves_in_the_recursive_order_and_stops_when_told(name):
+    """The walk yields the leaves, and runs the task on the nodes, in the
+    order of the recursive walk; stopped after its first leaf, it has run
+    the task only on that leaf's path and built no other child."""
+    phi = parse("(((p0 sup p1) /\\ (p1 sup ~p0)) sup (p2 sup p1)) \\/ ~(p0 sup p2)")
+    block = Block(next(layouts(SearchSpace.for_task([phi]).vocabulary, 1)), 0, 8)
+
+    def walk(leaves):
+        runs = []
+
+        def task(node):
+            runs.append(node)
+            return semantics._truth(block, node, phi, block.full)
+
+        spec = class_spec_for(name, [phi])
+        return [(node.entries, mask) for node, mask in leaves(TableNode.root(spec), task)], \
+            [node.entries for node in runs]
+
+    assert walk(TableNode.leaves) == walk(ref_leaves)
+    runs = []
+    root = TableNode.root(class_spec_for(name, [phi]))
+    walk_ = root.leaves(lambda node: runs.append(node) or
+                        semantics._truth(block, node, phi, block.full))
+    leaf, _ = next(walk_)
+    walk_.close()
+    path = [root]
+    while path[-1] is not leaf:
+        (child,) = [c for c in path[-1].children.values() if c is not None]
+        path.append(child)
+    assert runs == path
+    assert all(len(node.children) == 1 for node in path[:-1])
