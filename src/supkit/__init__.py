@@ -30,13 +30,12 @@ _EXPORTS = {
     ),
     "semantics": (
         "SearchSpace", "Verdict", "check_consequence", "eval_fcs", "eval_scs",
-        "is_tautology",
     ),
     "syntax": (
         "And", "Constant", "Equality", "Exists", "Forall", "Formula", "FuncApp", "Iff",
         "Implies", "Not", "Or", "Parameter", "PredAtom", "PropAtom", "Signature", "Sup",
         "SupkitError", "SyntaxClass", "Term", "Variable", "canonical_key", "classify",
-        "free_vars", "is_sentence", "pair_key", "parse", "substitute", "substitute_map",
+        "free_vars", "is_sentence", "parse", "substitute", "substitute_map",
         "to_text",
     ),
 }

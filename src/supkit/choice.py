@@ -21,6 +21,7 @@ from .syntax import (
     NO_SYMBOLS,
     Not,
     Or,
+    Parameter,
     Record,
     Sup,
     SupkitError,
@@ -33,9 +34,11 @@ from .syntax import (
     json_field,
     json_names,
     parse,
+    rename_parameters,
     substitute_map,
     symbols,
     to_text,
+    to_text_term,
 )
 
 
@@ -233,24 +236,26 @@ def _collapse(table, phi):
 
 class BoundedModelOracle:
     """Classical equivalence decided over all structures with domain size up
-    to a bound (exact for propositional inputs).  Open formulas are compared
-    under every assignment of their free variables: each free variable
-    ``v`` is read as a constant ``?v``, which no input can spell.
+    to a bound (exact for propositional inputs).  It decides logical
+    equivalence, so it reads each free variable ``v`` as a constant ``?v``
+    (open formulas are compared under every assignment of their free
+    variables) and each parameter ``@e`` as a constant ``?@e``, which may
+    denote any element.  No input can spell these names, and none prints as
+    a parameter, whose masks ``models.Block.classical`` keeps by its text.
 
     A formula's class id comes from its fingerprint, the tuple of its truth
     masks (``models.Block``) over every model of the oracle's vocabulary,
     drawn from ``models.layouts``: the valuations of its atoms, or the
-    structures of sizes 1 to the bound, with parameters read as constants
-    under their ``@`` name.  The vocabulary is the one it was given, covered
-    from its first query on, and that of the formulas given so far (their
-    ``?`` constants included).  A formula with a new symbol
-    widens it: the new digits come first in the models' numbering, so each
-    fingerprint found so far is widened by repeating its masks, and ids do
-    not change.  That is sound because a formula's truth does not change
+    structures of sizes 1 to the bound.  The vocabulary is the one it was
+    given (its parameters read as constants too), covered from its first
+    query on, and that of the formulas given so far.  A formula with a new
+    symbol widens it: the new digits come first in the models' numbering, so
+    each fingerprint found so far is widened by repeating its masks, and ids
+    do not change.  That is sound because a formula's truth does not change
     when a structure is expanded to more symbols on the same domain, so
     bounded equivalence over the oracle's vocabulary is the relation over
-    each pair's own.  ``semantics.class_spec_for`` builds one per verdict,
-    given the task's vocabulary, so that only instances' parameters widen it.
+    each pair's own.  ``semantics.class_spec_for`` builds one per verdict
+    from the task's vocabulary, so only instances' parameters widen it.
 
     Fingerprints are the exact masks, one bit per model, so they cost the
     space's size in memory: at bound 3, ``P``, ``Q``, two constants and
@@ -262,7 +267,9 @@ class BoundedModelOracle:
         self.max_domain = max_domain
         self._ids = {}       # canonical key -> class id
         self._classes = {}   # fingerprint -> class id
-        self._syms = vocabulary
+        params = {_constant_for(e).name for e in vocabulary.parameters}   # read as constants
+        self._syms = vocabulary._replace(constants=vocabulary.constants | params,
+                                         parameters=frozenset())
         self._blocks = ()    # one Block of every model per domain size, once queried
 
     def class_of(self, phi):
@@ -275,8 +282,9 @@ class BoundedModelOracle:
             free = free_vars(phi)
             if free:
                 phi = substitute_map(phi, {v: Constant("?" + v) for v in free})
+            phi = rename_parameters(phi, {e: _constant_for(e) for e in symbols(phi).parameters})
             self._widen(symbols(phi))
-            fingerprint = tuple(block.mask(phi) for block in self._blocks)
+            fingerprint = tuple(block.truth(phi) for block in self._blocks)
             cid = self._ids[key] = self._classes.setdefault(fingerprint, len(self._classes))
         return cid
 
@@ -302,6 +310,11 @@ class BoundedModelOracle:
 
     def describe(self):
         return {"kind": "bounded-model", "max_domain": self.max_domain}
+
+
+def _constant_for(element):
+    """The constant ``?@e`` that the oracle reads in place of ``@e``."""
+    return Constant("?" + to_text_term(Parameter(element)))
 
 
 def _new_digits_first(layout, before):

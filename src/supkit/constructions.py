@@ -38,7 +38,6 @@ from .syntax import (
     Forall,
     Iff,
     Implies,
-    Node,
     Not,
     Or,
     Parameter,
@@ -55,6 +54,7 @@ from .syntax import (
     instantiate,
     is_basic,
     is_classical,
+    rename_parameters,
     substitute,
     substitute_map,
     term_vars,
@@ -128,7 +128,7 @@ def _find_structure(condition, max_domain=DEFAULT_DOMAIN_BOUND):
     """The first structure of the condition's space where it holds: the
     first set bit of its mask over the blocks of each size."""
     space = SearchSpace(vocabulary_of([condition]), max_domain)
-    return next(space.models_where(lambda block: block.mask(condition)), None)
+    return next(space.models_where(lambda block: block.truth(condition)), None)
 
 
 def _eq_prefix(variables, terms):
@@ -519,7 +519,7 @@ def _needs_covering(fragment):
 def _candidate_models(fragment, max_domain):
     """The models that give each classical member its marking, in model
     order; when a quantified member needs it, only the structures whose
-    every element some constant (or parameter) denotes."""
+    every element some constant denotes."""
     literals = [s if fragment.marked(s) else Not(s) for s in _classical_members(fragment)]
     covering = _needs_covering(fragment)
 
@@ -528,7 +528,7 @@ def _candidate_models(fragment, max_domain):
         for literal in literals:
             if not mask:
                 break
-            mask &= block.mask(literal)
+            mask &= block.truth(literal)
         return mask
 
     space = SearchSpace.for_task(fragment.sentences, max_domain)
@@ -637,23 +637,10 @@ def _build_table(fragment, model, table_class, oracle, reps):
     return table
 
 
-def _canonical_constants(model):
-    """Each denoted element's least constant."""
-    return {element: name for name, element in sorted(model.constants.items(), reverse=True)}
-
-
-def _to_constants(x, canon):
-    """``x`` with each parameter replaced by its canonical constant; a walk
-    over nodes, their field tuples and names alike."""
-    if isinstance(x, Parameter):
-        return Constant(canon[x.element])
-    if isinstance(x, Node):
-        return type(x)(*_to_constants(x._astuple(), canon))
-    return tuple(_to_constants(y, canon) for y in x) if isinstance(x, tuple) else x
-
-
 def _add_parameter_entries(fragment, model, table):
-    canon = _canonical_constants(model)
+    # each denoted element's least constant
+    canon = {element: Constant(name)
+             for name, element in sorted(model.constants.items(), reverse=True)}
 
     def ensure(phi):
         nonlocal table
@@ -664,7 +651,7 @@ def _add_parameter_entries(fragment, model, table):
             b = collapse(table, phi.right)
             if a == b or table.defined_on(a, b):
                 return
-            ca, cb = _to_constants(a, canon), _to_constants(b, canon)
+            ca, cb = rename_parameters(a, canon), rename_parameters(b, canon)
             if not table.defined_on(ca, cb):
                 raise FragmentError(
                     f"no fragment entry to delegate to for "

@@ -1,18 +1,17 @@
 """Finite structures and propositional valuations, the numbered models of
-one domain size (``Layout``), and classical truth over a run of them as one
-bit mask (``Block``).  ``Block`` is the one classical evaluator:
-``eval_classical`` reads a model's truth off the block of that model alone.
+one domain size (``Layout``), and truth over a run of them as one bit mask
+(``Block``), whose ``truth`` is the one walk that evaluates connectives and
+quantifiers, for classical and for sentence-choice truth alike.
 
 A vocabulary is a ``syntax.Symbols``, and ``layouts`` is the one
 enumeration of its models: the valuations of its atoms, or its structures
-of sizes 1 to a bound.  The search (``semantics.SearchSpace``) and the
-equivalence oracle (``choice.BoundedModelOracle``) both draw from it.
+of each size from the least that its parameters need to a bound.  The
+search (``semantics.SearchSpace``) and the equivalence oracle
+(``choice.BoundedModelOracle``) both draw from it.
 
-Structures have named domain elements; equality is always identity.  A
-parameter term ``@x`` denotes the element ``x``, unless the structure
-interprets a constant under the parameter's printed name, as the models of
-a task that mentions the parameter do (and those inside the bounded
-equivalence oracle); that constant then decides.
+Structures have named domain elements, ``e0, e1, ...`` in the search;
+equality is always identity.  A parameter ``@e`` always denotes the element
+``e``, never a constant that a model interprets.
 """
 
 import functools
@@ -30,18 +29,20 @@ from .syntax import (
     NO_SYMBOLS,
     Not,
     Or,
-    PARAM_PREFIX,
     Parameter,
     PredAtom,
     PropAtom,
     Record,
+    Sup,
     SupkitError,
     Symbols,
     Variable,
     canonical_key,
+    instantiate,
     is_classical,
     json_field,
     json_names,
+    substitute_map,
     symbols,
     to_text_term,
 )
@@ -105,9 +106,9 @@ class Structure(Record):
 
     @classmethod
     def from_json(cls, data):
-        """The structure in the JSON form of ``to_json``; malformed input, or
-        an interpretation naming an element outside the domain, raises
-        SupkitError."""
+        """The structure in the JSON form of ``to_json``; malformed input, an
+        element outside the domain, or a constant whose name is not an
+        identifier (such as a parameter's ``@e0``) raises SupkitError."""
         source = "model JSON"
         domain = tuple(json_names(data, "domain", source))
 
@@ -123,6 +124,10 @@ class Structure(Record):
             return tuple(element(v, where) for v in values)
 
         constants = json_field(data, "constants", dict, source, {})
+        for name in constants:
+            if not name.isidentifier():
+                raise SupkitError(f"malformed {source}: constant {name!r} is not an "
+                                  "identifier (a parameter names its element itself)")
         functions = json_field(data, "functions", dict, source, {})
         predicates = json_field(data, "predicates", dict, source, {})
         return cls(
@@ -175,14 +180,36 @@ def vocabulary_of(formulas):
     return _one_kind(functools.reduce(Symbols.union, map(symbols, formulas), NO_SYMBOLS))
 
 
+def least_domain(syms):
+    """The least domain size whose elements ``e0, e1, ...`` include each one
+    that a parameter of ``syms`` names (1 for none).  A parameter that names
+    no such element, or a size above 1 whose structures, drawn first, have
+    more than 4,096 elements and digits together, raises EvalError."""
+    least = 1
+    for element in syms.parameters:
+        index = element[1:]
+        if not (element[:1] == "e" and index.isascii() and index.isdigit()
+                and element == f"e{int(index)}"):
+            raise EvalError(f"parameter {to_text_term(Parameter(element))} names no "
+                            "domain element: the elements are e0, e1, ...")
+        least = max(least, int(index) + 1)
+    size = least + len(syms.constants) + sum(
+        least ** arity for _, arity in syms.functions | syms.predicates)
+    if least > 1 and size > 4096:
+        raise EvalError(f"the parameters need domain size {least}, whose structures "
+                        f"have {size} elements and digits, more than 4096")
+    return least
+
+
 def layouts(syms, max_domain):
     """The models of a vocabulary, one ``Layout`` per domain size in search
-    order: the valuations of its atoms, or its structures of each size 1 to
-    ``max_domain``.  Each layout is built as it is drawn."""
+    order: the valuations of its atoms, or its structures of each size from
+    ``least_domain(syms)`` to ``max_domain`` (none when the bound is below
+    the least size).  Each layout is built as it is drawn."""
     if not _one_kind(syms).first_order:
         yield Layout.of_valuations(syms.prop_atoms)
         return
-    for n in range(1, max_domain + 1):
+    for n in range(least_domain(syms), max_domain + 1):
         yield Layout.of_structures(syms, element_names(n))
 
 
@@ -191,13 +218,13 @@ class Layout:
     them: the valuations of some atoms, or the structures over one domain.
 
     A model's number is a mixed-radix integer with one digit per
-    interpretation: each constant (parameters after them, under their ``@``
-    name), then each function-table entry, then each predicate bit, in
-    sorted symbol order and argument-tuple order, the last digit fastest.  A
-    valuation has one binary digit per atom, in sorted order.  ``digit``
-    maps ``("c", name)``, ``("f", name, args)``, ``("p", name, args)`` and
-    ``("a", name)`` to a digit's position, with ``args`` a tuple of element
-    indices; a digit's value is an element index, or 0/1 for a bit.
+    interpretation: each constant, then each function-table entry, then
+    each predicate bit, in sorted symbol order and argument-tuple order, the
+    last digit fastest.  A valuation has one binary digit per atom, in
+    sorted order.  ``digit`` maps ``("c", name)``, ``("f", name, args)``,
+    ``("p", name, args)`` and ``("a", name)`` to a digit's position, with
+    ``args`` a tuple of element indices; a digit's value is an element
+    index, or 0/1 for a bit.
     """
 
     def __init__(self, domain, digits):
@@ -219,12 +246,11 @@ class Layout:
     @classmethod
     def of_structures(cls, syms, domain):
         """The structures over ``domain`` that interpret the symbols, their
-        digits in sorted symbol order."""
+        digits in sorted symbol order; parameters have none."""
         if syms.prop_atoms:
             raise EvalError("structures cannot interpret propositional atoms")
         n = len(domain)
-        consts = sorted(syms.constants) + [PARAM_PREFIX + p for p in sorted(syms.parameters)]
-        digits = [(("c", name), n) for name in consts]
+        digits = [(("c", name), n) for name in sorted(syms.constants)]
         for kind, symbols, radix in (("f", syms.functions, n), ("p", syms.predicates, 2)):
             for name, arity in sorted(symbols):
                 digits += [((kind, name, args), radix)
@@ -234,10 +260,9 @@ class Layout:
     @classmethod
     def of_model(cls, model, syms=NO_SYMBOLS):
         """The models over one model's domain and interpreted symbols: a
-        valuation's atoms, or a structure's constants (``@`` names
-        included), function-table entries and predicates, and the
-        predicates of ``syms``.  A symbol of ``syms`` that the structure
-        leaves uninterpreted raises EvalError."""
+        valuation's atoms, or a structure's constants, function-table
+        entries and predicates, and the predicates of ``syms``.  A symbol of
+        ``syms`` that the structure leaves uninterpreted raises EvalError."""
         if isinstance(model, Valuation):
             return cls.of_valuations(model.assignment)
         if syms.prop_atoms:
@@ -315,23 +340,22 @@ class Layout:
 
 
 class Block:
-    """The truth of classical sentences over a run of consecutively numbered
-    models of one ``Layout``, as one integer mask: bit ``i`` stands for
-    model ``start + i``.
+    """Truth over a run of consecutively numbered models of one ``Layout``,
+    as one integer mask: bit ``i`` stands for model ``start + i``.
 
     An atom's mask is built from digit masks: the models in which digit
     ``k`` of the number has value ``v`` form a periodic bit pattern, runs of
     ``stride`` ones every ``stride * radix`` bits.  Connectives are bit
-    operations, and a quantifier is the AND/OR of its body's masks with the
-    variable bound to each element in turn.
+    operations, and a quantifier is the AND/OR of its instances' masks: its
+    body with the variable replaced by the parameter of each element in turn
+    (``syntax.instantiate``), which denotes that element.
 
-    It is the only code that computes classical truth: the search takes
-    masks over blocks of up to ``semantics.BLOCK_WIDTH`` models, and one
-    given model is a block of width 1 (``of_model``).  A connective reads
-    its right operand only when its left one leaves some model's truth
-    open, so a block of one model reads the subformulas that short-circuit
-    evaluation reads, and raises where it would.
+    ``truth`` is the only code that walks a formula for truth: the search
+    takes masks over blocks of up to ``semantics.BLOCK_WIDTH`` models, and
+    one given model is a block of width 1 (``of_model``).
     """
+
+    _BINARY = (And, Or, Implies, Iff)   # the connectives but sup, as ``truth`` reads them
 
     def __init__(self, layout, start, width):
         self.layout = layout
@@ -351,8 +375,7 @@ class Block:
         return cls(layout, layout.number_of(model), 1)
 
     def covered(self):
-        """The models in which some constant or parameter denotes each
-        element."""
+        """The models in which some constant denotes each element."""
         names = [k for k, (key, _) in enumerate(self.layout.digits) if key[0] == "c"]
         mask = self.full
         for v in range(len(self.domain)):
@@ -371,90 +394,99 @@ class Block:
         return mask
 
     def classical(self, phi):
-        """``phi``'s mask, kept for the block's life."""
+        """A classical sentence's mask, kept for the block's life."""
         key = canonical_key(phi)
         mask = self._masks.get(key)
         if mask is None:
-            mask = self._masks[key] = self.mask(phi)
+            mask = self._masks[key] = self.truth(phi)
         return mask
 
-    def mask(self, phi, env=None):
-        """``phi``'s mask, not kept, with its free variables bound by
-        ``env`` to elements."""
-        if env and self.domain is not None:
-            env = {var: self._elements[x] for var, x in env.items()}
-        return self._eval(phi, env or {})
+    def truth(self, phi, node=None, care=None):
+        """``phi``'s mask: the classical truth of a sentence, or with a
+        search trie's node (``choice.TableNode``) the sentence-choice truth
+        of a restricted sentence under the node's table, which is read only
+        at ``sup`` nodes, and a classical subformula's mask is
+        ``classical``'s.  Bits outside ``care`` (all by default) may be
+        wrong: their models' truth here no longer matters to the caller.
 
-    def _eval(self, phi, env):
-        """``phi``'s mask with its free variables bound by ``env`` to
-        element indices."""
-        if self.domain is None and not isinstance(phi, (PropAtom, Not, And, Or, Implies, Iff)):
-            raise EvalError(f"valuations cannot evaluate {type(phi).__name__} nodes")
-        if isinstance(phi, PredAtom):
+        A subformula is evaluated when, and only when, some model of its
+        care mask would evaluate it on its own.  So a block reaches the
+        pairs that its models, one at a time, would reach, and a one-model
+        block reads what short-circuit evaluation reads, and raises where
+        it would."""
+        if node is not None and is_classical(phi):
+            return self.classical(phi)
+        full = self.full
+        if care is None:
+            care = full
+        kind = type(phi)
+        if kind is PredAtom and self.domain is not None:
             mask = 0
-            for args, within in self._combinations(phi.args, env):
+            for args, within in self._combinations(phi.args):
                 mask |= within & self.digit_mask(
                     self.layout.digit[("p", phi.name, args)], 1)
             return mask
-        if isinstance(phi, Equality):
-            lhs, rhs = self._term(phi.lhs, env), self._term(phi.rhs, env)
+        if kind is Not:
+            return full ^ self.truth(phi.body, node, care)
+        if kind in self._BINARY:
+            left = self.truth(phi.left, node, care)
+            if kind is Iff:
+                return full ^ left ^ self.truth(phi.right, node, care)
+            if kind is Or:
+                rest = care & ~left
+                return left | self.truth(phi.right, node, rest) if rest else left
+            rest = care & left
+            if kind is And:
+                return left & self.truth(phi.right, node, rest) if rest else left
+            return (full ^ left) | (self.truth(phi.right, node, rest) if rest else 0)   # ->
+        if kind is Sup:
+            return self.classical(node.pick(phi))
+        if self.domain is None and kind is not PropAtom:
+            raise EvalError(f"valuations cannot evaluate {kind.__name__} nodes")
+        if kind is Forall or kind is Exists:
+            universal = kind is Forall
+            acc = full if universal else 0
+            for x in self.domain:
+                rest = care & (acc if universal else ~acc)
+                if not rest:
+                    break
+                truth = self.truth(instantiate(phi, x), node, rest)
+                acc = acc & truth if universal else acc | truth
+            return acc
+        if kind is Equality:
+            lhs, rhs = self._term(phi.lhs), self._term(phi.rhs)
             mask = 0
             for v, within in lhs.items():
                 mask |= within & rhs.get(v, 0)
             return mask
-        if isinstance(phi, PropAtom):
+        if kind is PropAtom:
             k = self.layout.digit.get(("a", phi.name))
             if k is None:
                 raise EvalError(f"valuation does not cover atom {phi.name!r}")
             return self.digit_mask(k, 1)
-        full = self.full
-        if isinstance(phi, Not):
-            return full ^ self._eval(phi.body, env)
-        if isinstance(phi, Forall):
-            mask = full
-            for v in range(len(self.domain)):
-                mask &= self._eval(phi.body, {**env, phi.var: v})
-                if not mask:
-                    break
-            return mask
-        if isinstance(phi, Exists):
-            mask = 0
-            for v in range(len(self.domain)):
-                mask |= self._eval(phi.body, {**env, phi.var: v})
-                if mask == full:
-                    break
-            return mask
-        left = self._eval(phi.left, env)
-        if isinstance(phi, And):
-            return left & self._eval(phi.right, env) if left else 0
-        if isinstance(phi, Or):
-            return left | self._eval(phi.right, env) if left != full else full
-        if isinstance(phi, Implies):
-            return (full ^ left) | self._eval(phi.right, env) if left else full
-        if isinstance(phi, Iff):
-            return full ^ left ^ self._eval(phi.right, env)
         raise EvalError(f"not a formula: {phi!r}")
 
-    def _combinations(self, terms, env):
+    def _combinations(self, terms):
         """(argument element indices, the models where the terms take them)
         for every combination the terms take somewhere in the block."""
         combos = [((), self.full)]
         for term in terms:
-            values = self._term(term, env)
+            values = self._term(term)
             combos = [(args + (v,), within & m) for args, within in combos
                       for v, m in values.items() if within & m]
         return combos
 
-    def _term(self, term, env):
+    def _term(self, term):
         """Element index -> the models where the term denotes it."""
-        if isinstance(term, Variable):
-            if term.name in env:
-                return {env[term.name]: self.full}
-            raise EvalError(f"unbound variable {term.name!r}")
+        if isinstance(term, Parameter):
+            v = self._elements.get(term.element)
+            if v is None:
+                raise EvalError(f"parameter {to_text_term(term)} not in domain")
+            return {v: self.full}
         if isinstance(term, FuncApp):
             out = {}
             n = len(self.domain)
-            for args, within in self._combinations(term.args, env):
+            for args, within in self._combinations(term.args):
                 k = self.layout.digit.get(("f", term.name, args))
                 if k is None:   # a partial table of ``Layout.of_model``
                     names = tuple(self.domain[i] for i in args)
@@ -464,18 +496,13 @@ class Block:
                     if m:
                         out[v] = out.get(v, 0) | m
             return out
-        elif isinstance(term, Constant):
+        if isinstance(term, Constant):
             k = self.layout.digit[("c", term.name)]
-        elif isinstance(term, Parameter):
-            k = self.layout.digit.get(("c", PARAM_PREFIX + term.element))
-            if k is None:
-                if term.element not in self._elements:
-                    raise EvalError(f"parameter {to_text_term(term)} not in domain")
-                return {self._elements[term.element]: self.full}
-        else:
-            raise EvalError(f"not a term: {term!r}")
-        masks = {v: self.digit_mask(k, v) for v in range(len(self.domain))}
-        return {v: m for v, m in masks.items() if m}
+            masks = {v: self.digit_mask(k, v) for v in range(len(self.domain))}
+            return {v: m for v, m in masks.items() if m}
+        if isinstance(term, Variable):
+            raise EvalError(f"unbound variable {term.name!r}")
+        raise EvalError(f"not a term: {term!r}")
 
 
 def _periodic(start, width, period, offset, run):
@@ -501,16 +528,14 @@ def eval_classical(model, phi, env=None):
     block of the one model (see ``Block.of_model``).
 
     ``model`` is a Structure (first-order formulas) or a Valuation
-    (propositional formulas); ``env`` maps free variables to elements.
+    (propositional formulas); ``env`` maps free variables to elements, each
+    bound by putting the element's parameter in the variable's place.
     """
     if not is_classical(phi):
         raise EvalError("eval_classical requires a sup-free formula")
-    return bool(Block.of_model(model, symbols(phi)).mask(phi, env))
-
-
-def valuations_over(atoms):
-    """All truth assignments of the given atoms, in lexicographic order."""
-    return Layout.of_valuations(atoms).models()
+    if env:
+        phi = substitute_map(phi, {var: Parameter(x) for var, x in env.items()})
+    return bool(Block.of_model(model, symbols(phi)).truth(phi))
 
 
 def element_names(n):
@@ -518,9 +543,6 @@ def element_names(n):
 
 
 def structures_over(vocab, max_domain=3):
-    """All models of the vocabulary (see ``layouts``), in search order.
-
-    Parameters are interpreted like constants under their printed ``@`` name.
-    """
+    """All models of the vocabulary (see ``layouts``), in search order."""
     for layout in layouts(vocab, max_domain):
         yield from layout.models()

@@ -2,8 +2,9 @@
 checking.
 
 * eval_scs: choice applies to sentences only; quantifiers are evaluated
-  Tarskian-style by instantiating domain elements as parameters, so only
-  restricted sentences are legal input.
+  Tarskian-style by instantiating domain elements as parameters, each of
+  which denotes its element, so only restricted sentences are legal input
+  (evaluated by ``models.Block.truth``, as classical truth is).
 * eval_fcs: the table holds open formulas and the collapse commutes with
   quantifiers; any sentence is legal input.
 
@@ -33,24 +34,15 @@ from .models import (
     Valuation,
     eval_classical,
     layouts,
+    least_domain,
     vocabulary_of,
 )
 from .syntax import (
-    And,
-    Exists,
-    Forall,
-    Iff,
-    Implies,
-    Not,
-    Or,
     Record,
-    Sup,
     SupkitError,
     SyntaxClass,
     classify,
     free_vars,
-    instantiate,
-    is_classical,
     symbols,
     to_text,
 )
@@ -74,52 +66,7 @@ def eval_scs(model, table, phi):
     if table.mode != SENTENCE_MODE:
         raise EvalError("sentence-choice evaluation requires a sentence-mode table")
     block = Block.of_model(model, symbols(phi))
-    return bool(_truth(block, TableNode.root(ClassSpec("all"), table), phi, 1))
-
-
-def _truth(block, node, phi, care):
-    """The truth mask of a restricted sentence over a block of models (see
-    ``Block``), under the table of a search trie's ``TableNode``, which
-    picks at each ``sup`` node once per table.  Bits outside ``care``
-    may be wrong: they are models whose truth here no longer matters to the
-    caller.
-
-    A subformula is evaluated when, and only when, some model of its care
-    mask would evaluate it on its own, and the table is read only at
-    ``sup`` nodes.  So a block's evaluation reaches the pairs that its
-    models, one at a time, would reach, and no other; a one-model block
-    reaches them in the order of plain short-circuit evaluation."""
-    if is_classical(phi):
-        return block.classical(phi)
-    if isinstance(phi, Sup):
-        return block.classical(node.pick(phi))
-    full = block.full
-    if isinstance(phi, Not):
-        return full ^ _truth(block, node, phi.body, care)
-    if isinstance(phi, (Forall, Exists)):
-        if block.domain is None:
-            raise EvalError("quantified sentence requires a structure")
-        universal = isinstance(phi, Forall)
-        acc = full if universal else 0
-        for x in block.domain:
-            rest = care & (acc if universal else ~acc)
-            if not rest:
-                break
-            truth = _truth(block, node, instantiate(phi, x), rest)
-            acc = acc & truth if universal else acc | truth
-        return acc
-    left = _truth(block, node, phi.left, care)
-    if isinstance(phi, Iff):
-        return full ^ left ^ _truth(block, node, phi.right, care)
-    if isinstance(phi, Or):
-        rest = care & ~left
-        return left | _truth(block, node, phi.right, rest) if rest else left
-    rest = care & left
-    if isinstance(phi, And):
-        return left & _truth(block, node, phi.right, rest) if rest else left
-    if isinstance(phi, Implies):
-        return (full ^ left) | (_truth(block, node, phi.right, rest) if rest else 0)
-    raise EvalError(f"not a formula: {phi!r}")
+    return bool(block.truth(phi, TableNode.root(ClassSpec("all"), table)))
 
 
 def eval_fcs(structure, table, phi):
@@ -147,7 +94,8 @@ BLOCK_WIDTH = 1 << 16
 class SearchSpace(Record):
     """The finite class of models a verdict quantifies over: those of a
     vocabulary (a ``syntax.Symbols``) with domains up to ``max_domain``, in
-    the order of ``models.layouts``."""
+    the order of ``models.layouts``, from the least size that holds every
+    element the vocabulary's parameters name."""
 
     __slots__ = __match_args__ = ("vocabulary", "max_domain")
 
@@ -157,9 +105,6 @@ class SearchSpace(Record):
     @classmethod
     def for_task(cls, formulas, max_domain=DEFAULT_DOMAIN_BOUND):
         return cls(vocabulary_of(formulas), max_domain)
-
-    def models(self):
-        return self.models_where(lambda block: block.full)
 
     def blocks(self, first=0, stop=float("inf")):
         """The space's blocks numbered ``first`` up to ``stop``, as ``(layout,
@@ -193,8 +138,10 @@ class SearchSpace(Record):
     def describe(self):
         if not self.vocabulary.first_order:
             return {"kind": "propositional", "atoms": sorted(self.vocabulary.prop_atoms)}
+        least = least_domain(self.vocabulary)
         return {
             "kind": "first-order",
+            **({"min_domain": least} if least > 1 else {}),
             "max_domain": self.max_domain,
             "vocabulary": self.vocabulary.describe(),
         }
@@ -310,6 +257,8 @@ def shares(space, limit, jobs):
     models; no blocks make one empty run.  The runs are worked out from the
     layouts' counts, without drawing a block."""
     sizes = list(space._cut_sizes(limit))
+    if not sizes:   # a space without models
+        return [(0, 0)]
     layout, b, m, n = sizes[-1]
     total, stop = m + min(layout.count, n * BLOCK_WIDTH), b + n
     starts = {0, stop}
@@ -354,7 +303,7 @@ def scan_models(space, blocks, premises, conclusion, spec, budget=DEFAULT_BUDGET
     tables checked)``; it stops at the first block holding a countermodel,
     or as soon as more than ``budget`` tables have been checked.
 
-    A block's tables are searched once for all its models: ``_truth`` gives
+    A block's tables are searched once for all its models: ``Block.truth`` gives
     each leaf table's refuted models as a mask.  That finds what a search
     per model would find, provided that the trie's step (see
     ``choice.TableNode``) is
@@ -411,10 +360,10 @@ def _search_block(block, premises, conclusion, root, allowance):
     def task(node):
         care = below
         for sigma in premises:
-            care &= _truth(block, node, sigma, care)
+            care &= block.truth(sigma, node, care)
             if not care:
                 return 0
-        return care & ~_truth(block, node, conclusion, care)
+        return care & ~block.truth(conclusion, node, care)
 
     found, leaves = None, 0
     for node, refuted in enumerate_tables(task, root.spec, root):
@@ -454,11 +403,6 @@ def verdict_of_scans(premises, conclusion, spec, space, scans, budget=DEFAULT_BU
         models_checked=models_checked,
         tables_checked=tables_checked,
     )
-
-
-def is_tautology(phi, spec, space=None, budget=DEFAULT_BUDGET):
-    """Tautology over the space = consequence of the empty premise set."""
-    return check_consequence((), phi, spec, space=space, budget=budget)
 
 
 def class_spec_for(name, formulas, oracle_bound=DEFAULT_ORACLE_BOUND):

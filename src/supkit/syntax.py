@@ -549,6 +549,20 @@ def instantiate(phi, element):
     return inst
 
 
+def rename_parameters(x, mapping):
+    """``x`` (a formula or a term) with each parameter ``@e`` whose element
+    ``e`` is in ``mapping`` replaced by the closed term ``mapping[e]``; a
+    walk over nodes and their fields, which shares each subformula that
+    names none of them."""
+    if isinstance(x, Parameter):
+        return mapping.get(x.element, x)
+    if isinstance(x, Formula) and mapping.keys().isdisjoint(symbols(x).parameters):
+        return x
+    if isinstance(x, Node):
+        return type(x)(*rename_parameters(x._astuple(), mapping))
+    return tuple(rename_parameters(y, mapping) for y in x) if isinstance(x, tuple) else x
+
+
 # ---------------------------------------------------------------------------
 # Symbols
 
@@ -664,12 +678,6 @@ def is_basic(phi):
     return classify(phi) <= SyntaxClass.BASIC
 
 
-def is_restricted(phi):
-    """Connective and quantifier combinations of basic formulas; every sup
-    node must have basic operands."""
-    return classify(phi) <= SyntaxClass.RESTRICTED
-
-
 # ---------------------------------------------------------------------------
 # Printer
 
@@ -750,15 +758,6 @@ def to_text(phi):
 
 # Injective string key for a formula, used to canonicalize pairs.
 canonical_key = to_text
-
-
-def pair_key(a, b):
-    """Order-insensitive key of an unordered pair; collapses to a singleton
-    when both members are structurally equal."""
-    ka, kb = canonical_key(a), canonical_key(b)
-    if ka == kb:
-        return (ka,)
-    return (ka, kb) if ka < kb else (kb, ka)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,16 @@ from supkit import semantics
 from supkit.choice import TableNode, enumerate_tables
 from supkit.cli import run
 from supkit.corpus import corpus_entries
-from supkit.models import Block, EvalError, Layout, element_names, layouts, vocabulary_of
+from supkit.models import (
+    Block,
+    EvalError,
+    Layout,
+    element_names,
+    layouts,
+    least_domain,
+    structures_over,
+    vocabulary_of,
+)
 from supkit.semantics import (
     DEFAULT_BUDGET,
     Countermodel,
@@ -62,7 +71,7 @@ def ref_scan_models(space, blocks, premises, conclusion, spec, budget=DEFAULT_BU
     ignored, and each model's tables are searched on their own."""
     models_checked = 0
     tables_checked = 0
-    for model in space.models():
+    for model in structures_over(space.vocabulary, space.max_domain):
         models_checked += 1
 
         def task(table):
@@ -279,14 +288,13 @@ def test_blocks_reach_the_pairs_their_models_reach(phi, name):
         for i, model in enumerate(models):
             block = Block(layout, i, 1)
             leaves = [(node.table.entries, truth) for node, truth in enumerate_tables(
-                lambda node: semantics._truth(block, node, phi, 1), spec, TableNode.root(spec))]
+                lambda node: block.truth(phi, node, 1), spec, TableNode.root(spec))]
             expected = [(table.entries, int(truth)) for table, truth in enumerate_tables(
                 lambda t: ref_scs(model, t, phi), spec)]
             assert leaves == expected, (model, leaves, expected)
         block = Block(layout, 0, layout.count)
         for node, mask in enumerate_tables(
-                lambda node: semantics._truth(block, node, phi, block.full), spec,
-                TableNode.root(spec)):
+                lambda node: block.truth(phi, node, block.full), spec, TableNode.root(spec)):
             assert [mask >> i & 1 for i in range(len(models))] == \
                 [int(ref_scs(model, node.table, phi)) for model in models]
 
@@ -296,8 +304,10 @@ def test_blocks_reach_the_pairs_their_models_reach(phi, name):
 def test_block_masks_match_classical_evaluation(phi, size, data):
     """Each bit of a block's mask is the sentence's truth in its model, for
     blocks of any width starting anywhere, so that digit masks are cut
-    from both sides of a period."""
-    layout = Layout.of_structures(vocabulary_of([phi]), element_names(size))
+    from both sides of a period.  The domain holds the elements that the
+    sentence's parameters name."""
+    syms = vocabulary_of([phi])
+    layout = Layout.of_structures(syms, element_names(max(size, least_domain(syms))))
     start = data.draw(st.integers(0, layout.count - 1))
     width = data.draw(st.integers(1, min(layout.count - start, 70)))
     mask = Block(layout, start, width).classical(phi)
@@ -308,7 +318,8 @@ def test_block_masks_match_classical_evaluation(phi, size, data):
 # ---------------------------------------------------------------------------
 # The vocabulary as sorted tuples, as it was before ``syntax.Symbols`` served
 # as the one vocabulary type, with the digits and the description built
-# from it
+# from it; parameters have no digits, and the least domain size holds the
+# elements they name
 
 
 @dataclass(frozen=True)
@@ -328,10 +339,13 @@ class RefVocabulary:
                             "search spaces support one kind at a time")
         return cls(*(tuple(sorted(names)) for names in syms[:-1]), syms.first_order)
 
+    @property
+    def least(self):
+        return max([int(p[1:]) + 1 for p in self.parameters], default=1)
+
     def digits(self, domain):
         n = len(domain)
-        consts = list(self.constants) + ["@" + p for p in self.parameters]
-        digits = [(("c", name), n) for name in consts]
+        digits = [(("c", name), n) for name in self.constants]
         for kind, names, radix in (("f", self.functions, n), ("p", self.predicates, 2)):
             for name, arity in names:
                 digits += [((kind, name, args), radix)
@@ -341,7 +355,8 @@ class RefVocabulary:
     def describe(self, max_domain):
         if not self.first_order:
             return {"kind": "propositional", "atoms": list(self.prop_atoms)}
-        return {"kind": "first-order", "max_domain": max_domain, "vocabulary": {
+        least = {"min_domain": self.least} if self.least > 1 else {}
+        return {"kind": "first-order", **least, "max_domain": max_domain, "vocabulary": {
             "prop_atoms": list(self.prop_atoms),
             "constants": list(self.constants),
             "functions": [list(f) for f in self.functions],
@@ -358,7 +373,8 @@ class RefVocabulary:
 def test_symbols_number_and_describe_models_as_sorted_tuples_did(formulas, size):
     """Constants, parameters, functions and predicates, unary and binary:
     each size's digits, and so every model's number, and the ``space``
-    block are those of the sorted tuples."""
+    block are those of the sorted tuples; a bound below the least size
+    that the parameters need leaves no layout."""
     try:
         ref = RefVocabulary.of_formulas(formulas)
     except EvalError as exc:
@@ -372,4 +388,4 @@ def test_symbols_number_and_describe_models_as_sorted_tuples_did(formulas, size)
         assert Layout.of_structures(syms, element_names(size)).digits == \
             ref.digits(element_names(size))
         assert [layout.digits for layout in layouts(syms, size)] == \
-            [ref.digits(element_names(n)) for n in range(1, size + 1)]
+            [ref.digits(element_names(n)) for n in range(ref.least, size + 1)]

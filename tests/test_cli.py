@@ -108,15 +108,53 @@ def test_consequence_interpolation(capsys):
     assert code == 0 and "valid" in out
 
 
-@pytest.mark.xfail(strict=True, reason="a sup-quantifier's instance @e0 is read as the "
-                   "parameter @e0 that the sentence names, so the quantifier can skip "
-                   "a domain element")
 def test_a_named_parameter_does_not_capture_a_quantifier_instance(capsys):
     # P(v) sup P(v) always picks P(v), so the left disjunct is valid
     code, _, _ = invoke(capsys, "taut", "--formula",
                         "((forall v. (P(v) sup P(v))) -> forall v. P(v))"
                         " \\/ (P(@e0) /\\ ~P(@e0))", "--max-domain", "2")
     assert code == 0
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_parameters_name_the_elements_of_the_searched_domains(capsys, jobs):
+    """A parameter names its element: the space starts at the least domain
+    that holds it and says so, and a parameter that names no element, or a
+    bound that leaves its element out, is an input error."""
+    code, out, _ = invoke(capsys, "taut", "--formula", "P(@e2) -> P(@e1)", "--json",
+                          "--jobs", jobs)
+    data = json.loads(out)
+    assert code == 1 and data["space"]["min_domain"] == 3 and data["models_checked"] == 2
+    assert data["countermodel"]["structure"]["constants"] == {}
+    code, out, _ = invoke(capsys, "taut", "--formula", "P(@e0) -> P(@e0)", "--json",
+                          "--jobs", jobs)
+    assert code == 0 and "min_domain" not in json.loads(out)["space"]
+    for argv, message in [
+            (["--formula", "P(@foo) -> P(@foo)"],
+             "error: parameter @foo names no domain element: the elements are e0, e1, ...\n"),
+            (["--formula", "P(@e01) -> P(@e01)"],
+             "error: parameter @e01 names no domain element: the elements are e0, e1, ...\n"),
+            (["--formula", "P(@e2) -> P(@e2)", "--max-domain", "2"],
+             "error: --max-domain 2 leaves out element e2, which a parameter names\n"),
+            (["--formula", "P(@e4095) -> P(@e4095)", "--max-domain", "99999999999"],
+             "error: the parameters need domain size 4096, whose structures have 8192 "
+             "elements and digits, more than 4096\n")]:
+        assert invoke(capsys, "taut", *argv, "--jobs", jobs) == (2, "", message)
+
+
+def test_a_model_file_may_not_name_a_constant_as_a_parameter(capsys, tmp_path):
+    """Countermodel files once carried constants such as ``@e0``; a
+    parameter now names its element, so they are refused, not read anew."""
+    model, table = tmp_path / "model.json", tmp_path / "table.json"
+    model.write_text(json.dumps({"domain": ["e0", "e1"], "constants": {"@e0": "e1"},
+                                 "predicates": {"P": [["e1"]]}}))
+    table.write_text(json.dumps({"mode": "sentence", "entries": []}))
+    code, _, err = invoke(capsys, "eval", "--model", str(model), "--table", str(table),
+                          "--formula", "P(@e0)")
+    assert code == 2 and "constant '@e0' is not an identifier" in err
+    model.write_text(json.dumps({"domain": ["e0", "e1"], "predicates": {"P": [["e1"]]}}))
+    assert invoke(capsys, "eval", "--model", str(model), "--table", str(table),
+                  "--formula", "P(@e0)") == (0, "sentence-choice: false\n", "")
 
 
 def test_jobs_flag_matches_serial(capsys):
@@ -655,7 +693,7 @@ def test_import_loads_no_process_machinery(tmp_path):
          " from supkit import *; print(sorted(set(supkit.__all__) - set(globals())));"
          " print(all(getattr(supkit, name) is globals()[name] for name in supkit.__all__))"],
         env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True, text=True, timeout=60)
-    assert done.stdout == "66 []\n[]\nTrue\n"
+    assert done.stdout == "64 []\n[]\nTrue\n"
     accepted, rejected, theory = (tmp_path / name for name in ("ok.json", "bad.json", "t.json"))
     accepted.write_text(json.dumps(proof_to_json(corpus_entries()[-1].proof)))
     rejected.write_text(json.dumps(proof_to_json(mutant_entries()[0].proof)))

@@ -34,7 +34,16 @@ from supkit.choice import (
 )
 from supkit.cli import run
 from supkit.models import EvalError
-from supkit.syntax import Not, SupkitError, canonical_key, free_vars, parse
+from supkit.syntax import (
+    Constant,
+    Not,
+    SupkitError,
+    canonical_key,
+    free_vars,
+    parse,
+    rename_parameters,
+    symbols,
+)
 
 from test_facts import ref_eval_classical
 
@@ -96,16 +105,23 @@ def ref_dec_closure(inter_edges, neg_class):
     return closed
 
 
+def _parameters_as_constants(phi):
+    """``phi`` with each parameter ``@e`` read as a constant ``?@e``, which
+    denotes any element, as the oracle reads it."""
+    return rename_parameters(phi, {e: Constant("?@" + e) for e in symbols(phi).parameters})
+
+
 def pairwise_equivalent(oracle, a, b):
     """Whether ``a`` and ``b`` are equivalent up to ``oracle.max_domain``,
     decided as the oracle did before fingerprints: over the pair's own
-    vocabulary, structure by structure and, for open formulas, assignment by
-    assignment."""
+    vocabulary, its parameters read as constants, structure by structure
+    and, for open formulas, assignment by assignment."""
+    a, b = _parameters_as_constants(a), _parameters_as_constants(b)
     vocab = models.vocabulary_of([a, b])
     if not vocab.first_order:
         return all(
             ref_eval_classical(v, a) == ref_eval_classical(v, b)
-            for v in models.valuations_over(vocab.prop_atoms)
+            for v in models.Layout.of_valuations(vocab.prop_atoms).models()
         )
     fv = sorted(free_vars(a) | free_vars(b))
     for structure in models.structures_over(vocab, oracle.max_domain):
@@ -288,7 +304,7 @@ def test_class_ids_match_the_pairwise_reference(pool, make_oracle):
 
 # Pools beyond the tables' sentences: open formulas (free variables are read
 # as constants), function symbols with equality, and parameters (read as
-# constants under their ``@`` name).  Each is fed to one oracle in the order
+# constants ``?@e``, which denote any element).  Each is fed to one oracle in the order
 # of the pairs, so the oracle's vocabulary widens while classes exist.
 WIDER_POOLS = {
     "open": ("P(v)", "P(u)", "~~P(v)", "P(v) /\\ P(u)", "P(u) /\\ P(v)", "v = u", "u = v",
@@ -319,6 +335,40 @@ def test_class_ids_match_the_pairwise_reference_on_wider_pools(pool, bound):
         ref_class_representatives(oracle, formulas)
 
 
+# Each pool's class ids, one character ``chr(48 + id)`` per formula of the
+# pool and then of its negations, in that order, at oracle bounds 1-3, as
+# they were when the oracle read each parameter as a constant under its
+# ``@`` name, interpreted in each model: reading it as the constant ``?@e``
+# must change no class.
+CLASS_IDS = {
+    "prop-1": "001234110325",
+    "prop-2": "001234110325",
+    "prop-3": "001234110325",
+    "fo-1": "00123000141103211105",
+    "fo-2": "00123455671103286659",
+    "fo-3": "00123455671103286659",
+    "open-1": "0000011122220100033333444555534333",
+    "open-2": "010223345677849:;<=<>>??@ABCCD@EFG",
+    "open-3": "010223345677849:;<=<>>??@ABCCD@EFG",
+    "functions-equality-1": "0000000010000022222222322222",
+    "functions-equality-2": "00122343561773889::;<;=>9??;",
+    "functions-equality-3": "0012234356788399:;;<=<>?@AA<",
+    "parameters-1": "001112211101334445544434",
+    "parameters-2": "01223456337389::;<=>;;?;",
+    "parameters-3": "01223456337389::;<=>;;?;",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_IDS))
+def test_closing_parameters_keeps_every_class_id(name):
+    pool, bound = name.rsplit("-", 1)
+    members = {"prop": PROP_POOL, "fo": FO_POOL}.get(pool) or \
+        [parse(text) for text in WIDER_POOLS[pool]]
+    oracle = TruthTableOracle() if pool == "prop" else BoundedModelOracle(int(bound))
+    formulas = members + [Not(f) for f in members]
+    assert "".join(chr(48 + oracle.class_of(f)) for f in formulas) == CLASS_IDS[name]
+
+
 def test_widening_keeps_the_classes_found_before():
     """Formulas with new symbols, parameters and free variables join the
     classes found before them, which keep their ids, as they would in an
@@ -330,7 +380,7 @@ def test_widening_keeps_the_classes_found_before():
     oracle = BoundedModelOracle(2)
     assert [oracle.class_of(f) for f in early] == [0, 0, 1, 2]
     assert [oracle.class_of(f) for f in late] == [0, 2, 0, 3, 4, 1]
-    assert oracle._syms.parameters == {"e0"} and "?v" in oracle._syms.constants
+    assert not oracle._syms.parameters and {"?@e0", "?v"} <= oracle._syms.constants
     wide_first = BoundedModelOracle(2)
     for f in late + early:
         wide_first.class_of(f)

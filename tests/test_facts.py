@@ -12,8 +12,8 @@ import pickle
 from hypothesis import given, settings
 
 from supkit.choice import ClassSpec, choose, collapse, enumerate_tables
-from supkit.models import EvalError, Valuation
-from supkit.semantics import SearchSpace, eval_scs
+from supkit.models import EvalError, Valuation, structures_over, vocabulary_of
+from supkit.semantics import eval_scs
 from supkit.syntax import (
     And,
     CaptureError,
@@ -27,7 +27,6 @@ from supkit.syntax import (
     Implies,
     Not,
     Or,
-    PARAM_PREFIX,
     Parameter,
     PredAtom,
     PropAtom,
@@ -40,7 +39,6 @@ from supkit.syntax import (
     instantiate,
     is_basic,
     is_classical,
-    is_restricted,
     parse,
     primitive_form,
     substitute,
@@ -200,9 +198,6 @@ def ref_eval_term(structure, term, env):
             raise EvalError(f"structure does not interpret constant {term.name!r}")
         return structure.constants[term.name]
     if isinstance(term, Parameter):
-        pseudo = PARAM_PREFIX + term.element
-        if pseudo in structure.constants:
-            return structure.constants[pseudo]
         if term.element in structure.domain:
             return term.element
         raise EvalError(f"parameter {to_text_term(term)} not in domain")
@@ -286,7 +281,7 @@ FACTS = (
     (classify, ref_classify),
     (is_classical, ref_is_classical),
     (is_basic, ref_is_basic),
-    (is_restricted, ref_is_restricted),
+    (lambda phi: classify(phi) <= SyntaxClass.RESTRICTED, ref_is_restricted),
     (to_text, ref_to_text),
     (canonical_key, ref_to_text),
     (primitive_form, ref_primitive_form),
@@ -363,7 +358,7 @@ def test_eval_scs_matches_substituting_reference():
     pairs = 0
     for text in FO_ALL_SENTENCES:
         phi = parse(text)
-        for model in SearchSpace.for_task([phi], max_domain=2).models():
+        for model in structures_over(vocabulary_of([phi]), max_domain=2):
             def task(table):
                 return eval_scs(model, table, phi), ref_scs(model, table, phi)
 

@@ -128,3 +128,41 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert {name: found for name, found in unused.items() if found} == {}
     assert _unused_imports("import os\nfrom x import (a, b as c)\nc()\n") == \
         [(1, "os"), (2, "a")]
+
+
+def _parameter_spellings(source):
+    """``(line, owner)`` of each place a module spells a parameter: a use of
+    ``PARAM_PREFIX`` or a string that starts with ``@``, such as a digit key
+    named after a parameter.  ``owner`` is the top-level function or class
+    around it, or None at module level, where the one allowed spelling is
+    ``PARAM_PREFIX``'s own definition."""
+    found = []
+    for statement in ast.parse(source).body:
+        if isinstance(statement, ast.Assign) and [ast.dump(t) for t in statement.targets] \
+                == [ast.dump(ast.Name("PARAM_PREFIX", ast.Store()))]:
+            continue
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and node.id == "PARAM_PREFIX" or \
+                    isinstance(node, ast.alias) and node.name == "PARAM_PREFIX" or \
+                    isinstance(node, ast.Constant) and isinstance(node.value, str) and \
+                    node.value.startswith("@"):
+                found.append((getattr(node, "lineno", statement.lineno),
+                              getattr(statement, "name", None)))
+    return found
+
+
+def test_only_the_printer_and_the_parser_spell_parameters():
+    """A parameter ``@e`` has one reading, the element ``e``: only
+    ``syntax``'s printer (``to_text_term``) and parser (``_Parser``) know
+    how it is spelled, so no model interprets a constant under a
+    parameter's name."""
+    package = Path(supkit.__file__).parent
+    spelled = {path.name: _parameter_spellings(path.read_text())
+               for path in sorted(package.glob("*.py"))}
+    allowed = {"to_text_term", "_Parser"}
+    assert {name: [(line, owner) for line, owner in found
+                   if name != "syntax.py" or owner not in allowed]
+            for name, found in spelled.items()} == dict.fromkeys(spelled, [])
+    assert {owner for _, owner in spelled["syntax.py"]} == allowed
+    assert _parameter_spellings('PARAM_PREFIX = "@"\ndef f(p):\n    return "@" + p\n') == \
+        [(3, "f")]

@@ -2,16 +2,17 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supkit.choice import (
+    CLASS_NAMES,
     FORMULA_MODE,
     ChoiceTable,
     ClassSpec,
     TruthTableOracle,
 )
-from supkit.models import EvalError, Structure, Valuation, eval_classical
+from supkit.models import EvalError, Structure, Valuation, eval_classical, structures_over
 from supkit.semantics import (
     NotRestrictedError,
     SearchSpace,
@@ -19,7 +20,6 @@ from supkit.semantics import (
     class_spec_for,
     eval_fcs,
     eval_scs,
-    is_tautology,
 )
 from supkit.syntax import (
     And,
@@ -32,7 +32,6 @@ from supkit.syntax import (
     Implies,
     Not,
     Or,
-    PARAM_PREFIX,
     Parameter,
     PredAtom,
     PropAtom,
@@ -190,9 +189,10 @@ def test_interpolation_non_implications():
 def test_s1_tautology_every_space():
     spec = ClassSpec("all")
     inst = Implies(And(p0, p1), Sup(p0, p1))
-    assert is_tautology(inst, spec).valid
+    assert check_consequence((), inst, spec).valid
     fo_inst = parse("P(c1) /\\ Q(c1) -> P(c1) sup Q(c1)")
-    assert is_tautology(fo_inst, ClassSpec("all"), space=SearchSpace.for_task([fo_inst], max_domain=2)).valid
+    assert check_consequence((), fo_inst, ClassSpec("all"),
+                             space=SearchSpace.for_task([fo_inst], max_domain=2)).valid
 
 
 S4 = Implies(Sup(Sup(p0, p1), p2), Sup(p0, Sup(p1, p2)))
@@ -200,20 +200,20 @@ S5 = Implies(And(p0, Not(p1)), Iff(Sup(p0, p1), Sup(Not(p0), Not(p1))))
 
 
 def test_s4_separates_all_from_asso():
-    verdict = is_tautology(S4, ClassSpec("all"))
+    verdict = check_consequence((), S4, ClassSpec("all"))
     assert not verdict.valid and verdict.verify()
-    assert is_tautology(S4, ClassSpec("asso")).valid
+    assert check_consequence((), S4, ClassSpec("asso")).valid
 
 
 def test_s5_separates_regstar_from_dec():
     oracle = TruthTableOracle()
-    verdict = is_tautology(S5, ClassSpec("regstar", oracle))
+    verdict = check_consequence((), S5, ClassSpec("regstar", oracle))
     assert not verdict.valid and verdict.verify()
-    assert is_tautology(S5, ClassSpec("dec", oracle)).valid
+    assert check_consequence((), S5, ClassSpec("dec", oracle)).valid
 
 
 def test_verdict_json_and_space_description():
-    verdict = is_tautology(S4, ClassSpec("all"))
+    verdict = check_consequence((), S4, ClassSpec("all"))
     data = verdict.to_json()
     assert data["result"] == "countermodel"
     assert data["space"]["kind"] == "propositional"
@@ -276,16 +276,13 @@ _PROP = st.sampled_from([p0, p1, p2])
 @st.composite
 def _structures(draw, complete):
     """A structure with an environment.  A complete one interprets every
-    symbol of ``_FO_ATOMS`` (a parameter outside the domain through its
-    ``@`` constant) and binds every variable; otherwise anything may be
-    missing and function tables may be partial."""
+    symbol of ``_FO_ATOMS`` and binds every variable; otherwise anything
+    may be missing and function tables may be partial.  A parameter names
+    its element, which may lie outside the domain."""
     domain = draw(st.sampled_from(_DOMAINS))
     element = st.sampled_from(domain)
     keep = st.just(True) if complete else st.integers(0, 4).map(bool)
     constants = {name: draw(element) for name in ("c1", "c2") if draw(keep)}
-    for p in _PARAMS:   # read as an element, or as the model's @ constant
-        if (complete and p not in domain) or draw(st.booleans()):
-            constants[PARAM_PREFIX + p] = draw(element)
     functions = {
         name: {args: draw(element)
                for args in itertools.product(domain, repeat=arity) if draw(keep)}
@@ -308,8 +305,11 @@ def _outcome(evaluate, model, phi, env):
 @settings(max_examples=300, deadline=None)
 @given(_structures(complete=True), _classical(_FO_ATOMS))
 def test_eval_classical_matches_the_reference_on_structures(model_env, phi):
+    """Truth values agree, and so do the errors of parameters that name no
+    element of the domain."""
     model, env = model_env
-    assert eval_classical(model, phi, env) == ref_eval_classical(model, phi, env)
+    assert _outcome(eval_classical, model, phi, env) == \
+        _outcome(ref_eval_classical, model, phi, env)
 
 
 @settings(max_examples=100, deadline=None)
@@ -355,7 +355,7 @@ def test_eval_classical_raises_where_the_reference_raises(task):
         assert not outcome[0] and _UNINTERPRETED.fullmatch(outcome[1]), outcome
 
 
-M_PARAM = Structure(domain=("a", "b"), constants={"c1": "a", "@b": "a"},
+M_PARAM = Structure(domain=("a", "b"), constants={"c1": "a"},
                     functions={"g": {("a",): "b"}}, predicates={"P": frozenset({("a",)})})
 V_P0 = Valuation({"p0": True})
 
@@ -385,12 +385,24 @@ def test_eval_classical_keeps_the_reference_messages(model, phi, message):
         assert str(caught.value) == message
 
 
-def test_parameters_read_as_elements_or_as_the_models_constants():
-    # @b is interpreted as a, so it names a; @a names itself
-    assert eval_classical(M_PARAM, Equality(Parameter("b"), Parameter("a")))
-    assert eval_classical(M_PARAM, PredAtom("P", (Parameter("b"),)))
+def test_parameters_read_as_their_elements():
+    # @a names a and @b names b, whatever the constants denote
+    assert not eval_classical(M_PARAM, Equality(Parameter("b"), Parameter("a")))
+    assert eval_classical(M_PARAM, Equality(Parameter("a"), Constant("c1")))
+    assert eval_classical(M_PARAM, PredAtom("P", (Parameter("a"),)))
+    assert not eval_classical(M_PARAM, PredAtom("P", (Parameter("b"),)))
     assert eval_classical(M_PARAM, Equality(FuncApp("g", (Parameter("a"),)), Variable("v")),
                           {"v": "b"})
+
+
+def test_an_environment_binds_its_variables_as_parameters():
+    """An element outside the domain is an EvalError, as a parameter that
+    names it is, not a KeyError."""
+    model = Structure(("a", "b"), predicates={"P": frozenset({("a",)})})
+    assert eval_classical(model, parse("P(v)"), {"v": "a"})
+    assert eval_classical(model, parse("forall v. P(v) \\/ v = u"), {"u": "b"})
+    with pytest.raises(EvalError, match="^parameter @z not in domain$"):
+        eval_classical(model, parse("P(v)"), {"v": "z"})
 
 
 def test_an_uninterpreted_symbol_raises_before_evaluation():
@@ -417,17 +429,90 @@ PARAMETER_TASKS = [
 
 @pytest.mark.parametrize("name", ["all", "reg", "dec"])
 def test_verify_agrees_with_the_search_on_tasks_with_parameters(name):
-    """``Verdict.verify`` reads each parameter as the search reads it (the
-    countermodel's ``@`` constant where it has one), so it confirms every
-    countermodel the search returns."""
+    """``Verdict.verify`` reads each parameter as the search reads it, as
+    its element, so it confirms every countermodel the search returns.  A
+    bound below the least domain that the parameters need leaves an empty
+    space, searched alike by one job and by two."""
     countermodels = 0
     for premises, conclusion in PARAMETER_TASKS:
         premises = [parse(text) for text in premises.split(";") if text]
         formulas = premises + [parse(conclusion)]
         spec = class_spec_for(name, formulas, oracle_bound=2)
         for max_domain in (1, 2, 3):
-            verdict = check_consequence(premises, formulas[-1], spec,
-                                        SearchSpace.for_task(formulas, max_domain))
+            space = SearchSpace.for_task(formulas, max_domain)
+            verdict = check_consequence(premises, formulas[-1], spec, space)
             assert verdict.verify(), (conclusion, max_domain)
+            assert check_consequence(premises, formulas[-1], spec, space, jobs=2).to_json() \
+                == verdict.to_json()
             countermodels += not verdict.valid
     assert countermodels
+
+
+# ---------------------------------------------------------------------------
+# Sentences whose every sup has equal operands: ``a sup a`` collapses to
+# ``a`` under every table, so each verdict is classical validity
+
+
+_TWIN_TERMS = [Constant("c1"), Parameter("e0"), Parameter("e1")]
+_CLASSICAL, _BASIC, _RESTRICTED = range(3)
+
+
+def _twin_atoms(variables):
+    terms = st.sampled_from(_TWIN_TERMS + [Variable(v) for v in variables])
+    return st.one_of(
+        st.builds(lambda name, t: PredAtom(name, (t,)), st.sampled_from("PQ"), terms),
+        st.builds(Equality, terms, terms))
+
+
+@st.composite
+def _twin_formulas(draw, level=_RESTRICTED, variables=(), depth=3):
+    """A formula of at most the given syntax class, free variables among
+    ``variables``, whose every ``sup`` has equal operands."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(_twin_atoms(variables))
+    kinds = ["not", "binary", "quantifier", "quantifier"] + ["sup", "sup"] * (level > _CLASSICAL)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "quantifier":
+        var = f"v{len(variables)}"
+        body = draw(_twin_formulas(_RESTRICTED if level == _RESTRICTED else _CLASSICAL,
+                                   variables + (var,), depth - 1))
+        return draw(st.sampled_from((Forall, Exists)))(var, body)
+    if kind == "not":
+        return Not(draw(_twin_formulas(level, variables, depth - 1)))
+    if kind == "sup":
+        operand = draw(_twin_formulas(_BASIC, variables, depth - 1))
+        return Sup(operand, operand)
+    return draw(st.sampled_from((And, Or, Implies, Iff)))(
+        draw(_twin_formulas(level, variables, depth - 1)),
+        draw(_twin_formulas(level, variables, depth - 1)))
+
+
+def _without_twins(phi):
+    """``phi`` with each ``a sup a`` replaced by ``a``."""
+    if isinstance(phi, Sup):
+        return _without_twins(phi.left)
+    if isinstance(phi, Not):
+        return Not(_without_twins(phi.body))
+    if isinstance(phi, (And, Or, Implies, Iff)):
+        return type(phi)(_without_twins(phi.left), _without_twins(phi.right))
+    if isinstance(phi, (Forall, Exists)):
+        return type(phi)(phi.var, _without_twins(phi.body))
+    return phi
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_twin_formulas(), max_size=1), _twin_formulas(), st.sampled_from(CLASS_NAMES))
+@example([], parse("((forall v. (P(v) sup P(v))) -> forall v. P(v)) \\/ (P(@e0) /\\ ~P(@e0))"),
+         "all")
+def test_equal_operands_give_the_classical_verdict(premises, conclusion, name):
+    """A quantifier's instances denote their elements, whatever parameters
+    the sentences name, so the search visits each element once."""
+    formulas = premises + [conclusion]
+    space = SearchSpace.for_task(formulas, max_domain=2)
+    verdict = check_consequence(premises, conclusion,
+                                class_spec_for(name, formulas, oracle_bound=2), space)
+    classical = [_without_twins(phi) for phi in formulas]
+    valid = all(not all(ref_eval_classical(model, phi) for phi in classical[:-1])
+                or ref_eval_classical(model, classical[-1])
+                for model in structures_over(space.vocabulary, 2))
+    assert verdict.valid == valid and verdict.verify()

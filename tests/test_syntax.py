@@ -37,8 +37,6 @@ from supkit.syntax import (
     free_vars,
     is_basic,
     is_classical,
-    is_restricted,
-    pair_key,
     parse,
     parse_term,
     primitive_form,
@@ -174,9 +172,6 @@ def test_classify_subformula_monotonicity():
 
 def test_canonical_keys():
     assert canonical_key(PropAtom("p0")) != canonical_key(PropAtom("p1"))
-    a, b = PropAtom("p0"), PropAtom("p1")
-    assert pair_key(a, b) == pair_key(b, a)
-    assert pair_key(a, a) == (canonical_key(a),)
 
 
 def test_primitive_form():
@@ -256,9 +251,9 @@ def test_classify_subformulas_property(phi):
             assert classify(sub) <= SyntaxClass.RESTRICTED
     # predicate hierarchy is nested
     if is_classical(phi):
-        assert is_basic(phi) and is_restricted(phi)
+        assert is_basic(phi) and classify(phi) <= SyntaxClass.RESTRICTED
     if is_basic(phi):
-        assert is_restricted(phi)
+        assert classify(phi) <= SyntaxClass.RESTRICTED
 
 
 def _subformulas(phi):

@@ -158,8 +158,9 @@ def ref_enumerate_tables(task, spec, table=None):
 
 
 class PlainPicks:
-    """A plain table in place of a trie's node for ``_truth``: each pick is
-    read by the public ``pick``, which checks its members, every time."""
+    """A plain table in place of a trie's node for ``Block.truth``: each
+    pick is read by the public ``pick``, which checks its members, every
+    time."""
 
     def __init__(self, table):
         self.table = table
@@ -171,17 +172,17 @@ class PlainPicks:
 def ref_search_block(block, premises, conclusion, root, allowance):
     """``semantics._search_block`` before the trie: a fresh search per
     block, on plain tables, ignoring the trie's root but for its class.
-    ``_truth`` reads each table through ``PlainPicks``."""
+    ``Block.truth`` reads each table through ``PlainPicks``."""
     below = block.full
 
     def task(table):
         node = PlainPicks(table)
         care = below
         for sigma in premises:
-            care &= semantics._truth(block, node, sigma, care)
+            care &= block.truth(sigma, node, care)
             if not care:
                 return 0
-        return care & ~semantics._truth(block, node, conclusion, care)
+        return care & ~block.truth(conclusion, node, care)
 
     found, leaves = None, 0
     for table, refuted in ref_enumerate_tables(task, root.spec):
@@ -297,7 +298,7 @@ def test_a_node_evaluates_each_sup_once(monkeypatch):
     assert calls == [left, left]
     grandchild = child.child(p1, p2, p2)
     model = Block.of_model(Valuation({"p0": False, "p1": True, "p2": False}))
-    assert semantics._truth(model, grandchild, phi, 1) == 0
+    assert model.truth(phi, grandchild) == 0
     assert calls == [left, left, right]
 
 
@@ -456,7 +457,7 @@ def test_the_walk_visits_leaves_in_the_recursive_order_and_stops_when_told(name)
 
         def task(node):
             runs.append(node)
-            return semantics._truth(block, node, phi, block.full)
+            return block.truth(phi, node)
 
         spec = class_spec_for(name, [phi])
         return [(node.entries, mask) for node, mask in leaves(TableNode.root(spec), task)], \
@@ -466,7 +467,7 @@ def test_the_walk_visits_leaves_in_the_recursive_order_and_stops_when_told(name)
     runs = []
     root = TableNode.root(class_spec_for(name, [phi]))
     walk_ = root.leaves(lambda node: runs.append(node) or
-                        semantics._truth(block, node, phi, block.full))
+                        block.truth(phi, node))
     leaf, _ = next(walk_)
     walk_.close()
     path = [root]
