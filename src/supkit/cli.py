@@ -26,7 +26,7 @@ from .choice import (
     ClassSpec,
     collapse,
 )
-from .models import Structure, Valuation, least_domain
+from .models import Structure, Valuation
 from .semantics import (
     DEFAULT_DOMAIN_BOUND,
     DEFAULT_ORACLE_BOUND,
@@ -159,10 +159,6 @@ def cmd_consequence(args):
     spec = class_spec_for(args.table_class, formulas, _oracle_bound(args))
     space = SearchSpace.for_task(
         formulas, max_domain=_positive(args.max_domain, "--max-domain"))
-    least = least_domain(space.vocabulary)
-    if least > space.max_domain:
-        raise SupkitError(f"--max-domain {space.max_domain} leaves out element e{least - 1}, "
-                          "which a parameter names")
     verdict = check_consequence(premises, conclusion, spec, space,
                                 jobs=_positive(args.jobs, "--jobs"))
     return _verdict_output(args, verdict)

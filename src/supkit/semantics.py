@@ -218,12 +218,19 @@ def check_consequence(premises, conclusion, spec, space=None, budget=DEFAULT_BUD
     workers still running once the verdict is settled are killed, as they
     are on every other way out.
     Each share's scan builds its own table trie (see ``scan_models``); none
-    is shared between processes."""
+    is shared between processes.
+
+    A space whose bound leaves out an element that a parameter names is
+    refused (SupkitError), as no verdict over it could mean anything."""
     premises = tuple(premises)
     formulas = list(premises) + [conclusion]
     check_restricted_sentences(formulas)
     if space is None:
         space = SearchSpace.for_task(formulas)
+    least = least_domain(space.vocabulary)
+    if space.vocabulary.parameters and least > space.max_domain:
+        raise SupkitError(f"the domain bound {space.max_domain} leaves out element "
+                          f"e{least - 1}, which a parameter names")
     limit = max(budget, 0) + 1
     (first, stop), *rest = shares(space, limit, jobs) if jobs > 1 else [(0, limit)]
     task = (premises, conclusion, spec, budget)

@@ -821,17 +821,24 @@ def _primitive_of(phi):
 # table, which holds every child, lives.  A caller that parses many
 # formulas under one signature may pass a memo, a dict it keeps for one
 # load, that serves as the table for every parse of the load.  The memo
-# also maps each formula text parsed, whole or between a ``(`` and its
-# matching ``)``, to its node, and lists each such text of ``_HEAD`` or
-# more characters under its first ``_HEAD`` (at the key ``_HEADS``).  A
-# parsed text's parentheses balance, so a memo text that starts just after
-# a ``(`` and is followed by ``)`` is the whole span of that ``(``, at any
-# depth: the parser skips it, as its parse depends only on its text and the
-# signature (binders bind by name).  A lookup checks each text under the
-# span's head in turn, its closing ``)`` first, so it costs more the more
-# texts share that head; a shorter span is read (a few tokens).  Only
-# successful parses are stored, so an error is raised exactly as it is
-# without a memo.
+# also maps each formula text parsed to its node: a whole text, the text
+# between a ``(`` and its matching ``)``, and the rest of a text after a
+# binary connective outside parentheses, from the rest's first token to the
+# text's end.  It lists each such text of ``_HEAD`` or more characters
+# under its first ``_HEAD`` (at the key ``_HEADS``).  A parsed text's
+# parentheses balance, so a memo text that starts just after a ``(`` and is
+# followed by ``)`` is the whole span of that ``(``, at any depth: the
+# parser skips it, as its parse depends only on its text and the signature
+# (binders bind by name).  A lookup checks each text under the span's head
+# in turn, its closing ``)`` first, so it costs more the more texts share
+# that head; a shorter span is read (a few tokens).  After a connective
+# outside parentheses, the rest of the text is looked up whole, and its
+# node is taken where the connective's right operand would be all of the
+# rest: where the node binds at least as tightly as ``_INFIX`` asks of that
+# operand (``p1 <-> p2`` is not the right operand in ``p0 -> p1 <-> p2``).
+# So an MP line, the text after its implication line's ``->``, is found
+# whole.  Only successful parses are stored, so an error is raised exactly
+# as it is without a memo.
 
 _TOKEN = r"<->|->|\\/|/\\|[~|(),.=]|@[A-Za-z_0-9]+|[A-Za-z_][A-Za-z_0-9]*"
 # one token's text after any whitespace; the empty text at the end only
@@ -843,6 +850,12 @@ _KINDS = {"<->": "ARROW2", "->": "ARROW", "\\/": "OR", "/\\": "AND", "~": "NOT",
 _CONNECTIVES = {kind: (cls, _LEVELS[cls], _INFIX[cls][2]) for kind, cls in
                 (("ARROW2", Iff), ("ARROW", Implies), ("OR", Or), ("AND", And), ("SUP", Sup))}
 _NO_CONNECTIVE = (None, -1, None)
+# the least level at which an operand's parse reads all of a text parsed
+# whole as a node of this class: its own level for a binary connective (a
+# text that is one span in parentheses would do at any level, but is not
+# told apart), and any level for the others, which ``atom`` reads to the
+# text's end; see _Parser._taken
+_BINDS = {cls: level for cls, level, _ in _CONNECTIVES.values()}
 
 
 # the memo's key for its long texts by their first _HEAD characters
@@ -876,6 +889,7 @@ class _Parser:
         self.nodes = {} if memo is None else memo   # see node
         self.heads = None if memo is None else memo.setdefault(_HEADS, {})
         self.end = 0            # where the next token is read from
+        self.open = 0           # ``(`` read and not yet closed, in formula positions
         self.checked, self.limit = _DEEP, None   # see _deeper
         self.after = None       # the token after the current one, once looked at
         self.tok = self._lex()  # the current token: (kind, value, position)
@@ -954,9 +968,34 @@ class _Parser:
         cls, level, right = _CONNECTIVES.get(self.tok[0], _NO_CONNECTIVE)
         while level >= least:
             self.next()
-            left = self.node(cls, left, self.formula(right, depth + 1))
+            if self.open or self.memo is None:
+                operand = self.formula(right, depth + 1)
+            else:   # inline, so that a right-nested chain takes one frame per level
+                rest = self.text[self.tok[2]:]
+                operand = self._taken(rest, right, depth)
+                if operand is None:
+                    operand = self.formula(right, depth + 1)
+                    if self.tok[0] == "EOF" and rest not in self.memo:
+                        _remember(self.memo, rest, operand)
+            left = self.node(cls, left, operand)
             cls, level, right = _CONNECTIVES.get(self.tok[0], _NO_CONNECTIVE)
         return left
+
+    def _taken(self, rest, least, depth):
+        """The memo's node for ``rest``, the text after a connective outside
+        parentheses that a parse ``depth`` calls deep has just read, where
+        the connective's right operand, read at level ``least``, would be
+        all of it: the node binds at least as tightly as ``least``, and that
+        parse cannot pass the bound (as for a span in ``atom``).  The parse
+        then moves to the end of the text.  None otherwise: the caller reads
+        the operand, and remembers it when it runs to the end."""
+        phi = self.memo.get(rest)
+        if phi is None or _BINDS.get(type(phi), _LEVEL_ATOM) < least \
+                or depth + len(rest) + 4 > MAX_NESTING:
+            return None
+        self.end, self.after = len(self.text), None
+        self.tok = self._lex()
+        return phi
 
     def atom(self, depth):
         """An operand of the binary connectives: a negation, a formula in
@@ -976,7 +1015,9 @@ class _Parser:
                 self.tok = self._lex()
                 return self.memo[span]
             self.next()
+            self.open += 1
             phi = self.formula(_LEVEL_IFF, depth + 1)
+            self.open -= 1
             # a successful production reads balanced parentheses, so this
             # is the ``)`` that closes the span
             end = self.expect("RPAR")[2]
@@ -1050,10 +1091,11 @@ def parse(text, sig=None, memo=None):
 
     ``memo`` is an optional dict that the caller keeps for one load under
     one signature: equal subformulas of the load come back as one node, and
-    a text seen before, whole or in parentheses at any depth, is not read
-    again (texts of fewer than ``_HEAD`` characters in parentheses are).
-    A parenthesised span is found by its first ``_HEAD`` characters; when
-    many memo texts share them, each is checked in turn.
+    a text seen before, whole, in parentheses at any depth or after a
+    connective outside parentheses, is not read again (texts of fewer than
+    ``_HEAD`` characters in parentheses are).  A parenthesised span is
+    found by its first ``_HEAD`` characters; when many memo texts share
+    them, each is checked in turn.
     """
     phi = memo.get(text) if memo is not None else None
     if phi is None:

@@ -135,7 +135,7 @@ def test_parameters_name_the_elements_of_the_searched_domains(capsys, jobs):
             (["--formula", "P(@e01) -> P(@e01)"],
              "error: parameter @e01 names no domain element: the elements are e0, e1, ...\n"),
             (["--formula", "P(@e2) -> P(@e2)", "--max-domain", "2"],
-             "error: --max-domain 2 leaves out element e2, which a parameter names\n"),
+             "error: the domain bound 2 leaves out element e2, which a parameter names\n"),
             (["--formula", "P(@e4095) -> P(@e4095)", "--max-domain", "99999999999"],
              "error: the parameters need domain size 4096, whose structures have 8192 "
              "elements and digits, more than 4096\n")]:

@@ -36,6 +36,7 @@ from supkit.syntax import (
     PredAtom,
     PropAtom,
     Sup,
+    SupkitError,
     Variable,
     parse,
     symbols,
@@ -431,21 +432,29 @@ PARAMETER_TASKS = [
 def test_verify_agrees_with_the_search_on_tasks_with_parameters(name):
     """``Verdict.verify`` reads each parameter as the search reads it, as
     its element, so it confirms every countermodel the search returns.  A
-    bound below the least domain that the parameters need leaves an empty
-    space, searched alike by one job and by two."""
-    countermodels = 0
+    bound below the least domain that the parameters need is refused, by
+    one job and by two, rather than searched as an empty space."""
+    countermodels = refused = 0
     for premises, conclusion in PARAMETER_TASKS:
+        needs_two = "@e1" in premises + conclusion
         premises = [parse(text) for text in premises.split(";") if text]
         formulas = premises + [parse(conclusion)]
         spec = class_spec_for(name, formulas, oracle_bound=2)
         for max_domain in (1, 2, 3):
             space = SearchSpace.for_task(formulas, max_domain)
+            if needs_two and max_domain == 1:
+                for jobs in (1, 2):
+                    with pytest.raises(SupkitError, match="the domain bound 1 leaves out "
+                                       "element e1, which a parameter names"):
+                        check_consequence(premises, formulas[-1], spec, space, jobs=jobs)
+                refused += 1
+                continue
             verdict = check_consequence(premises, formulas[-1], spec, space)
             assert verdict.verify(), (conclusion, max_domain)
             assert check_consequence(premises, formulas[-1], spec, space, jobs=2).to_json() \
                 == verdict.to_json()
             countermodels += not verdict.valid
-    assert countermodels
+    assert countermodels and refused == 2
 
 
 # ---------------------------------------------------------------------------

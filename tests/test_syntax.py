@@ -1,13 +1,15 @@
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from supkit import syntax
 from supkit.models import EvalError, vocabulary_of
 from supkit.syntax import (
+    MAX_NESTING,
     NESTED_TOO_DEEPLY,
     And,
     ArityError,
@@ -692,6 +694,62 @@ def test_spans_found_by_their_heads_match_plain_and_scanning_parses(texts):
                 assert seen.setdefault(sub, sub) is sub, to_text(sub)
 
 
+# operands of chains whose rests one memo meets: quantifiers, whose body
+# runs to the end of the text, negations, spans and atoms
+_OPERANDS = ("p0", "~p1", "P(c1)", "R(c1, g(v))", "(p2 sup p0)", "(p1 -> p0 <-> p2)",
+             "forall v. P(v)", "exists v. ~R(v, c1)", "~forall v. (P(v) sup Q(v))")
+_CONNECTIVE_TEXTS = (" -> ", " <-> ", " \\/ ", " /\\ ", " sup ")
+
+
+@st.composite
+def _rest_sharing_texts(draw):
+    """A batch of texts for one memo: a chain of operands joined by
+    connectives of every binding strength, its rests after each of them,
+    and each after a prefix that makes it a rest in turn, in any order and
+    repeated; with trailing whitespace, or a ``)`` dropped, now and then."""
+    parts = draw(st.lists(st.sampled_from(_OPERANDS), min_size=2, max_size=5))
+    joints = draw(st.lists(st.sampled_from(_CONNECTIVE_TEXTS), min_size=len(parts) - 1,
+                           max_size=len(parts) - 1))
+    rests = [parts[-1]]
+    for joint, part in zip(reversed(joints), reversed(parts[:-1])):
+        rests.append(part + joint + rests[-1])
+    prefixes = st.sampled_from(("",) * 4 + ("p2 -> ", "p1 sup ", "~p0 /\\ ", "p2 \\/ ",
+                                            "(p0) <-> ", "forall u. p0 -> "))
+    texts = []
+    for rest in draw(st.lists(st.sampled_from(rests), min_size=2, max_size=8)):
+        text = draw(prefixes) + rest + draw(st.sampled_from(("",) * 3 + (" ", " \n ")))
+        closing = [i for i, char in enumerate(text) if char == ")"]
+        if closing and draw(st.integers(0, 5)) == 0:
+            i = draw(st.sampled_from(closing))
+            text = text[:i] + text[i + 1:]
+        texts.append(text)
+    return texts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rest_sharing_texts())
+@example(["p1 <-> p2", "p0 -> p1 <-> p2", "p1 -> p2", "p0 /\\ p1 -> p2"])
+@example(["p0 -> p1 <-> p2", "p1 <-> p2", "p2 -> p1 <-> p2"])
+@example(["p0 /\\ p1 -> p2", "p1 -> p2", "p2 /\\ p1 -> p2", "p0 sup p1 /\\ p2",
+          "p1 /\\ p2", "p2 sup p1 /\\ p2", "p0 /\\ p1 \\/ p2", "p1 \\/ p2",
+          "p2 /\\ p1 \\/ p2"])
+@example(["forall v. P(v) -> Q(v)", "p0 -> forall v. P(v) -> Q(v)",
+          "p0 sup forall v. P(v) -> Q(v)", "Q(v) ", "p1 -> Q(v) ", "p1 -> (Q(v) "])
+def test_rests_after_connectives_match_plain_and_scanning_parses(texts):
+    # a rest in the memo is taken whole only where the operand's parse
+    # would read all of it: ``p1 <-> p2`` is not the right operand of
+    # ``p0 -> p1 <-> p2``, nor ``p1 -> p2`` that of ``p0 /\ p1 -> p2``;
+    # nodes, errors and positions equal the memo-free parse's and the
+    # reference's, which remembers no rests
+    memo, ref_memo, seen = {}, {}, {}
+    for text in texts:
+        want = _outcome(text)
+        assert _outcome(text, memo) == want == _ref_outcome(text, ref_memo), text
+        if not isinstance(want, tuple):
+            for sub in _subformulas(parse(text, SIG, memo)):
+                assert seen.setdefault(sub, sub) is sub, to_text(sub)
+
+
 def test_memo_returns_repeated_spans_as_one_node(monkeypatch):
     memo = {}
     phi = parse("(p0 -> p1) -> ~(p0 -> p1)", SIG, memo)
@@ -719,23 +777,45 @@ def _under_frames(n, thunk):
     return thunk() if n == 0 else _under_frames(n - 1, thunk)
 
 
+def _same_outcomes(*runs):
+    """Whether runs of ``_outcome`` over the same texts agree; ``==`` takes
+    a few calls per level of formulas nested near the bound, so it is
+    given room for them here, and only here."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 4 * MAX_NESTING)
+    try:
+        return all(run == runs[0] for run in runs)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_the_nesting_bound_holds_with_and_without_a_memo():
     """A text is accepted or refused alike with and without a memo, and
-    whatever the caller's stack: near the bound, a span in the memo is read
-    again.  ``p0 -> p1`` in 461 pairs of parentheses is parsed first; the
-    same in 60 more pairs is too deep, as it is without a memo, and so is
-    one more pair than the bound allows (498 in all)."""
+    whatever the caller's stack: near the bound, a span or a rest in the
+    memo is read again.  ``p0 -> p1`` in 461 pairs of parentheses is
+    parsed first; the same in 60 more pairs is too deep, as it is without
+    a memo, and so is one more pair than the bound allows (498 in all).
+    ``~`` 900 times before ``p0`` is a rest of each chain ``p1 -> p1 ->
+    ...`` that ends in it: after 94 links it is taken from the memo, after
+    95 to 98 it is read again and accepted, and 99 links are too many.  A
+    chain of 997 links, each rest looked up and remembered, is accepted,
+    and one of 998 is too deep."""
     inner = _nested(461, "p0 -> p1")
+    negations = "~" * 900 + "p0"
     texts = [inner, _nested(60, inner), _nested(37, inner), _nested(38, inner),
              "p2 -> " + _nested(37, inner), "p2 -> " + _nested(38, inner),
-             "~" * 61 + _nested(7, inner), "~" * 62 + _nested(7, inner)]
+             "~" * 61 + _nested(7, inner), "~" * 62 + _nested(7, inner),
+             negations, "p1 -> " * 94 + negations, "p1 -> " * 95 + negations,
+             "p1 -> " * 98 + negations, "p1 -> " * 99 + negations,
+             "p2 -> " * 997 + "p0 -> p1", "p2 -> " * 998 + "p0 -> p1"]
     memo = {}
     outcomes = [_outcome(text, memo) for text in texts]
-    assert outcomes == [_outcome(text) for text in texts]
-    assert outcomes == [_under_frames(300, lambda: _outcome(text)) for text in texts]
+    assert _same_outcomes(outcomes, [_outcome(text) for text in texts],
+                          [_under_frames(300, lambda: _outcome(text)) for text in texts])
     accepted = [not isinstance(outcome, tuple) for outcome in outcomes]
-    assert accepted == [True, False, True, False, True, False, True, False]
-    assert outcomes[1] == (ParseError, NESTED_TOO_DEEPLY, None)
+    assert accepted == [True, False, True, False, True, False, True, False,
+                        True, True, True, True, False, True, False]
+    assert outcomes[1] == outcomes[-1] == (ParseError, NESTED_TOO_DEEPLY, None)
 
 
 _WRAPS = {"parentheses": lambda t: f"({t})", "negation": lambda t: "~" + t,
