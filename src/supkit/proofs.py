@@ -310,17 +310,13 @@ def check_proof(proof):
     return _check_proof(proof, {})
 
 
-def _check_proof(proof, matched, accepted=()):
+def _check_proof(proof, matched):
     """``check_proof``, with ``matched`` holding whether each axiom line's
     formula instantiates its scheme, by the formula's ``id`` and the
     scheme.  One dict serves a proof and its certificates, whose lines
     are mostly the proof's own formula nodes, so each is matched once.
     Every keyed formula is held by a line of the proof, so its ``id`` is
-    not reused while the check runs.
-
-    ``accepted`` holds the first lines of a proof that were checked in a
-    system and under a flag no more lenient than this certificate's; a
-    line that is one of them (see ``_accepted``) is not checked again."""
+    not reused while the check runs."""
     system = SYSTEMS.get(proof.system)
     if system is None:
         return ProofVerdict(False, 0, f"unknown system {proof.system!r}")
@@ -330,36 +326,11 @@ def _check_proof(proof, matched, accepted=()):
     prims = []
     for number, line in enumerate(proof.lines, start=1):
         prim = primitive_form(line.formula)
-        if not _accepted(system, proof.lines, accepted, number):
-            reason = _check_line(system, proof, hyp_prims, prims, number, line, prim, matched)
-            if reason is not None:
-                return ProofVerdict(False, number, reason)
+        reason = _check_line(system, proof, hyp_prims, prims, number, line, prim, matched)
+        if reason is not None:
+            return ProofVerdict(False, number, reason)
         prims.append(prim)
     return ProofVerdict(True)
-
-
-def _accepted(system, lines, accepted, number):
-    """Whether line ``number`` of ``lines`` is line ``number`` of
-    ``accepted``: the same formula node and justification, one that
-    ``system`` allows, citing lines that are the same nodes on both sides.
-    Its check would then read what the accepted line's check read, and
-    so accept it too.  Hypotheses are never taken, as a certificate has
-    none."""
-    if number > len(accepted):
-        return False
-    line, known = lines[number - 1], accepted[number - 1]
-    just = line.just
-    if line.formula is not known.formula or just != known.just:
-        return False
-    if isinstance(just, Axiom):
-        return just.scheme in system.axioms
-    if isinstance(just, MP):
-        cited = (just.premise, just.implication)
-    elif isinstance(just, GR) and "GR" in system.rules:
-        cited = (just.premise,)
-    else:
-        return False
-    return all(lines[i - 1].formula is accepted[i - 1].formula for i in cited)
 
 
 def _check_line(system, proof, hyp_prims, prims, number, line, prim, matched):
@@ -442,11 +413,7 @@ def _check_line(system, proof, hyp_prims, prims, number, line, prim, matched):
             return f"SV certificate must be a {base} proof, got {cert.system}"
         if cert.hypotheses:
             return "SV certificate must not use hypotheses"
-        # this proof's lines before this one are accepted; a certificate
-        # that may not lift the restricted-syntax check takes them only when
-        # they passed it here
-        sub = _check_proof(cert, matched, proof.lines[:number - 1]
-                           if cert.unrestricted or not proof.unrestricted else ())
+        sub = _check_proof(cert, matched)
         if not sub.ok:
             return f"SV certificate invalid at its line {sub.line}: {sub.reason}"
         if _as_iff(primitive_form(cert.conclusion())) != (sup_phi, sup_psi):

@@ -21,6 +21,7 @@ import itertools
 from .choice import (
     FORMULA_MODE,
     SENTENCE_MODE,
+    _NEEDS_ORACLE,
     BoundedModelOracle,
     ClassSpec,
     TableNode,
@@ -220,17 +221,21 @@ def check_consequence(premises, conclusion, spec, space=None, budget=DEFAULT_BUD
     Each share's scan builds its own table trie (see ``scan_models``); none
     is shared between processes.
 
-    A space whose bound leaves out an element that a parameter names is
-    refused (SupkitError), as no verdict over it could mean anything."""
+    A first-order space whose bound is below its least domain size, so
+    that it holds no model, is refused (SupkitError), as no verdict over it
+    could mean anything."""
     premises = tuple(premises)
     formulas = list(premises) + [conclusion]
     check_restricted_sentences(formulas)
     if space is None:
         space = SearchSpace.for_task(formulas)
-    least = least_domain(space.vocabulary)
-    if space.vocabulary.parameters and least > space.max_domain:
-        raise SupkitError(f"the domain bound {space.max_domain} leaves out element "
-                          f"e{least - 1}, which a parameter names")
+    vocabulary, bound = space.vocabulary, space.max_domain
+    if vocabulary.first_order and (least := least_domain(vocabulary)) > bound:
+        if vocabulary.parameters:
+            raise SupkitError(f"the domain bound {bound} leaves out element e{least - 1}, "
+                              "which a parameter names")
+        raise SupkitError(f"the domain bound {bound} admits no domain: a domain has at least "
+                          "1 element")
     limit = max(budget, 0) + 1
     (first, stop), *rest = shares(space, limit, jobs) if jobs > 1 else [(0, limit)]
     task = (premises, conclusion, spec, budget)
@@ -414,7 +419,7 @@ def verdict_of_scans(premises, conclusion, spec, space, scans, budget=DEFAULT_BU
 
 def class_spec_for(name, formulas, oracle_bound=DEFAULT_ORACLE_BOUND):
     """A ClassSpec whose oracle matches the task's vocabulary."""
-    if name in ("all", "asso"):
+    if not _NEEDS_ORACLE.get(name):
         return ClassSpec(name)
     vocab = vocabulary_of(formulas)
     oracle = (BoundedModelOracle if vocab.first_order else TruthTableOracle)(oracle_bound, vocab)

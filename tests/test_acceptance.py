@@ -10,6 +10,9 @@ import itertools
 import random
 import time
 
+import pytest
+
+from supkit import corpus
 from supkit.choice import (
     BoundedModelOracle,
     ChoiceTable,
@@ -320,6 +323,25 @@ def test_criterion_6_soundness_corpus():
     report(f"criterion 6: {len(entries)} proofs accepted and consequence-valid "
            f"in their classes; {len(mutants)} mutants rejected with exact "
            f"diagnoses; S4 and S5 separations confirmed")
+
+
+@pytest.mark.xfail(strict=True, reason="check_proof compares sup operands by primitive "
+                   "form, class all by their text: ROADMAP item 2")
+def test_a_k0_proof_that_respells_a_sup_operand_proves_a_sentence_valid_in_all():
+    """A K0 proof of ``X <-> Y``, where ``Y`` spells ``X``'s ``sup`` operand
+    ``p0 /\\ p1`` as ``~(p0 -> ~p1)``: the identity ``X -> X``, then the
+    primitive conjunction of it with itself, whose primitive form is the
+    goal's.  An accepted proof's conclusion should be valid in class
+    ``all``, the class K0 answers to; class ``all`` refutes this one with
+    ``p0=0, p1=0, p2=1``."""
+    goal = parse("((p0 /\\ p1) sup p2) <-> (~(p0 -> ~p1) sup p2)")
+    x = goal.left
+    xx = Implies(x, x)
+    items = corpus._identity_items(x) + corpus._conj_intro_items(xx, xx)
+    proof = corpus._assemble("K0", items + [(goal, ("mp", xx, items[-1][0]))])
+    assert len(proof.lines) == 62 and proof.conclusion() is goal
+    assert check_proof(proof).ok
+    assert check_consequence((), goal, ClassSpec("all")).valid
 
 
 # ---------------------------------------------------------------------------

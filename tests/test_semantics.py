@@ -457,6 +457,28 @@ def test_verify_agrees_with_the_search_on_tasks_with_parameters(name):
     assert countermodels and refused == 2
 
 
+def test_a_first_order_space_below_the_least_domain_is_refused():
+    """A first-order space with no model is refused, with or without a
+    parameter, rather than reported valid over no model; a propositional
+    space has no domain bound to fall short of."""
+    spec = ClassSpec("all")
+    for text, max_domain, message in [
+            ("forall v. P(v)", 0,
+             "the domain bound 0 admits no domain: a domain has at least 1 element"),
+            ("P(c1) -> P(c1)", -1,
+             "the domain bound -1 admits no domain: a domain has at least 1 element"),
+            ("P(@e0) -> P(@e0)", 0,
+             "the domain bound 0 leaves out element e0, which a parameter names")]:
+        phi = parse(text)
+        space = SearchSpace.for_task([phi], max_domain)
+        for jobs in (1, 2):
+            with pytest.raises(SupkitError, match=f"^{re.escape(message)}$"):
+                check_consequence((), phi, spec, space, jobs=jobs)
+    phi = parse("p0 -> p0")
+    verdict = check_consequence((), phi, spec, SearchSpace.for_task([phi], 0))
+    assert verdict.valid and verdict.models_checked == 2
+
+
 # ---------------------------------------------------------------------------
 # Sentences whose every sup has equal operands: ``a sup a`` collapses to
 # ``a`` under every table, so each verdict is classical validity
