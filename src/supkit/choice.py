@@ -197,8 +197,14 @@ def choose(table, a, b):
 
 def pick(table, sup):
     """The table's pick at a ``sup`` node: its choice between the collapses
-    of the node's two operands."""
-    return choose(table, collapse(table, sup.left), collapse(table, sup.right))
+    of the node's two operands, which are the operands when both are
+    classical."""
+    left, right = sup.left, sup.right
+    if is_classical(left) and is_classical(right):
+        table._check_basic(left)
+        table._check_basic(right)
+        return choose(table, left, right)
+    return choose(table, collapse(table, left), collapse(table, right))
 
 
 def collapse(table, phi):
@@ -241,35 +247,42 @@ class BoundedModelOracle:
     (open formulas are compared under every assignment of their free
     variables) and each parameter ``@e`` as a constant ``?@e``, which may
     denote any element.  No input can spell these names, and none prints as
-    a parameter, whose masks ``models.Block.classical`` keeps by its text.
+    a parameter, whose masks ``models.Block`` keeps by its text.
 
-    A formula's class id comes from its fingerprint, the tuple of its truth
-    masks (``models.Block``) over every model of the oracle's vocabulary,
-    drawn from ``models.layouts``: the valuations of its atoms, or the
-    structures of sizes 1 to the bound.  The vocabulary is the one it was
-    given (its parameters read as constants too), covered from its first
-    query on, and that of the formulas given so far.  A formula with a new
-    symbol widens it: the new digits come first in the models' numbering, so
-    each fingerprint found so far is widened by repeating its masks, and ids
-    do not change.  That is sound because a formula's truth does not change
-    when a structure is expanded to more symbols on the same domain, so
-    bounded equivalence over the oracle's vocabulary is the relation over
-    each pair's own.  ``semantics.class_spec_for`` builds one per verdict
-    from the task's vocabulary, so only instances' parameters widen it.
+    A formula's class is decided size by size by its truth masks
+    (``models.Block``) over the models of the oracle's vocabulary, drawn
+    from ``models.layouts``: the valuations of its atoms, or the structures
+    of each size from 1 to the bound.  A class is a leaf of a tree keyed by
+    the mask of size 1, then of size 2, and so on: a formula's next mask is
+    computed only while some class agrees with it on the smaller sizes, and
+    a representative's only when a newcomer reaches it.  Ids are handed out
+    in the order classes are found.  The vocabulary is the one it was given
+    (its parameters read as constants too), covered from its first query
+    on, and that of the formulas given so far.  A formula with a new symbol
+    widens it: the new digits come first in the models' numbering, so each
+    mask found so far is widened by repeating it, and ids do not change.
+    That is sound because a formula's truth does not change when a
+    structure is expanded to more symbols on the same domain, so bounded
+    equivalence over the oracle's vocabulary is the relation over each
+    pair's own.  ``semantics.class_spec_for`` builds one per verdict from
+    the task's vocabulary, so only instances' parameters widen it.
 
-    Fingerprints are the exact masks, one bit per model, so they cost the
-    space's size in memory: at bound 3, ``P``, ``Q``, two constants and
-    three parameters give about 16 k bits per class, ``R/2``, one constant
-    and three parameters about 42 k, and two binary relations about 21 M.
+    A mask has one bit per model of its size: at size 3, ``P``, ``Q``, two
+    constants and three parameters give about 16 k bits, ``R/2``, one
+    constant and three parameters about 42 k, and two binary relations
+    about 21 M.  A class keeps only the masks it needed, and most are told
+    apart at sizes 1 and 2; each block keeps its atoms' masks.  A
+    vocabulary with more than ``MAX_ORACLE_MODELS`` models of one size is
+    refused (SupkitError) before a block of them is built.
     """
 
     def __init__(self, max_domain=3, vocabulary=NO_SYMBOLS):
         self.max_domain = max_domain
         self._ids = {}       # canonical key -> class id
-        self._classes = {}   # fingerprint -> class id
-        params = {_constant_for(e).name for e in vocabulary.parameters}   # read as constants
-        self._syms = vocabulary._replace(constants=vocabulary.constants | params,
-                                         parameters=frozenset())
+        self._tree = {}      # size-1 mask -> a class or a subtree (see _classify)
+        self._count = 0      # classes found
+        self._closed = {}    # text -> its parameters closed, for rename_parameters
+        self._syms = _closed_symbols(vocabulary)
         self._blocks = ()    # one Block of every model per domain size, once queried
 
     def class_of(self, phi):
@@ -282,14 +295,36 @@ class BoundedModelOracle:
             free = free_vars(phi)
             if free:
                 phi = substitute_map(phi, {v: Constant("?" + v) for v in free})
-            phi = rename_parameters(phi, {e: _constant_for(e) for e in symbols(phi).parameters})
-            self._widen(symbols(phi))
-            fingerprint = tuple(block.truth(phi) for block in self._blocks)
-            cid = self._ids[key] = self._classes.setdefault(fingerprint, len(self._classes))
+            syms = symbols(phi)
+            self._widen(_closed_symbols(syms))
+            phi = rename_parameters(phi, {e: _constant_for(e) for e in syms.parameters},
+                                    self._closed)
+            cid = self._ids[key] = self._classify(phi)
         return cid
 
     def equivalent(self, a, b):
         return self.class_of(a) == self.class_of(b)
+
+    def _classify(self, phi):
+        """The id of a closed formula's class.  A tree node maps a size's
+        mask to a subtree for the next size, or to the one class, ``[id,
+        representative, its masks]``, with that mask and the smaller
+        sizes'; a newcomer that agrees with it there moves it one size
+        down."""
+        node, masks, last = self._tree, [], len(self._blocks) - 1
+        for size, block in enumerate(self._blocks):
+            masks.append(block.truth(phi))
+            hit = node.get(masks[size])
+            if type(hit) is list and size < last:
+                hit[2].append(self._blocks[size + 1].truth(hit[1]))
+                hit = node[masks[size]] = {hit[2][-1]: hit}
+            if type(hit) is not dict:
+                if hit is None:
+                    hit = node[masks[size]] = [self._count, phi, masks]
+                    self._count += 1
+                return hit[0]
+            node = hit
+        return 0   # no size tells formulas apart
 
     def _widen(self, syms):
         """Cover a new formula's symbols."""
@@ -297,19 +332,43 @@ class BoundedModelOracle:
         if syms is self._syms and self._blocks:
             return
         layouts = list(models.layouts(syms, self.max_domain))
+        for layout in layouts:
+            if layout.count > MAX_ORACLE_MODELS:
+                raise SupkitError(
+                    f"the equivalence oracle would hold {layout.count} models of one size, "
+                    f"more than its limit of {MAX_ORACLE_MODELS} "
+                    f"(2^{MAX_ORACLE_MODELS.bit_length() - 1}): lower --oracle-bound or use "
+                    "fewer symbols")
         if self._blocks:
             old = [block.layout for block in self._blocks]
-            layouts = [_new_digits_first(layout, before)
-                       for layout, before in zip(layouts, old)]
-            self._classes = {
-                tuple(_repeat(mask, before.count, layout.count // before.count)
-                      for mask, before, layout in zip(fingerprint, old, layouts)): cid
-                for fingerprint, cid in self._classes.items()}
+            layouts = [_new_digits_first(layout, before) for layout, before in zip(layouts, old)]
+            self._tree = _retile(self._tree, [(before.count, layout.count // before.count)
+                                              for before, layout in zip(old, layouts)])
         self._syms = syms
         self._blocks = [models.Block(layout, 0, layout.count) for layout in layouts]
 
     def describe(self):
         return {"kind": "bounded-model", "max_domain": self.max_domain}
+
+
+MAX_ORACLE_MODELS = 1 << 25   # the most models of one size an oracle holds: 4 MiB a mask
+
+
+def _closed_symbols(syms):
+    """``syms`` with each parameter ``@e`` read as the constant ``?@e``."""
+    closed = {_constant_for(e).name for e in syms.parameters}
+    return syms._replace(constants=syms.constants | closed, parameters=frozenset()) \
+        if closed else syms
+
+
+def _retile(node, widths, size=0):
+    """The class tree ``node`` of ``size`` with every mask widened by
+    ``_repeat``, given each size's ``(width, times)``."""
+    if type(node) is list:
+        node[2] = [_repeat(mask, *widths[k]) for k, mask in enumerate(node[2])]
+        return node
+    return {_repeat(mask, *widths[size]): _retile(child, widths, size + 1)
+            for mask, child in node.items()}
 
 
 def _constant_for(element):
@@ -505,7 +564,7 @@ class TableNode:
             cls(spec, seed.mode, dict(seed.formulas), {}, seed.entries, {}, {})
         for (ka, kb), kc in sorted(node.entries.items()):
             # the root owns its graph, so it grows it in place
-            node.succ = node._step(ka, kb, kc, node.succ)
+            node.succ = node._step(ka, kb, kc, node.succ, owned=True)
             if node.succ is None:
                 break
         return node
@@ -528,18 +587,19 @@ class TableNode:
         node = None
         if self.succ is not None:
             self.formulas[ka], self.formulas[kb] = a, b
-            succ = self._step(ka, kb, kc, dict(self.succ))
+            succ = self._step(ka, kb, kc, self.succ)
             if succ is not None:
                 node = TableNode(self.spec, self.mode, self.formulas, self.negations,
                                  {**self.entries, (ka, kb): kc}, succ, dict(self.picks))
         self.children[key] = node
         return node
 
-    def _step(self, ka, kb, kc, succ):
-        """``succ``, a copy of this node's class graph or the graph itself,
-        with the entry ``{ka, kb} -> kc`` (on keys in ``formulas``) added in
-        place, or ``None`` when that closes a cycle (``succ`` may then hold
-        part of the entry)."""
+    def _step(self, ka, kb, kc, succ, owned=False):
+        """The class graph ``succ`` with the entry ``{ka, kb} -> kc`` (on keys
+        in ``formulas``) added, or ``None`` when that closes a cycle.  An
+        edge goes into a copy made when the first edge is added, or, if the
+        caller ``owned`` the graph, into ``succ`` itself, which may then
+        hold part of a refused entry."""
         name = self.spec.name
         if name == "all":
             return succ
@@ -562,6 +622,8 @@ class TableNode:
             if closes:
                 return None
             if loser not in succ.get(winner, ()):
+                if not owned:
+                    succ, owned = dict(succ), True
                 succ[winner] = succ.get(winner, ()) + (loser,)
         return succ
 

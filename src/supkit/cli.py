@@ -136,18 +136,20 @@ def cmd_eval(args):
 def _verdict_output(args, verdict):
     payload = verdict.to_json()
     payload["verified"] = verdict.verify()
-    lines = []
-    if verdict.valid:
-        lines.append(f"valid over the searched space "
-                     f"({verdict.models_checked} models, "
-                     f"{verdict.tables_checked} tables)")
-    else:
-        lines.append("countermodel found:")
-        lines.append("  " + verdict.countermodel.describe())
-        lines.append(f"  re-verified: {payload['verified']}")
-    lines.append(f"space: {json.dumps(verdict.space)}")
-    _emit(args, payload, lines)
+    _emit(args, payload, _verdict_lines(verdict, payload["verified"]))
     return 0 if verdict.valid else 1
+
+
+def _verdict_lines(verdict, verified):
+    """The text output, built only as it is printed."""
+    if verdict.valid:
+        yield (f"valid over the searched space ({verdict.models_checked} models, "
+               f"{verdict.tables_checked} tables)")
+    else:
+        yield "countermodel found:"
+        yield "  " + verdict.countermodel.describe()
+        yield f"  re-verified: {verified}"
+    yield f"space: {json.dumps(verdict.space)}"
 
 
 def cmd_consequence(args):

@@ -421,10 +421,14 @@ class Block:
             care = full
         kind = type(phi)
         if kind is PredAtom and self.domain is not None:
-            mask = 0
-            for args, within in self._combinations(phi.args):
-                mask |= within & self.digit_mask(
-                    self.layout.digit[("p", phi.name, args)], 1)
+            key = canonical_key(phi)
+            mask = self._masks.get(key)
+            if mask is None:   # kept once built, so an atom that raises raises again
+                mask = 0
+                for args, within in self._combinations(phi.args):
+                    mask |= within & self.digit_mask(
+                        self.layout.digit[("p", phi.name, args)], 1)
+                self._masks[key] = mask
             return mask
         if kind is Not:
             return full ^ self.truth(phi.body, node, care)

@@ -549,18 +549,26 @@ def instantiate(phi, element):
     return inst
 
 
-def rename_parameters(x, mapping):
+def rename_parameters(x, mapping, memo=None):
     """``x`` (a formula or a term) with each parameter ``@e`` whose element
     ``e`` is in ``mapping`` replaced by the closed term ``mapping[e]``; a
     walk over nodes and their fields, which shares each subformula that
-    names none of them."""
+    names none of them.  ``memo`` maps the text of each formula renamed
+    before, by mappings that agree on its parameters, to its result, which
+    is reused."""
     if isinstance(x, Parameter):
         return mapping.get(x.element, x)
-    if isinstance(x, Formula) and mapping.keys().isdisjoint(symbols(x).parameters):
-        return x
+    if isinstance(x, Formula):
+        if mapping.keys().isdisjoint(symbols(x).parameters):
+            return x
+        if memo is not None:
+            hit = memo.get(to_text(x))
+            if hit is None:
+                hit = memo[to_text(x)] = type(x)(*rename_parameters(x._astuple(), mapping, memo))
+            return hit
     if isinstance(x, Node):
-        return type(x)(*rename_parameters(x._astuple(), mapping))
-    return tuple(rename_parameters(y, mapping) for y in x) if isinstance(x, tuple) else x
+        return type(x)(*rename_parameters(x._astuple(), mapping, memo))
+    return tuple(rename_parameters(y, mapping, memo) for y in x) if isinstance(x, tuple) else x
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from supkit import cli, semantics
+from supkit import cli, models, semantics
 from supkit.choice import ChoiceTable
 from supkit.cli import run
 from supkit.corpus import corpus_entries, mutant_entries
@@ -209,6 +209,34 @@ def test_jobs_rejects_input_as_serial_does(capsys, formula):
 
 
 _P1_LINE = {"formula": "p0 -> p1 -> p0", "just": {"kind": "axiom", "scheme": "P1"}}
+
+
+# Oracles with more models of one size than they hold: ``R/2`` with the
+# constants ``?@e0`` and ``?@e1`` at size 5 of bound 6, and 41 atoms.
+_OVERSIZE = {
+    "first-order": ("--formula", "forall v. (R(v,v) sup R(v,@e1))", "--max-domain", "2",
+                    "--oracle-bound", "6"),
+    "propositional": ("--formula", "(p0 sup p1) -> (p0 \\/ p1) \\/ "
+                      + " \\/ ".join(f"p{i}" for i in range(2, 41))),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(_OVERSIZE))
+def test_an_oracle_too_large_to_hold_is_refused(capsys, monkeypatch, case, jobs):
+    """The oracle refuses the task (exit 2) before it builds a block of more
+    models than its limit of 2^25: a spy fails the test rather than let one
+    be allocated."""
+    class Spy(models.Block):
+        def __init__(self, layout, start, width):
+            assert width <= 1 << 25, width
+            super().__init__(layout, start, width)
+
+    monkeypatch.setattr(models, "Block", Spy)
+    code, out, err = invoke(capsys, "taut", "--class", "reg", "--jobs", jobs, *_OVERSIZE[case])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the equivalence oracle would hold ") and \
+        f"more than its limit of {1 << 25} (2^25)" in err
 
 
 @pytest.mark.parametrize("proof", [

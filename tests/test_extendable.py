@@ -21,6 +21,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supkit import models
 from supkit.choice import (
@@ -29,19 +31,35 @@ from supkit.choice import (
     ClassSpec,
     TableNode,
     TruthTableOracle,
+    _constant_for,
+    _new_digits_first,
+    _repeat,
     class_representatives,
     extendable,
 )
 from supkit.cli import run
 from supkit.models import EvalError
 from supkit.syntax import (
+    And,
     Constant,
+    Equality,
+    Exists,
+    Forall,
+    FuncApp,
+    Iff,
+    Implies,
     Not,
+    Or,
+    Parameter,
+    PredAtom,
+    PropAtom,
     SupkitError,
+    Variable,
     canonical_key,
     free_vars,
     parse,
     rename_parameters,
+    substitute_map,
     symbols,
 )
 
@@ -413,6 +431,85 @@ def test_an_oracle_given_a_vocabulary_gives_the_same_class_ids(pool, bound):
     seeded = pickle.loads(pickle.dumps(seeded))
     plain = make_oracle(models.NO_SYMBOLS)
     assert [seeded.class_of(f) for f in formulas] == [plain.class_of(f) for f in formulas]
+
+
+class EagerOracle:
+    """The oracle as it was before classes were decided size by size: a
+    formula's fingerprint, its masks at every size up to the bound, looked
+    up in one dict, and its parameters closed into fresh nodes per query."""
+
+    def __init__(self, max_domain):
+        self.max_domain = max_domain
+        self._ids, self._classes, self._syms, self._blocks = {}, {}, models.NO_SYMBOLS, ()
+
+    def class_of(self, phi):
+        key = canonical_key(phi)
+        if key not in self._ids:
+            free = free_vars(phi)
+            if free:
+                phi = substitute_map(phi, {v: Constant("?" + v) for v in free})
+            phi = rename_parameters(phi, {e: _constant_for(e) for e in symbols(phi).parameters})
+            self._widen(symbols(phi))
+            fingerprint = tuple(block.truth(phi) for block in self._blocks)
+            self._ids[key] = self._classes.setdefault(fingerprint, len(self._classes))
+        return self._ids[key]
+
+    def _widen(self, syms):
+        syms = self._syms.union(syms)
+        if syms == self._syms and self._blocks:
+            return
+        layouts = list(models.layouts(syms, self.max_domain))
+        if self._blocks:
+            old = [block.layout for block in self._blocks]
+            layouts = [_new_digits_first(layout, before) for layout, before in zip(layouts, old)]
+            self._classes = {
+                tuple(_repeat(mask, before.count, layout.count // before.count)
+                      for mask, before, layout in zip(fingerprint, old, layouts)): cid
+                for fingerprint, cid in self._classes.items()}
+        self._syms = syms
+        self._blocks = [models.Block(layout, 0, layout.count) for layout in layouts]
+
+
+def _oracle_formulas(atoms, quantifiers):
+    return st.recursive(atoms, lambda sub: st.one_of(
+        st.builds(Not, sub), *(st.builds(c, sub, sub) for c in (And, Or, Implies, Iff)),
+        *(st.builds(q, st.sampled_from("vu"), sub) for q in quantifiers)), max_leaves=5)
+
+
+def _first_order_pool(late):
+    """Sentences and open formulas over ``P``, ``c1``, ``@e0`` and the
+    variables ``v`` and ``u``, free or bound, with equality; the late ones
+    may also name ``Q``, ``g`` and ``@e1``, which widen an oracle."""
+    names = [Variable("v"), Variable("u"), Constant("c1"), Parameter("e0")]
+    terms = st.sampled_from(names + [Parameter("e1")] * late)
+    if late:
+        terms = st.one_of(terms, st.builds(lambda t: FuncApp("g", (t,)), terms))
+    predicates = "PQ" if late else "P"
+    return _oracle_formulas(st.one_of(
+        st.builds(lambda name, t: PredAtom(name, (t,)), st.sampled_from(predicates), terms),
+        st.builds(Equality, terms, terms)), (Forall, Exists))
+
+
+def _propositional_pool(late):
+    return _oracle_formulas(st.sampled_from([PropAtom(f"p{i}") for i in range(2 + 2 * late)]), ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(["first-order", "propositional"]), st.integers(1, 3))
+def test_class_ids_match_the_eager_fingerprint_oracle(data, kind, bound):
+    """Decided size by size, the oracle hands out the ids that an oracle
+    comparing whole fingerprints hands out, in the same order, while late
+    formulas widen its vocabulary; an oracle given the early formulas'
+    vocabulary gives them too."""
+    pool = _first_order_pool if kind == "first-order" else _propositional_pool
+    early = data.draw(st.lists(pool(False), min_size=1, max_size=6))
+    late = data.draw(st.lists(pool(True), max_size=6))
+    formulas = early + late + [Not(f) for f in early + late] + early
+    make = BoundedModelOracle if kind == "first-order" else TruthTableOracle
+    eager = EagerOracle(bound)
+    want = [eager.class_of(f) for f in formulas]
+    for oracle in (make(bound), make(bound, models.vocabulary_of(early))):
+        assert [oracle.class_of(f) for f in formulas] == want
 
 
 def test_a_free_variable_and_a_parameter_of_one_name_stay_apart():

@@ -12,7 +12,15 @@ from supkit.choice import (
     ClassSpec,
     TruthTableOracle,
 )
-from supkit.models import EvalError, Structure, Valuation, eval_classical, structures_over
+from supkit.models import (
+    Block,
+    EvalError,
+    Structure,
+    Valuation,
+    eval_classical,
+    structures_over,
+    vocabulary_of,
+)
 from supkit.semantics import (
     NotRestrictedError,
     SearchSpace,
@@ -39,6 +47,7 @@ from supkit.syntax import (
     SupkitError,
     Variable,
     parse,
+    substitute_map,
     symbols,
 )
 from test_facts import ref_eval_classical
@@ -354,6 +363,29 @@ def test_eval_classical_raises_where_the_reference_raises(task):
         assert outcome == _outcome(ref_eval_classical, model, phi, env)
     else:
         assert not outcome[0] and _UNINTERPRETED.fullmatch(outcome[1]), outcome
+
+
+@settings(max_examples=200, deadline=None)
+@given(_structures(complete=False), st.lists(_classical(_FO_ATOMS), min_size=1, max_size=4))
+def test_a_shared_block_raises_again_where_an_atom_raised(model_env, formulas):
+    """One model's block, shared by several formulas, their negations and
+    the formulas again, keeps each atom's mask once built; it gives the
+    reference's value or message on each, so an atom that raised (an
+    undefined function entry, an unbound variable, a parameter outside the
+    domain) raises again instead of reading a mask it never finished."""
+    model, env = model_env
+    model = model.replace(
+        constants={"c1": model.domain[0], "c2": model.domain[-1], **model.constants},
+        functions={"g": {}, "h": {}, **model.functions})
+    formulas = [substitute_map(phi, {v: Parameter(x) for v, x in env.items()})
+                for phi in formulas]
+    block = Block.of_model(model, vocabulary_of(formulas))
+
+    def shared(model, phi, env):
+        return bool(block.truth(phi))
+
+    for phi in formulas + [Not(phi) for phi in formulas] + formulas:
+        assert _outcome(shared, model, phi, {}) == _outcome(ref_eval_classical, model, phi, {})
 
 
 M_PARAM = Structure(domain=("a", "b"), constants={"c1": "a"},
