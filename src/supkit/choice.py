@@ -5,7 +5,9 @@ and the search trie, which enumerates admissible tables lazily and also
 decides class membership: ``extendable`` and ``check_class`` ask its step.
 
 Tables are immutable values; pair keys are canonicalized so symmetry and
-idempotence hold by construction.
+idempotence hold by construction.  Both table types are read at a ``sup``
+node only through their own ``pick``, which checks nothing: ``collapse``,
+the search and ``semantics.eval_scs`` check their input first.
 """
 
 import itertools
@@ -50,9 +52,8 @@ class MissingEntryError(SupkitError):
     keys.  The message is formatted only when it is read.
     """
 
-    def __init__(self, pair, keys=None):
-        self.pair = pair
-        self.keys = keys if keys is not None else tuple(map(canonical_key, pair))
+    def __init__(self, pair, keys):
+        self.pair, self.keys = pair, keys
 
     def __str__(self):
         return "no entry for pair {%s, %s}" % self.keys
@@ -100,15 +101,10 @@ class ChoiceTable(Record):
             raise ChoiceDomainError(
                 f"sentence-mode table given open formula {to_text(phi)}")
 
-    def _check_basic(self, phi):
-        """``collapse``'s check: in sentence mode, a basic sentence."""
-        if self.mode == SENTENCE_MODE:
-            if free_vars(phi):
-                raise NotBasicError(
-                    f"sentence-mode collapse requires a sentence: {to_text(phi)}")
-            if classify(phi) > SyntaxClass.BASIC:
-                raise NotBasicError(
-                    f"sentence-mode collapse requires a basic sentence: {to_text(phi)}")
+    def pick(self, sup):
+        """The table's choice at a ``sup`` node: between the collapses of the
+        node's two operands, unchecked (see ``choose`` and ``collapse``)."""
+        return _choose(self.entries, _collapse(self, sup.left), _collapse(self, sup.right))
 
     def defined_on(self, a, b):
         (_, ka), (_, kb) = _ordered(a, b)
@@ -184,27 +180,20 @@ def choose(table, a, b):
     """The table's pick from {a, b}; structurally equal arguments pick a."""
     table._check_member(a)
     table._check_member(b)
+    return _choose(table.entries, a, b)
+
+
+def _choose(entries, a, b):
+    """``choose`` on a table's entries, without its checks."""
     ka, kb = canonical_key(a), canonical_key(b)
     if ka == kb:
         return a
     if kb < ka:
         a, b, ka, kb = b, a, kb, ka
-    kc = table.entries.get((ka, kb))
+    kc = entries.get((ka, kb))
     if kc is None:
         raise MissingEntryError((a, b), (ka, kb))
     return a if kc == ka else b
-
-
-def pick(table, sup):
-    """The table's pick at a ``sup`` node: its choice between the collapses
-    of the node's two operands, which are the operands when both are
-    classical."""
-    left, right = sup.left, sup.right
-    if is_classical(left) and is_classical(right):
-        table._check_basic(left)
-        table._check_basic(right)
-        return choose(table, left, right)
-    return choose(table, collapse(table, left), collapse(table, right))
 
 
 def collapse(table, phi):
@@ -215,7 +204,12 @@ def collapse(table, phi):
     (quantifiers may only occur inside classical subformulas), in formula
     mode quantifiers commute as well.
     """
-    table._check_basic(phi)
+    if table.mode == SENTENCE_MODE:
+        if free_vars(phi):
+            raise NotBasicError(f"sentence-mode collapse requires a sentence: {to_text(phi)}")
+        if classify(phi) > SyntaxClass.BASIC:
+            raise NotBasicError(
+                f"sentence-mode collapse requires a basic sentence: {to_text(phi)}")
     return _collapse(table, phi)
 
 
@@ -227,7 +221,7 @@ def _collapse(table, phi):
     if isinstance(phi, (And, Or, Implies, Iff)):
         return type(phi)(_collapse(table, phi.left), _collapse(table, phi.right))
     if isinstance(phi, Sup):
-        return choose(table, _collapse(table, phi.left), _collapse(table, phi.right))
+        return table.pick(phi)
     if isinstance(phi, (Forall, Exists)):
         if table.mode != FORMULA_MODE:
             raise NotBasicError(
@@ -516,8 +510,8 @@ class TableNode:
       canonical keys of the pair and of the pick, ``None`` where the class
       rules one out; blocks of one verdict reach different pairs from the
       same table, so a node may have children on several pairs.
-    * ``picks``: the pick at each ``sup`` node evaluated on the table, by
-      the node's ``id``, stored with the node, which keeps its ``id`` from
+    * ``picks``: the pick at each ``sup`` node, nested ones too, by the
+      node's ``id``, stored with the node, which keeps its ``id`` from
       reuse.  A child starts from a copy: adding entries changes no pick.
     * ``succ``: the class graph, node -> successors (``None`` for a seed
       that no table of the class extends).  Each entry adds the edge winner
@@ -536,14 +530,6 @@ class TableNode:
     sub-table of an admissible table is admissible) and exact (an
     admissible table has an admissible one-entry extension on every pair
     it lacks), both tested for every class.
-
-    ``choose``, ``pick`` and ``collapse`` read a node as a table without
-    their checks: a search's members are the collapses of ``sup`` operands
-    in closed instances of restricted sentences, checked before the search
-    (``semantics.check_restricted_sentences``, ``eval_scs``), and a seed's
-    entries were checked as its table was built.  A ``ChoiceTable`` is
-    checked by all three, and its entries by ``with_entry`` and
-    ``from_json``.
     """
 
     __slots__ = ("spec", "mode", "formulas", "negations", "entries", "succ", "children",
@@ -573,8 +559,6 @@ class TableNode:
     def table(self):
         members = {key: self.formulas[key] for pair in self.entries for key in pair}
         return ChoiceTable(self.mode, dict(self.entries), members)
-
-    _check_member = _check_basic = staticmethod(lambda phi: None)   # no checks: see above
 
     def child(self, a, b, choice, key=None):
         """The node of this table extended by ``choice`` on the pair
@@ -635,10 +619,11 @@ class TableNode:
         return neg
 
     def pick(self, sup):
-        """``pick(self, sup)``, evaluated once per node."""
+        """``ChoiceTable.pick`` on the node's table, evaluated once per node."""
         hit = self.picks.get(id(sup))
         if hit is None:
-            hit = self.picks[id(sup)] = sup, pick(self, sup)
+            hit = self.picks[id(sup)] = \
+                sup, _choose(self.entries, _collapse(self, sup.left), _collapse(self, sup.right))
         return hit[1]
 
     def leaves(self, task):

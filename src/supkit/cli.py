@@ -275,7 +275,8 @@ def demo_build_model(args):
     data = _load_json(args.theory)
     markings = json_field(data, "markings", dict, "theory JSON")
     sig = Signature.from_json(data["signature"]) if "signature" in data else None
-    markings = {parse(text, sig): bool(value) for text, value in markings.items()}
+    markings = {parse(text, sig): json_field(markings, text, bool, "theory JSON")
+                for text in markings}
     fragment = constructions.TheoryFragment.from_markings(markings, sig)
     oracle = None
     if args.table_class == "reg":

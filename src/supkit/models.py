@@ -107,10 +107,13 @@ class Structure(Record):
     @classmethod
     def from_json(cls, data):
         """The structure in the JSON form of ``to_json``; malformed input, an
-        element outside the domain, or a constant whose name is not an
-        identifier (such as a parameter's ``@e0``) raises SupkitError."""
+        element outside the domain or listed twice, a symbol whose tuples
+        differ in length, or a constant whose name is not an identifier
+        (such as a parameter's ``@e0``) raises SupkitError."""
         source = "model JSON"
         domain = tuple(json_names(data, "domain", source))
+        if len(set(domain)) < len(domain):
+            raise SupkitError(f"malformed {source}: the domain lists an element twice")
 
         def element(value, where):
             if not isinstance(value, str) or value not in domain:
@@ -130,21 +133,27 @@ class Structure(Record):
                                   "identifier (a parameter names its element itself)")
         functions = json_field(data, "functions", dict, source, {})
         predicates = json_field(data, "predicates", dict, source, {})
+        functions = {
+            name: {elements(k.split(","), f"function {name!r}"): element(v, f"function {name!r}")
+                   for k, v in json_field(functions, name, dict, source).items()}
+            for name in functions
+        }
+        predicates = {
+            name: frozenset(elements(t, f"predicate {name!r}")
+                            for t in json_field(predicates, name, list, source))
+            for name in predicates
+        }
+        for kind, tuples in (("function", functions), ("predicate", predicates)):
+            for name, held in tuples.items():
+                if len({len(args) for args in held}) > 1:
+                    raise SupkitError(f"malformed {source}: {kind} {name!r} holds tuples "
+                                      "of different lengths")
         return cls(
             domain=domain,
             constants={name: element(value, f"constant {name!r}")
                        for name, value in constants.items()},
-            functions={
-                name: {elements(k.split(","), f"function {name!r}"):
-                       element(v, f"function {name!r}")
-                       for k, v in json_field(functions, name, dict, source).items()}
-                for name in functions
-            },
-            predicates={
-                name: frozenset(elements(t, f"predicate {name!r}")
-                                for t in json_field(predicates, name, list, source))
-                for name in predicates
-            },
+            functions=functions,
+            predicates=predicates,
         )
 
     def describe(self):
@@ -262,7 +271,8 @@ class Layout:
         """The models over one model's domain and interpreted symbols: a
         valuation's atoms, or a structure's constants, function-table
         entries and predicates, and the predicates of ``syms``.  A symbol of
-        ``syms`` that the structure leaves uninterpreted raises EvalError."""
+        ``syms`` that the structure leaves uninterpreted, or interprets with
+        another arity, raises EvalError."""
         if isinstance(model, Valuation):
             return cls.of_valuations(model.assignment)
         if syms.prop_atoms:
@@ -273,6 +283,13 @@ class Layout:
             missing = sorted(names - interpreted.keys())
             if missing:
                 raise EvalError(f"structure does not interpret {kind} {missing[0]!r}")
+        for kind, declared, interpreted in (("function", syms.functions, model.functions),
+                                            ("predicate", syms.predicates, model.predicates)):
+            for name, arity in sorted(declared):
+                other = {len(args) for args in interpreted.get(name, ())} - {arity}
+                if other:
+                    raise EvalError(f"{kind} {name!r} has arity {arity} in the formula "
+                                    f"and {min(other)} in the structure")
         n = len(model.domain)
         index = {element: i for i, element in enumerate(model.domain)}
         digits = [(("c", name), n) for name in sorted(model.constants)]
@@ -365,8 +382,7 @@ class Block:
         self.domain = layout.domain
         if layout.domain is not None:
             self._elements = {name: i for i, name in enumerate(layout.domain)}
-        self._digits = {}
-        self._masks = {}
+        self._masks = {}   # an atom's or a classical sentence's mask, by its text
 
     @classmethod
     def of_model(cls, model, syms=NO_SYMBOLS):
@@ -384,14 +400,9 @@ class Block:
 
     def digit_mask(self, k, v):
         """The models whose digit ``k`` has value ``v``."""
-        key = (k, v)
-        mask = self._digits.get(key)
-        if mask is None:
-            layout = self.layout
-            stride = layout.strides[k]
-            mask = self._digits[key] = _periodic(
-                self.start, self.width, stride * layout.digits[k][1], v * stride, stride)
-        return mask
+        stride = self.layout.strides[k]
+        return _periodic(self.start, self.width, stride * self.layout.digits[k][1],
+                         v * stride, stride)
 
     def classical(self, phi):
         """A classical sentence's mask, kept for the block's life."""
@@ -401,11 +412,12 @@ class Block:
             mask = self._masks[key] = self.truth(phi)
         return mask
 
-    def truth(self, phi, node=None, care=None):
+    def truth(self, phi, table=None, care=None):
         """``phi``'s mask: the classical truth of a sentence, or with a
-        search trie's node (``choice.TableNode``) the sentence-choice truth
-        of a restricted sentence under the node's table, which is read only
-        at ``sup`` nodes, and a classical subformula's mask is
+        table (a ``choice.ChoiceTable`` or a search trie's
+        ``choice.TableNode``) the sentence-choice truth of a restricted
+        sentence under it, which is read only at ``sup`` nodes, through the
+        table's ``pick``, and a classical subformula's mask is
         ``classical``'s.  Bits outside ``care`` (all by default) may be
         wrong: their models' truth here no longer matters to the caller.
 
@@ -414,37 +426,43 @@ class Block:
         pairs that its models, one at a time, would reach, and a one-model
         block reads what short-circuit evaluation reads, and raises where
         it would."""
-        if node is not None and is_classical(phi):
+        if table is not None and is_classical(phi):
             return self.classical(phi)
         full = self.full
         if care is None:
             care = full
         kind = type(phi)
-        if kind is PredAtom and self.domain is not None:
+        if kind is PredAtom and self.domain is not None or kind is PropAtom:
             key = canonical_key(phi)
             mask = self._masks.get(key)
             if mask is None:   # kept once built, so an atom that raises raises again
-                mask = 0
-                for args, within in self._combinations(phi.args):
-                    mask |= within & self.digit_mask(
-                        self.layout.digit[("p", phi.name, args)], 1)
+                if kind is PropAtom:
+                    k = self.layout.digit.get(("a", phi.name))
+                    if k is None:
+                        raise EvalError(f"valuation does not cover atom {phi.name!r}")
+                    mask = self.digit_mask(k, 1)
+                else:
+                    mask = 0
+                    for args, within in self._combinations(phi.args):
+                        mask |= within & self.digit_mask(
+                            self.layout.digit[("p", phi.name, args)], 1)
                 self._masks[key] = mask
             return mask
         if kind is Not:
-            return full ^ self.truth(phi.body, node, care)
+            return full ^ self.truth(phi.body, table, care)
         if kind in self._BINARY:
-            left = self.truth(phi.left, node, care)
+            left = self.truth(phi.left, table, care)
             if kind is Iff:
-                return full ^ left ^ self.truth(phi.right, node, care)
+                return full ^ left ^ self.truth(phi.right, table, care)
             if kind is Or:
                 rest = care & ~left
-                return left | self.truth(phi.right, node, rest) if rest else left
+                return left | self.truth(phi.right, table, rest) if rest else left
             rest = care & left
             if kind is And:
-                return left & self.truth(phi.right, node, rest) if rest else left
-            return (full ^ left) | (self.truth(phi.right, node, rest) if rest else 0)   # ->
+                return left & self.truth(phi.right, table, rest) if rest else left
+            return (full ^ left) | (self.truth(phi.right, table, rest) if rest else 0)   # ->
         if kind is Sup:
-            return self.classical(node.pick(phi))
+            return self.classical(table.pick(phi))
         if self.domain is None and kind is not PropAtom:
             raise EvalError(f"valuations cannot evaluate {kind.__name__} nodes")
         if kind is Forall or kind is Exists:
@@ -454,7 +472,7 @@ class Block:
                 rest = care & (acc if universal else ~acc)
                 if not rest:
                     break
-                truth = self.truth(instantiate(phi, x), node, rest)
+                truth = self.truth(instantiate(phi, x), table, rest)
                 acc = acc & truth if universal else acc | truth
             return acc
         if kind is Equality:
@@ -463,11 +481,6 @@ class Block:
             for v, within in lhs.items():
                 mask |= within & rhs.get(v, 0)
             return mask
-        if kind is PropAtom:
-            k = self.layout.digit.get(("a", phi.name))
-            if k is None:
-                raise EvalError(f"valuation does not cover atom {phi.name!r}")
-            return self.digit_mask(k, 1)
         raise EvalError(f"not a formula: {phi!r}")
 
     def _combinations(self, terms):

@@ -66,8 +66,7 @@ def eval_scs(model, table, phi):
             f"sentence-choice evaluation requires a restricted sentence: {to_text(phi)}")
     if table.mode != SENTENCE_MODE:
         raise EvalError("sentence-choice evaluation requires a sentence-mode table")
-    block = Block.of_model(model, symbols(phi))
-    return bool(block.truth(phi, TableNode.root(ClassSpec("all"), table)))
+    return bool(Block.of_model(model, symbols(phi)).truth(phi, table))
 
 
 def eval_fcs(structure, table, phi):

@@ -4,8 +4,8 @@ The trie's step must judge every one-entry extension as ``ref_extendable``
 (of ``test_extendable``) does from scratch, and the trie must change nothing
 that a verdict prints: the reference below searches each block on its own,
 from an empty table, pruning by ``ref_extendable``, as the search did before
-the trie, and reads each pick through the public ``pick``, which checks the
-members that a node's pick takes unchecked.
+the trie, and reads each plain table through its own ``ChoiceTable.pick``,
+which keeps no pick.
 """
 
 import itertools
@@ -29,7 +29,6 @@ from supkit.choice import (
     TruthTableOracle,
     _ordered,
     enumerate_tables,
-    pick,
 )
 from supkit.cli import run
 from supkit.models import Block, Valuation, layouts
@@ -130,7 +129,7 @@ def test_dec_closure_is_the_edges_and_their_duals(kind, data):
 
 
 def test_missing_entry_error_survives_pickling():
-    error = MissingEntryError((PropAtom("p0"), PropAtom("p1")))
+    error = MissingEntryError((PropAtom("p0"), PropAtom("p1")), ("p0", "p1"))
     again = pickle.loads(pickle.dumps(error))
     assert type(again) is MissingEntryError
     assert again.pair == error.pair
@@ -157,32 +156,19 @@ def ref_enumerate_tables(task, spec, table=None):
     yield table, result
 
 
-class PlainPicks:
-    """A plain table in place of a trie's node for ``Block.truth``: each
-    pick is read by the public ``pick``, which checks its members, every
-    time."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def pick(self, sup):
-        return pick(self.table, sup)
-
-
 def ref_search_block(block, premises, conclusion, root, allowance):
     """``semantics._search_block`` before the trie: a fresh search per
     block, on plain tables, ignoring the trie's root but for its class.
-    ``Block.truth`` reads each table through ``PlainPicks``."""
+    ``Block.truth`` reads each table through its uncached ``pick``."""
     below = block.full
 
     def task(table):
-        node = PlainPicks(table)
         care = below
         for sigma in premises:
-            care &= block.truth(sigma, node, care)
+            care &= block.truth(sigma, table, care)
             if not care:
                 return 0
-        return care & ~block.truth(conclusion, node, care)
+        return care & ~block.truth(conclusion, table, care)
 
     found, leaves = None, 0
     for table, refuted in ref_enumerate_tables(task, root.spec):
@@ -275,18 +261,24 @@ def test_a_trie_is_shared_by_the_blocks_of_one_scan(monkeypatch):
     assert all(root is second[0] for root in second) and second[0] is not first[0]
 
 
+def _counted_choices(monkeypatch):
+    """The pairs that ``choice._choose`` is asked about, from now on."""
+    from supkit import choice
+    calls = []
+    original = choice._choose
+
+    def counted(entries, a, b):
+        calls.append({a, b})
+        return original(entries, a, b)
+
+    monkeypatch.setattr(choice, "_choose", counted)
+    return calls
+
+
 def test_a_node_evaluates_each_sup_once(monkeypatch):
     """A node's pick at a ``sup`` node is computed on the first visit and
     read afterwards; a child inherits it."""
-    from supkit import choice
-    calls = []
-    original = choice.pick
-
-    def counted(table, sup):
-        calls.append(sup)
-        return original(table, sup)
-
-    monkeypatch.setattr(choice, "pick", counted)
+    calls = _counted_choices(monkeypatch)
     phi = parse("(p0 sup p1) /\\ (p1 sup p2)")
     left, right = phi.left, phi.right
     p0, p1, p2 = (PropAtom(f"p{i}") for i in range(3))
@@ -295,11 +287,28 @@ def test_a_node_evaluates_each_sup_once(monkeypatch):
         root.pick(left)
     child = root.child(p0, p1, p1)
     assert child.pick(left) == p1 and child.pick(left) == p1
-    assert calls == [left, left]
+    assert calls == [{p0, p1}, {p0, p1}]
     grandchild = child.child(p1, p2, p2)
     model = Block.of_model(Valuation({"p0": False, "p1": True, "p2": False}))
     assert model.truth(phi, grandchild) == 0
-    assert calls == [left, left, right]
+    assert calls == [{p0, p1}, {p0, p1}, {p1, p2}]
+
+
+def test_a_node_chooses_each_nested_sup_once(monkeypatch):
+    """A nested ``sup`` is chosen through the node's own ``pick``: once per
+    node, whether it is reached inside an outer ``sup`` or on its own."""
+    calls = _counted_choices(monkeypatch)
+    phi = parse("(p0 sup p1) sup p2")
+    inner = phi.left
+    p0, p1, p2 = (PropAtom(f"p{i}") for i in range(3))
+    node = TableNode.root(ClassSpec("all")).child(p0, p1, p0).child(p0, p2, p2)
+    assert node.pick(phi) == p2 and node.pick(inner) == p0
+    assert node.pick(phi) == p2
+    assert calls == [{p0, p1}, {p0, p2}]
+    mask = Block(next(layouts(SearchSpace.for_task([phi]).vocabulary, 1)), 0, 8).truth(
+        phi, node)
+    assert mask == 0b10101010   # p2, the last digit, runs fastest
+    assert calls == [{p0, p1}, {p0, p2}]
 
 
 def test_an_inadmissible_seed_has_no_admissible_child():
@@ -311,7 +320,7 @@ def test_an_inadmissible_seed_has_no_admissible_child():
     assert root.succ is None
     q = PropAtom("p3")
     assert root.child(p0, q, p0) is None and root.child(p0, q, q) is None
-    leaves = list(enumerate_tables(lambda t: pick(t, parse("p0 sup p3")), spec, cycle))
+    leaves = list(enumerate_tables(lambda t: t.pick(parse("p0 sup p3")), spec, cycle))
     assert leaves == []
 
 
@@ -356,8 +365,8 @@ def _search_outcome(premises, conclusion, name):
           semantics.BLOCK_WIDTH))
 def test_sampled_verdicts_match_the_plain_table_search(search):
     """In every class, a verdict, its counts and its countermodel's JSON are
-    those of a search per block on plain tables, read by the public,
-    checked ``pick``."""
+    those of a search per block on plain tables, read by their uncached
+    ``pick``."""
     premises, conclusion, width = search
     with mock.patch.object(semantics, "BLOCK_WIDTH", width):
         for name in CLASSES:
