@@ -253,19 +253,21 @@ class BoundedModelOracle:
     in the order classes are found.  The vocabulary is the one it was given
     (its parameters read as constants too), covered from its first query
     on, and that of the formulas given so far.  A formula with a new symbol
-    widens it: the new digits come first in the models' numbering, so each
-    mask found so far is widened by repeating it, and ids do not change.
-    That is sound because a formula's truth does not change when a
-    structure is expanded to more symbols on the same domain, so bounded
-    equivalence over the oracle's vocabulary is the relation over each
-    pair's own.  ``semantics.class_spec_for`` builds one per verdict from
-    the task's vocabulary, so only instances' parameters widen it.
+    widens it: the blocks are built again over the wider vocabulary's
+    models, numbered as ``models.layouts`` draws them, and the classes
+    found so far are decided again from their representatives, in id
+    order, so ids do not change.  That is sound because a formula's truth
+    does not change when a structure is expanded to more symbols on the
+    same domain, so bounded equivalence over the oracle's vocabulary is the
+    relation over each pair's own.  ``semantics.class_spec_for`` builds one
+    per verdict from the task's vocabulary, so only instances' parameters
+    widen it.
 
     A mask has one bit per model of its size: at size 3, ``P``, ``Q``, two
     constants and three parameters give about 16 k bits, ``R/2``, one
     constant and three parameters about 42 k, and two binary relations
-    about 21 M.  A class keeps only the masks it needed, and most are told
-    apart at sizes 1 and 2; each block keeps its atoms' masks.  A
+    about 21 M.  The tree keeps only the masks that told classes apart, and
+    most are told apart at sizes 1 and 2; each block keeps its atoms' masks.  A
     vocabulary with more than ``MAX_ORACLE_MODELS`` models of one size is
     refused (SupkitError) before a block of them is built.
     """
@@ -273,8 +275,8 @@ class BoundedModelOracle:
     def __init__(self, max_domain=3, vocabulary=NO_SYMBOLS):
         self.max_domain = max_domain
         self._ids = {}       # canonical key -> class id
-        self._tree = {}      # size-1 mask -> a class or a subtree (see _classify)
-        self._count = 0      # classes found
+        self._tree = {}      # size-1 mask -> a class id or a subtree (see _classify)
+        self._reps = []      # each class's representative, closed, by id
         self._closed = {}    # text -> its parameters closed, for rename_parameters
         self._syms = _closed_symbols(vocabulary)
         self._blocks = ()    # one Block of every model per domain size, once queried
@@ -301,27 +303,27 @@ class BoundedModelOracle:
 
     def _classify(self, phi):
         """The id of a closed formula's class.  A tree node maps a size's
-        mask to a subtree for the next size, or to the one class, ``[id,
-        representative, its masks]``, with that mask and the smaller
-        sizes'; a newcomer that agrees with it there moves it one size
-        down."""
-        node, masks, last = self._tree, [], len(self._blocks) - 1
+        mask to a subtree for the next size, or to the id of the one class
+        with that mask and the smaller sizes'; a newcomer that agrees with
+        it there moves it one size down."""
+        node, last = self._tree, len(self._blocks) - 1
         for size, block in enumerate(self._blocks):
-            masks.append(block.truth(phi))
-            hit = node.get(masks[size])
-            if type(hit) is list and size < last:
-                hit[2].append(self._blocks[size + 1].truth(hit[1]))
-                hit = node[masks[size]] = {hit[2][-1]: hit}
+            mask = block.truth(phi)
+            hit = node.get(mask)
+            if type(hit) is int and size < last:
+                hit = node[mask] = {self._blocks[size + 1].truth(self._reps[hit]): hit}
             if type(hit) is not dict:
                 if hit is None:
-                    hit = node[masks[size]] = [self._count, phi, masks]
-                    self._count += 1
-                return hit[0]
+                    hit = node[mask] = len(self._reps)
+                    self._reps.append(phi)
+                return hit
             node = hit
         return 0   # no size tells formulas apart
 
     def _widen(self, syms):
-        """Cover a new formula's symbols."""
+        """Cover a new formula's symbols: new blocks over the models of the
+        wider vocabulary, and the classes found so far decided again over
+        them from their representatives, in id order, which keeps the ids."""
         syms = self._syms.union(syms)
         if syms is self._syms and self._blocks:
             return
@@ -333,13 +335,11 @@ class BoundedModelOracle:
                     f"more than its limit of {MAX_ORACLE_MODELS} "
                     f"(2^{MAX_ORACLE_MODELS.bit_length() - 1}): lower --oracle-bound or use "
                     "fewer symbols")
-        if self._blocks:
-            old = [block.layout for block in self._blocks]
-            layouts = [_new_digits_first(layout, before) for layout, before in zip(layouts, old)]
-            self._tree = _retile(self._tree, [(before.count, layout.count // before.count)
-                                              for before, layout in zip(old, layouts)])
         self._syms = syms
         self._blocks = [models.Block(layout, 0, layout.count) for layout in layouts]
+        reps, self._tree, self._reps = self._reps, {}, []
+        for phi in reps:
+            self._classify(phi)
 
     def describe(self):
         return {"kind": "bounded-model", "max_domain": self.max_domain}
@@ -355,36 +355,9 @@ def _closed_symbols(syms):
         if closed else syms
 
 
-def _retile(node, widths, size=0):
-    """The class tree ``node`` of ``size`` with every mask widened by
-    ``_repeat``, given each size's ``(width, times)``."""
-    if type(node) is list:
-        node[2] = [_repeat(mask, *widths[k]) for k, mask in enumerate(node[2])]
-        return node
-    return {_repeat(mask, *widths[size]): _retile(child, widths, size + 1)
-            for mask, child in node.items()}
-
-
 def _constant_for(element):
     """The constant ``?@e`` that the oracle reads in place of ``@e``."""
     return Constant("?" + to_text_term(Parameter(element)))
-
-
-def _new_digits_first(layout, before):
-    """``layout``'s models renumbered: the digits that ``before`` lacks, then
-    the digits of ``before`` in its order."""
-    kept = {key for key, _ in before.digits}
-    return models.Layout(layout.domain, [d for d in layout.digits if d[0] not in kept]
-                         + list(before.digits))
-
-
-def _repeat(mask, width, times):
-    """``times`` copies of a ``width``-bit mask, side by side."""
-    tiled, size = mask, width
-    while size < width * times:
-        tiled |= tiled << size
-        size *= 2
-    return tiled & ((1 << (width * times)) - 1)
 
 
 class TruthTableOracle(BoundedModelOracle):

@@ -22,7 +22,6 @@ from .choice import (
     ChoiceTable,
     ClassSpec,
     MissingEntryError,
-    check_class,
     choose,
     collapse,
     class_representatives,
@@ -591,9 +590,7 @@ def build_choice_from_theory(fragment, table_class="all", oracle=None,
                 "criterion": "collapse of every marked-in basic member is marked in",
             }
             if table_class == "reg":
-                members = [f for a, b, _ in table.pairs() for f in (a, b)]
-                class_ok = check_class(table, ClassSpec("reg", oracle), members)
-                report["regular"] = bool(class_ok)
+                report["regular"] = extendable(table, ClassSpec("reg", oracle))
             return BuildResult(model=model, table=table, report=report)
         failures.append(problem)
     if not failures:

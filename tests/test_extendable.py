@@ -32,8 +32,6 @@ from supkit.choice import (
     TableNode,
     TruthTableOracle,
     _constant_for,
-    _new_digits_first,
-    _repeat,
     class_representatives,
     extendable,
 )
@@ -411,6 +409,23 @@ def test_widening_keeps_the_classes_found_before():
         "p0", "~~p0", "p0 /\\ (p1 \\/ ~p1)", "p1", "~p0 \\/ p0 /\\ p1")] == [0, 0, 0, 1, 2]
 
 
+FIRST_ORDER_WIDENINGS = ["P(c1)", "P(@e0)", "R(v,c1)", "Q(@e0) /\\ R(c1,c1)", "P(g(v))"]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, None])
+def test_a_widened_oracle_numbers_its_models_as_the_search_does(bound):
+    """After each widening (a parameter, a free variable, new predicates, a
+    function; new atoms for the truth-table oracle, ``None`` here), each
+    block's models are numbered as ``models.layouts`` draws them for the
+    oracle's vocabulary, size by size."""
+    oracle, texts = (TruthTableOracle(), ["p1", "p0 /\\ p1", "p2 -> p1"]) if bound is None \
+        else (BoundedModelOracle(bound), FIRST_ORDER_WIDENINGS)
+    for text in texts:
+        oracle.class_of(parse(text))
+        assert [block.layout.digits for block in oracle._blocks] == \
+            [layout.digits for layout in models.layouts(oracle._syms, oracle.max_domain)]
+
+
 @pytest.mark.parametrize("bound", [1, 2, 3])
 @pytest.mark.parametrize("pool", ["propositional", "first-order", *WIDER_POOLS])
 def test_an_oracle_given_a_vocabulary_gives_the_same_class_ids(pool, bound):
@@ -434,40 +449,32 @@ def test_an_oracle_given_a_vocabulary_gives_the_same_class_ids(pool, bound):
 
 
 class EagerOracle:
-    """The oracle as it was before classes were decided size by size: a
-    formula's fingerprint, its masks at every size up to the bound, looked
-    up in one dict, and its parameters closed into fresh nodes per query."""
+    """The oracle as it was before classes were decided size by size, less
+    its widening: a formula's fingerprint, its masks at every size up to the
+    bound, looked up in one dict, over one vocabulary fixed at construction,
+    that of every formula it will be asked about, each closed into fresh
+    nodes (free variables and parameters read as constants)."""
 
-    def __init__(self, max_domain):
-        self.max_domain = max_domain
-        self._ids, self._classes, self._syms, self._blocks = {}, {}, models.NO_SYMBOLS, ()
+    def __init__(self, max_domain, formulas):
+        self._ids, self._classes = {}, {}
+        vocabulary = models.vocabulary_of(map(self._closed, formulas))
+        self._blocks = [models.Block(layout, 0, layout.count)
+                        for layout in models.layouts(vocabulary, max_domain)]
+
+    @staticmethod
+    def _closed(phi):
+        free = free_vars(phi)
+        if free:
+            phi = substitute_map(phi, {v: Constant("?" + v) for v in free})
+        return rename_parameters(phi, {e: _constant_for(e) for e in symbols(phi).parameters})
 
     def class_of(self, phi):
         key = canonical_key(phi)
         if key not in self._ids:
-            free = free_vars(phi)
-            if free:
-                phi = substitute_map(phi, {v: Constant("?" + v) for v in free})
-            phi = rename_parameters(phi, {e: _constant_for(e) for e in symbols(phi).parameters})
-            self._widen(symbols(phi))
+            phi = self._closed(phi)
             fingerprint = tuple(block.truth(phi) for block in self._blocks)
             self._ids[key] = self._classes.setdefault(fingerprint, len(self._classes))
         return self._ids[key]
-
-    def _widen(self, syms):
-        syms = self._syms.union(syms)
-        if syms == self._syms and self._blocks:
-            return
-        layouts = list(models.layouts(syms, self.max_domain))
-        if self._blocks:
-            old = [block.layout for block in self._blocks]
-            layouts = [_new_digits_first(layout, before) for layout, before in zip(layouts, old)]
-            self._classes = {
-                tuple(_repeat(mask, before.count, layout.count // before.count)
-                      for mask, before, layout in zip(fingerprint, old, layouts)): cid
-                for fingerprint, cid in self._classes.items()}
-        self._syms = syms
-        self._blocks = [models.Block(layout, 0, layout.count) for layout in layouts]
 
 
 def _oracle_formulas(atoms, quantifiers):
@@ -506,7 +513,7 @@ def test_class_ids_match_the_eager_fingerprint_oracle(data, kind, bound):
     late = data.draw(st.lists(pool(True), max_size=6))
     formulas = early + late + [Not(f) for f in early + late] + early
     make = BoundedModelOracle if kind == "first-order" else TruthTableOracle
-    eager = EagerOracle(bound)
+    eager = EagerOracle(bound, formulas)
     want = [eager.class_of(f) for f in formulas]
     for oracle in (make(bound), make(bound, models.vocabulary_of(early))):
         assert [oracle.class_of(f) for f in formulas] == want

@@ -92,13 +92,25 @@ GOLDEN = [
 
 ]
 
+# DN_R in dec at other oracle bounds: (name, oracle bound, exit code, sha256
+# of stdout, of stderr); the instances' parameters widen the oracle
+ORACLE_BOUNDS = [
+    ("dn-r-dec-oracle-1", 1, 1,
+     "c15c5b99e881843267dde70c4c047ddec04ec128faf666efadfef8dcf863f85d", EMPTY),
+    ("dn-r-dec-oracle-2", 2, 0,
+     "c29f35f20c800fce61f7c56fc50d47fe486c7142288fa84ea8588f732ba77e7d", EMPTY),
+    ("dn-r-dec-oracle-4", 4, 0,
+     "a9553c219901acad299ac3973a173d4d6478c4f22599f6644ac0d468f6838e8a", EMPTY),
+]
 
-def argv_of(premises, conclusion, table_class, jobs):
+
+def argv_of(premises, conclusion, table_class, jobs, oracle_bound=3):
     if premises:
         argv = ["consequence", "--premises", ";".join(premises), "--conclusion", conclusion]
     else:
         argv = ["taut", "--formula", conclusion]
-    argv += ["--class", table_class, "--max-domain", "3", "--oracle-bound", "3", "--json"]
+    argv += ["--class", table_class, "--max-domain", "3", "--oracle-bound", str(oracle_bound),
+             "--json"]
     return argv + (["--jobs", str(jobs)] if jobs > 1 else [])
 
 
@@ -113,3 +125,10 @@ def outcome(capsys, argv):
 def test_a_search_prints_its_golden_output(capsys, premises, conclusion, table_class, jobs,
                                            code, out, err):
     assert outcome(capsys, argv_of(premises, conclusion, table_class, jobs)) == (code, out, err)
+
+
+@pytest.mark.parametrize("oracle_bound, code, out, err",
+                         [pytest.param(*line[1:], id=line[0]) for line in ORACLE_BOUNDS])
+def test_an_oracle_bound_prints_its_golden_output(capsys, oracle_bound, code, out, err):
+    argv = argv_of((), DN_R, "dec", 1, oracle_bound)
+    assert outcome(capsys, argv) == (code, out, err)
