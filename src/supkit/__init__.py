@@ -15,8 +15,8 @@ import importlib
 _EXPORTS = {
     "choice": (
         "BoundedModelOracle", "ChoiceTable", "ClassSpec", "MissingEntryError",
-        "NotBasicError", "OracleRequiredError", "TruthTableOracle", "check_class",
-        "choose", "collapse", "enumerate_tables", "extendable",
+        "NotBasicError", "OracleRequiredError", "TruthTableOracle", "choose", "collapse",
+        "enumerate_tables", "extendable",
     ),
     "constructions": (
         "TheoryFragment", "UiWitness", "build_choice_from_theory", "check_theory_fragment",

@@ -2,15 +2,13 @@
 map that eliminates sup nodes, the equivalence oracles, the table classes
 (all / regular / associative / regular+associative / negation-decreasing),
 and the search trie, which enumerates admissible tables lazily and also
-decides class membership: ``extendable`` and ``check_class`` ask its step.
+decides class membership: ``extendable`` asks its step.
 
 Tables are immutable values; pair keys are canonicalized so symmetry and
 idempotence hold by construction.  Both table types are read at a ``sup``
 node only through their own ``pick``, which checks nothing: ``collapse``,
 the search and ``semantics.eval_scs`` check their input first.
 """
-
-import itertools
 
 from . import models
 from .syntax import (
@@ -404,16 +402,6 @@ class ClassSpec(Record):
         return out
 
 
-class ClassVerdict(Record):
-    __slots__ = __match_args__ = ("ok", "kind", "witness", "detail")
-
-    def __init__(self, ok, kind="", witness=(), detail=""):
-        self._init(ok, kind, witness, detail)
-
-    def __bool__(self):
-        return self.ok
-
-
 def class_representatives(oracle, formulas):
     """Map canonical key -> representative key (lexicographically least
     member of each equivalence class within the given collection)."""
@@ -425,45 +413,10 @@ def class_representatives(oracle, formulas):
     return {key: least[cid] for key, cid in ids.items()}
 
 
-def check_class(table, spec, universe):
-    """Membership of a table in a class, relative to a finite universe of
-    classical sentences.  Associativity is checked on every triple of the
-    universe, and a failing triple is returned as the witness; regularity,
-    and for dec the class graph, are decided by ``extendable``."""
-    name = spec.name
-    if name == "all":
-        return ClassVerdict(True)
-    if name in ("asso", "regstar", "dec"):
-        verdict = _check_asso(table, universe)
-        if not verdict:
-            return verdict
-    if name in ("reg", "regstar", "dec") and \
-            not extendable(table, ClassSpec("reg", spec.require_oracle())):
-        return ClassVerdict(False, kind="reg",
-                            detail="entries on equivalent pairs choose inequivalent sides")
-    if name == "dec" and not extendable(table, spec):
-        return ClassVerdict(
-            False, kind="dec",
-            detail="cyclic choices inside a class or in the duality-closed class graph")
-    return ClassVerdict(True)
-
-
-def _check_asso(table, universe):
-    for a, b, c in itertools.product(universe, repeat=3):
-        left = choose(table, choose(table, a, b), c)
-        right = choose(table, a, choose(table, b, c))
-        if left != right:
-            return ClassVerdict(
-                False, kind="asso", witness=(a, b, c),
-                detail="f(f(a,b),c) != f(a,f(b,c))",
-            )
-    return ClassVerdict(True)
-
-
 def extendable(table, spec):
-    """Whether some total table in the class agrees with this partial table:
-    whether the trie's step admits its entries one by one (see
-    ``TableNode``)."""
+    """Whether some total table in the class agrees with this table, so for
+    a total table whether it is in the class: whether the trie's step
+    admits its entries one by one (see ``TableNode``)."""
     return TableNode.root(spec, table).succ is not None
 
 

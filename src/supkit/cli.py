@@ -278,12 +278,10 @@ def demo_build_model(args):
     markings = {parse(text, sig): json_field(markings, text, bool, "theory JSON")
                 for text in markings}
     fragment = constructions.TheoryFragment.from_markings(markings, sig)
-    oracle = None
-    if args.table_class == "reg":
-        oracle = class_spec_for("reg", fragment.sentences, _oracle_bound(args)).oracle
+    spec = class_spec_for(args.table_class, fragment.sentences,
+                          _oracle_bound(args) if args.table_class == "reg" else None)
     try:
-        result = constructions.build_choice_from_theory(
-            fragment, args.table_class, oracle, max_domain=max_domain)
+        result = constructions.build_choice_from_theory(fragment, spec, max_domain)
     except constructions.FragmentError as exc:
         verdict = exc.verdict
         if verdict is None:

@@ -271,8 +271,8 @@ def refute_uniformity(alpha, v1, v2, oracle):
     a1, a2 = renamed(alpha, v1, v2)
     if oracle.equivalent(a1, a2):
         raise ConditionError(
-            f"{to_text(a1)} and {to_text(a2)} are equivalent; pick a formula "
-            "whose renamed copies differ")
+            f"{to_text(a1)} and {to_text(a2)} are equivalent at oracle bound "
+            f"{oracle.max_domain}; pick a formula whose renamed copies differ, or a larger bound")
     swap = {v1: Variable(v2), v2: Variable(v1)}
     branches = []
     for assumed in (a1, a2):
@@ -553,9 +553,9 @@ def _sup_nodes(fragment):
     )
 
 
-def build_choice_from_theory(fragment, table_class="all", oracle=None,
-                             max_domain=DEFAULT_DOMAIN_BOUND):
-    """Construct a choice table realizing the fragment in a model.
+def build_choice_from_theory(fragment, spec, max_domain=DEFAULT_DOMAIN_BOUND):
+    """Construct a choice table of the spec's class, ``all`` or ``reg``,
+    realizing the fragment in a model.
 
     Marked superpositions take the side their markers dictate (in+in/out+out
     ties broken canonically, or through equivalence-class representatives in
@@ -566,31 +566,31 @@ def build_choice_from_theory(fragment, table_class="all", oracle=None,
     sentence-choice evaluation.  A fragment that ``check_theory_fragment``
     rejects at ``max_domain`` raises FragmentError with that verdict.
     """
-    if table_class not in ("all", "reg"):
-        raise SupkitError("table_class must be 'all' or 'reg'")
-    if table_class == "reg" and oracle is None:
-        raise SupkitError("regular construction requires an equivalence oracle")
+    if spec.name not in ("all", "reg"):
+        raise SupkitError(f"tables are built for class 'all' or 'reg', not {spec.name!r}")
+    oracle = spec.require_oracle()
     verdict = _check_markings(fragment)
     reps, failures = None, []
     # one pass over the candidate models, whose first shows consistency
     for model in _candidate_models(fragment, max_domain) if verdict.ok else ():
-        if table_class == "reg" and reps is None:
-            reps = class_representatives(oracle, _classical_members(fragment))
+        if reps is None:
+            reps = class_representatives(oracle, _classical_members(fragment)) \
+                if spec.name == "reg" else {}
         try:
-            table = _build_table(fragment, model, table_class, oracle, reps)
+            table = _build_table(fragment, model, reps)
         except FragmentError as exc:
             failures.append(str(exc))
             continue
         problem = _verify_build(fragment, model, table)
         if problem is None:
             report = {
-                "mode": table_class,
+                "mode": spec.name,
                 "model": model.describe(),
                 "table": table.to_json()["entries"],
                 "criterion": "collapse of every marked-in basic member is marked in",
             }
-            if table_class == "reg":
-                report["regular"] = extendable(table, ClassSpec("reg", oracle))
+            if spec.name == "reg":
+                report["regular"] = extendable(table, spec)
             return BuildResult(model=model, table=table, report=report)
         failures.append(problem)
     if not failures:
@@ -600,11 +600,10 @@ def build_choice_from_theory(fragment, table_class="all", oracle=None,
         "no model in the space realizes the fragment: " + "; ".join(failures[:4]))
 
 
-def _free_pick(a, b, table_class, oracle, reps):
-    """Tie-break for the both-in / both-out cases."""
+def _free_pick(a, b, reps):
+    """Tie-break for the both-in / both-out cases: the smaller class
+    representative (in ``reps``, empty for ``all``), then the smaller key."""
     ka, kb = canonical_key(a), canonical_key(b)
-    if table_class == "all":
-        return a if ka <= kb else b
     ra = reps.get(ka, ka)
     rb = reps.get(kb, kb)
     if ra == rb:
@@ -612,7 +611,7 @@ def _free_pick(a, b, table_class, oracle, reps):
     return a if ra <= rb else b
 
 
-def _build_table(fragment, model, table_class, oracle, reps):
+def _build_table(fragment, model, reps):
     table = ChoiceTable(mode=SENTENCE_MODE)
     for node in _sup_nodes(fragment):
         a = collapse(table, node.left)
@@ -621,7 +620,7 @@ def _build_table(fragment, model, table_class, oracle, reps):
         if ml != mr:   # pick the side marked as the superposition is
             pick = a if ml == m else b
         else:
-            pick = _free_pick(a, b, table_class, oracle, reps)
+            pick = _free_pick(a, b, reps)
         if a == b:
             continue
         if table.defined_on(a, b) and choose(table, a, b) != pick:
@@ -755,7 +754,8 @@ class ObjectSuperpositionReport(Record):
 def object_superposition_report(structure, a, b, oracle=None):
     """Enumerate the four sentence tables on the witness pairs of
     "v equals a or v equals b" and classify each by witness count and
-    regularity."""
+    regularity.  The oracle's bound must be at least 2: over one element
+    ``@a = @b`` is valid, and every table would read as regular."""
     if a == b:
         raise ConditionError("the two elements must be distinct")
     for element in (a, b):
@@ -763,6 +763,10 @@ def object_superposition_report(structure, a, b, oracle=None):
             raise ConditionError(f"element {element!r} not in the domain")
     if oracle is None:
         oracle = BoundedModelOracle(max_domain=2)
+    if oracle.max_domain < 2:
+        raise ConditionError(
+            f"the oracle bound {oracle.max_domain} is below 2: over one element the "
+            "parameters of both elements denote the same one")
 
     def sides(x):
         return (Equality(Parameter(x), Parameter(a)),

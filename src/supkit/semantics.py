@@ -249,7 +249,7 @@ def check_consequence(premises, conclusion, spec, space=None, budget=DEFAULT_BUD
                 worker.start()
                 workers.append((worker, receive))
                 send.close()
-        scans = itertools.chain([scan_models(space, space.blocks(first, stop), *task)],
+        scans = itertools.chain([scan_models(space.blocks(first, stop), *task)],
                                 itertools.starmap(_received, workers))
         return verdict_of_scans(premises, conclusion, spec, space, scans, budget)
     finally:
@@ -289,7 +289,7 @@ def _scan_share(send, space, first, stop, *task):
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        result = True, scan_models(space, space.blocks(first, stop), *task)
+        result = True, scan_models(space.blocks(first, stop), *task)
     except Exception as exc:
         result = False, exc
     send.send(result)
@@ -308,8 +308,8 @@ def _received(worker, receive):
     return result
 
 
-def scan_models(space, blocks, premises, conclusion, spec, budget=DEFAULT_BUDGET):
-    """Search the space's blocks in order, each under every admissible table,
+def scan_models(blocks, premises, conclusion, spec, budget=DEFAULT_BUDGET):
+    """Search a space's blocks in order, each under every admissible table,
     for a countermodel.  Returns ``(countermodel or None, models checked,
     tables checked)``; it stops at the first block holding a countermodel,
     or as soon as more than ``budget`` tables have been checked.

@@ -18,10 +18,10 @@ from supkit.choice import (
     ChoiceTable,
     ClassSpec,
     TruthTableOracle,
-    check_class,
     choose,
     collapse,
     enumerate_tables,
+    extendable,
 )
 from supkit.cli import _depth1_sentences
 from supkit.constructions import (
@@ -142,7 +142,7 @@ def test_criterion_2_associativity_counts():
     ):
         tables = list(_total_tables(universe))
         assert len(tables) == expected_tables
-        passing = [t for t in tables if check_class(t, spec, universe).ok]
+        passing = [t for t in tables if extendable(t, spec)]
         assert len(passing) == expected_pass
         # brute-force oracle: min-tables of every total ordering
         order_tables = {
@@ -367,22 +367,21 @@ def test_criterion_7_completeness_kernel():
 
     failures = 0
     for fragment in prop_fragments:
-        for mode, oracle in (("all", None), ("reg", TruthTableOracle())):
-            result = build_choice_from_theory(fragment, mode, oracle)
-            failures += _kernel_violations(fragment, result, mode, oracle)
+        for spec in (ClassSpec("all"), ClassSpec("reg", TruthTableOracle())):
+            result = build_choice_from_theory(fragment, spec)
+            failures += _kernel_violations(fragment, result, spec)
     oracle = BoundedModelOracle(max_domain=2)
     for fragment in quant_fragments:
-        for mode, mode_oracle in (("all", None), ("reg", oracle)):
-            result = build_choice_from_theory(fragment, mode, mode_oracle,
-                                              max_domain=2)
-            failures += _kernel_violations(fragment, result, mode, mode_oracle)
+        for spec in (ClassSpec("all"), ClassSpec("reg", oracle)):
+            result = build_choice_from_theory(fragment, spec, max_domain=2)
+            failures += _kernel_violations(fragment, result, spec)
     assert failures == 0
     report(f"criterion 7: {len(prop_fragments)} propositional and "
            f"{len(quant_fragments)} quantified markings built in both modes, "
            f"0 failures")
 
 
-def _kernel_violations(fragment, result, mode, oracle):
+def _kernel_violations(fragment, result, spec):
     bad = 0
     # (a) the collapse of every marked-in basic member stays in the theory
     for s in fragment.sentences:
@@ -394,10 +393,8 @@ def _kernel_violations(fragment, result, mode, oracle):
         if eval_scs(result.model, result.table, s) != fragment.marked(s):
             bad += 1
     # (c) regular mode yields a regular table
-    if mode == "reg":
-        members = [f for a, b, _ in result.table.pairs() for f in (a, b)]
-        if not check_class(result.table, ClassSpec("reg", oracle), members).ok:
-            bad += 1
+    if spec.name == "reg" and not extendable(result.table, spec):
+        bad += 1
     return bad
 
 

@@ -66,12 +66,13 @@ from test_facts import ref_eval_classical, ref_scs
 from test_syntax import _formulas as _syntax_formulas
 
 
-def ref_scan_models(space, blocks, premises, conclusion, spec, budget=DEFAULT_BUDGET):
-    """``semantics.scan_models`` as it was before blocks: ``blocks`` is
-    ignored, and each model's tables are searched on their own."""
+def ref_scan_models(blocks, premises, conclusion, spec, budget=DEFAULT_BUDGET):
+    """``semantics.scan_models`` as it was before blocks: each model of the
+    blocks in turn, its tables searched on their own."""
     models_checked = 0
     tables_checked = 0
-    for model in structures_over(space.vocabulary, space.max_domain):
+    for model in (layout.model_at(i) for layout, start, width in blocks
+                  for i in range(start, start + width)):
         models_checked += 1
 
         def task(table):
@@ -259,9 +260,12 @@ def test_sampled_sentences_match_the_reference(task):
     check_restricted_sentences(formulas)
     spec = class_spec_for(name, formulas, oracle_bound=2)
     space = SearchSpace.for_task(formulas, max_domain=2)
+    # the reference walks the blocks' models: they are the space's, in order
+    assert [layout.model_at(i) for layout, start, width in space.blocks()
+            for i in range(start, start + width)] == list(structures_over(space.vocabulary, 2))
 
     def verdict(scan):
-        found = scan(space, space.blocks(), premises, conclusion, spec)
+        found = scan(space.blocks(), premises, conclusion, spec)
         return verdict_of_scans(premises, conclusion, spec, space, [found]).to_json()
 
     reference = verdict(ref_scan_models)

@@ -14,7 +14,6 @@ from supkit.choice import (
     NotBasicError,
     OracleRequiredError,
     TruthTableOracle,
-    check_class,
     choose,
     collapse,
     enumerate_tables,
@@ -198,13 +197,15 @@ def test_bounded_oracle_fo():
 
 def test_min_of_total_order_is_associative():
     t = min_table([p0, p1, p2])
-    assert check_class(t, ClassSpec("asso"), [p0, p1, p2]).ok
+    assert extendable(t, ClassSpec("asso"))
 
 
 def test_cyclic_tournament_fails_asso():
-    t = table_of((p0, p1, p0), (p1, p2, p1), (p0, p2, p2))
-    verdict = check_class(t, ClassSpec("asso"), [p0, p1, p2])
-    assert not verdict.ok and verdict.kind == "asso"
+    entries = ((p0, p1, p0), (p1, p2, p1), (p0, p2, p2))
+    assert not extendable(table_of(*entries), ClassSpec("asso"))
+    # any two of its entries agree with the min-table of an order
+    for two in itertools.combinations(entries, 2):
+        assert extendable(table_of(*two), ClassSpec("asso"))
 
 
 def test_three_sentence_tournaments_6_of_8():
@@ -213,7 +214,7 @@ def test_three_sentence_tournaments_6_of_8():
     passing = []
     for picks in itertools.product((0, 1), repeat=3):
         t = table_of(*((a, b, (a, b)[i]) for (a, b), i in zip(pairs, picks)))
-        if check_class(t, ClassSpec("asso"), universe).ok:
+        if extendable(t, ClassSpec("asso")):
             passing.append(t)
     assert len(passing) == 6
     # independent oracle: exactly the min-tables of the 6 total orders
@@ -231,16 +232,15 @@ def test_reg_violation_object_superposition():
     b_eq_a = parse("@b = @a")
     t = table_of((a_eq_a, a_eq_b, a_eq_a), (b_eq_b, b_eq_a, b_eq_a))
     spec = ClassSpec("reg", BoundedModelOracle(max_domain=2))
-    verdict = check_class(t, spec, [a_eq_a, a_eq_b, b_eq_b, b_eq_a])
-    assert not verdict.ok and verdict.kind == "reg"
+    assert not extendable(t, spec)
     # choosing the valid side both times is regular
     t2 = table_of((a_eq_a, a_eq_b, a_eq_a), (b_eq_b, b_eq_a, b_eq_b))
-    assert check_class(t2, spec, [a_eq_a, a_eq_b, b_eq_b, b_eq_a]).ok
+    assert extendable(t2, spec)
 
 
-def test_check_class_requires_oracle():
+def test_class_membership_requires_oracle():
     with pytest.raises(OracleRequiredError):
-        check_class(table_of((p0, p1, p0)), ClassSpec("reg"), [p0, p1])
+        extendable(table_of((p0, p1, p0)), ClassSpec("reg"))
 
 
 def test_class_monotonicity_on_total_tables():
@@ -250,12 +250,12 @@ def test_class_monotonicity_on_total_tables():
     specs = {name: ClassSpec(name, oracle) for name in ("reg", "asso", "regstar", "dec")}
     for picks in itertools.product((0, 1), repeat=len(pairs)):
         t = table_of(*((a, b, (a, b)[i]) for (a, b), i in zip(pairs, picks)))
-        member = {name: check_class(t, spec, universe).ok for name, spec in specs.items()}
+        member = {name: extendable(t, spec) for name, spec in specs.items()}
         if member["dec"]:
             assert member["regstar"]
         if member["regstar"]:
             assert member["reg"] and member["asso"]
-        assert check_class(t, ClassSpec("all"), universe).ok
+        assert extendable(t, ClassSpec("all"))
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +314,8 @@ def test_extendable_large_reg_table():
     assert len(table) > 1500
     spec = ClassSpec("reg", TruthTableOracle())
     assert extendable(table, spec)
-    assert check_class(table, spec, []).ok
     flipped = table.with_entry(Not(Not(dnfs[0])), dnfs[1], dnfs[1])
     assert not extendable(flipped, spec)
-    assert check_class(flipped, spec, []).kind == "reg"
 
 
 def test_extendable_requires_an_oracle_even_on_the_empty_table():

@@ -359,6 +359,24 @@ def test_demo_object_superposition(capsys):
     assert code == 0 and "dichotomy holds: True" in out
 
 
+def test_demo_object_superposition_refuses_an_oracle_bound_below_two(capsys):
+    """Over one element both parameters denote the same one, so every table
+    would read as regular and the dichotomy as refuted."""
+    code, out, err = invoke(capsys, "demo", "object-superposition", "--oracle-bound", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: the oracle bound 1 is below 2: over one element the parameters "
+                   "of both elements denote the same one\n")
+    code, out, _ = invoke(capsys, "demo", "object-superposition", "--oracle-bound", "2")
+    assert code == 0 and "dichotomy holds: True" in out
+
+
+def test_demo_no_uniform_names_the_oracle_bound_it_found_equivalence_at(capsys):
+    code, out, err = invoke(capsys, "demo", "no-uniform", "--oracle-bound", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: P(v1) and P(v2) are equivalent at oracle bound 1; pick a formula "
+                   "whose renamed copies differ, or a larger bound\n")
+
+
 def test_demo_build_model(capsys, tmp_path):
     theory = {
         "markings": {"p0 sup p1": True, "p0": True, "p1": False},
@@ -761,7 +779,7 @@ def test_import_loads_no_process_machinery(tmp_path):
          " from supkit import *; print(sorted(set(supkit.__all__) - set(globals())));"
          " print(all(getattr(supkit, name) is globals()[name] for name in supkit.__all__))"],
         env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True, text=True, timeout=60)
-    assert done.stdout == "64 []\n[]\nTrue\n"
+    assert done.stdout == "63 []\n[]\nTrue\n"
     accepted, rejected, theory = (tmp_path / name for name in ("ok.json", "bad.json", "t.json"))
     accepted.write_text(json.dumps(proof_to_json(corpus_entries()[-1].proof)))
     rejected.write_text(json.dumps(proof_to_json(mutant_entries()[0].proof)))

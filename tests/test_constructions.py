@@ -9,9 +9,10 @@ from supkit.choice import (
     BoundedModelOracle,
     ChoiceTable,
     ClassSpec,
+    OracleRequiredError,
     TruthTableOracle,
-    check_class,
     collapse,
+    extendable,
 )
 from supkit.constructions import (
     ConditionError,
@@ -40,6 +41,7 @@ from supkit.syntax import (
     PropAtom,
     Signature,
     Sup,
+    SupkitError,
     Variable,
     is_classical,
     parse,
@@ -204,7 +206,7 @@ def test_fragment_coherence():
 
 def test_build_a2_picks_the_marked_side():
     fragment = frag({Sup(p0, p1): True, p0: True, p1: False})
-    result = build_choice_from_theory(fragment, "all")
+    result = build_choice_from_theory(fragment, ClassSpec("all"))
     assert collapse(result.table, Sup(p0, p1)) == p0
     assert isinstance(result.model, Valuation)
     for s in fragment.sentences:
@@ -213,7 +215,7 @@ def test_build_a2_picks_the_marked_side():
 
 def test_build_a1_either_choice_works():
     fragment = frag({Sup(p0, p1): True, p0: True, p1: True})
-    result = build_choice_from_theory(fragment, "all")
+    result = build_choice_from_theory(fragment, ClassSpec("all"))
     assert eval_scs(result.model, result.table, Sup(p0, p1))
 
 
@@ -224,13 +226,27 @@ def test_build_reg_mode_uses_representatives():
         nn0: True, p0: True, p1: True,
     })
     oracle = TruthTableOracle()
-    result = build_choice_from_theory(fragment, "reg", oracle)
-    members = [f for a, b, _ in result.table.pairs() for f in (a, b)]
-    assert check_class(result.table, ClassSpec("reg", oracle), members).ok
+    spec = ClassSpec("reg", oracle)
+    result = build_choice_from_theory(fragment, spec)
+    assert extendable(result.table, spec)
     assert result.report["regular"]
     # delegation picks equivalent sides on the two equivalent pairs
     chosen = {to_text(c) for _, _, c in result.table.pairs()}
     assert chosen == {"p0", "~~p0"}
+
+
+def test_build_takes_class_all_or_reg_with_its_oracle():
+    nn0 = Not(Not(p0))
+    fragment = frag({Sup(nn0, p1): True, Sup(p0, p1): True, nn0: True, p0: True, p1: True})
+    with pytest.raises(SupkitError, match="'all' or 'reg', not 'asso'"):
+        build_choice_from_theory(fragment, ClassSpec("asso"))
+    with pytest.raises(OracleRequiredError):
+        build_choice_from_theory(fragment, ClassSpec("reg"))
+    # class all reads no oracle it is given: ties break by key alone
+    assert build_choice_from_theory(fragment, ClassSpec("all", TruthTableOracle())).report == \
+        build_choice_from_theory(fragment, ClassSpec("all")).report
+    regular = build_choice_from_theory(fragment, ClassSpec("reg", TruthTableOracle()))
+    assert regular.table != build_choice_from_theory(fragment, ClassSpec("all")).table
 
 
 def test_propositional_marking_enumeration_count():
@@ -254,9 +270,8 @@ def quantified_base():
 def test_quantified_fragment_markings_and_build():
     fragments = list(enumerate_fragment_markings(quantified_base(), QSIG))
     assert fragments, "expected at least one valid marking"
-    oracle = BoundedModelOracle(max_domain=2)
     for fragment in fragments:
-        result = build_choice_from_theory(fragment, "all", max_domain=2)
+        result = build_choice_from_theory(fragment, ClassSpec("all"), max_domain=2)
         assert isinstance(result.model, Structure)
         for s in fragment.sentences:
             assert eval_scs(result.model, result.table, s) == fragment.marked(s)
@@ -284,7 +299,7 @@ def _two_elements():
 ], ids=("consistency", "a7"))
 def test_build_raises_the_checks_verdict_at_its_bound(fragment, max_domain, case):
     with pytest.raises(FragmentError) as caught:
-        build_choice_from_theory(fragment, "all", max_domain=max_domain)
+        build_choice_from_theory(fragment, ClassSpec("all"), max_domain=max_domain)
     verdict = caught.value.verdict
     assert verdict == check_theory_fragment(fragment, max_domain) and verdict.case == case
     assert str(caught.value) == f"fragment invalid ({case}): {verdict.reason}"
@@ -303,7 +318,7 @@ def test_build_searches_the_candidate_models_once(monkeypatch, fragment, max_dom
         return models_where(self, mask_of)
 
     monkeypatch.setattr(constructions.SearchSpace, "models_where", counted)
-    result = build_choice_from_theory(fragment, "all", max_domain=max_domain)
+    result = build_choice_from_theory(fragment, ClassSpec("all"), max_domain=max_domain)
     assert len(searches) == 1
     for s in fragment.sentences:
         assert eval_scs(result.model, result.table, s) == fragment.marked(s)

@@ -130,6 +130,49 @@ def test_no_module_imports_a_name_it_does_not_use():
         [(1, "os"), (2, "a")]
 
 
+def _unused_parameters(source):
+    """``(line, function, parameter)`` for each parameter that a function's
+    body never reads.  Dunder methods keep their protocol's signature, a
+    method's first parameter is its receiver, and a name that starts with
+    ``_`` says it is unused on purpose, so these are not reported."""
+    tree = ast.parse(source)
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                           for d in node.decorator_list)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + [args.vararg]
+                  + args.kwonlyargs + [args.kwarg] if a is not None]
+        if id(node) in methods:
+            params = params[1:]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for statement in body for n in ast.walk(statement)
+                if isinstance(n, ast.Name)}
+        found += [(node.lineno, name, p) for p in params
+                  if not p.startswith("_") and p not in read]
+    return sorted(found)
+
+
+def test_no_function_takes_a_parameter_it_does_not_read():
+    package = Path(supkit.__file__).parent
+    unused = {path.name: _unused_parameters(path.read_text())
+              for path in sorted(package.glob("*.py"))}
+    assert {name: found for name, found in unused.items() if found} == {}
+    assert _unused_parameters(
+        "def f(a, b, _c, *d, e=1, **f):\n    return a + f['x']\n"
+        "class K:\n    def m(self, x):\n        return 1\n"
+        "    def __exit__(self, *exc):\n        pass\n"
+        "g = lambda y, z: y\n") == \
+        [(1, "f", "b"), (1, "f", "d"), (1, "f", "e"), (4, "m", "x"), (8, "<lambda>", "z")]
+
+
 def _parameter_spellings(source):
     """``(line, owner)`` of each place a module spells a parameter: a use of
     ``PARAM_PREFIX`` or a string that starts with ``@``, such as a digit key

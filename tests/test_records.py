@@ -60,14 +60,6 @@ class ClassSpec:
 
 
 @dataclass(frozen=True)
-class ClassVerdict:
-    ok: bool
-    kind: str = ""
-    witness: tuple = ()
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class Valuation:
     assignment: dict
 
@@ -258,7 +250,7 @@ def test_every_record_class_has_a_reference():
                if isinstance(value, type) and issubclass(value, Record)
                and value is not Record and value.__module__ == module.__name__}
     assert records == set(vars(NEW)) == set(vars(REF)) == set(SAMPLES)
-    assert len(records) == 28
+    assert len(records) == 27
     for name in records:
         new, ref = _pair(name, 0)
         assert type(new).__match_args__ == type(ref).__match_args__, name
@@ -298,7 +290,6 @@ SAMPLES = {
     "ChoiceTable": [lambda ns: (), lambda ns: ("formula",),
                     lambda ns: ("sentence", {("p0", "p1"): "p1"}, {"p0": P0, "p1": P1})],
     "ClassSpec": [lambda ns: ("all",), lambda ns: ("dec", "oracle"), lambda ns: ("reg", 3)],
-    "ClassVerdict": [lambda ns: (True,), lambda ns: (False, "asso", (P0, P1, P0), "f != f")],
     "Valuation": [lambda ns: ({},), lambda ns: ({"p0": True, "p1": False},)],
     "Structure": [lambda ns: (("e0",),), lambda ns: STRUCTURE],
     "SearchSpace": [lambda ns: (syntax.symbols(parse("p0 sup p1")),),
